@@ -35,11 +35,11 @@ from .device import (
     device_from_json,
 )
 from .experiments import (
-    records_to_csv,
     run_intensity_scaling,
     run_mode_scaling,
     run_phase_error_study,
     run_unitary_scaling,
+    write_csv,
 )
 from .randgen import DEFAULT_R_MAX, haar_unitary, random_symplectic
 from .tomography import (
@@ -62,18 +62,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _shots(text: str):
-    if text.strip().lower() == "inf":
-        return math.inf
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid shot count {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("shot count must be >= 1 or inf")
-    return value
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -84,24 +72,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _shots(text: str):
+    return math.inf if text.strip().lower() == "inf" else _positive_int(text)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _list_of(cast, what: str):
+    """argparse type for a non-empty comma-separated list of ``cast`` values."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [cast(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what} list {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
+
+    return parse
+
+
+_int_list = _list_of(int, "integer")
+_float_list = _list_of(float, "number")
 
 
 def _loss_fraction(text: str) -> float:
@@ -115,7 +106,7 @@ def _loss_fraction(text: str) -> float:
 
 
 def _dump_json(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -290,17 +281,9 @@ def _scheme_list(text: str | None) -> tuple[str, ...]:
 
 def _cmd_experiment(args, argv: list[str]) -> int:
     records = _run_experiment(args)
-    csv_text = records_to_csv(records)
-    meta = {
-        "invocation": argv,
-        "seed": args.seed,
-        "version": __version__,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
-    meta_path = os.path.splitext(args.out)[0] + ".meta.json"
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, indent=2) + "\n")
+    write_csv(records, args.out)
+    meta = {"invocation": argv, "seed": args.seed, "version": __version__}
+    _dump_json(meta, os.path.splitext(args.out)[0] + ".meta.json")
     sys.stderr.write(f"wrote {len(records)} rows to {args.out}\n")
     return EXIT_OK
 

@@ -52,8 +52,8 @@ class ProbeSpec:
     def __post_init__(self):
         if self.mode_j < 1:
             raise ValueError("mode index must be >= 1")
-        if self.amplitude < 0:
-            raise ValueError("probe amplitude must be >= 0")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError("probe amplitude must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,8 @@ class MeasurementConfig:
     """Measurement scheme, shot budget and RNG seed.
 
     ``shots`` is a positive integer, or ``math.inf`` for the analytic
-    (exact-mean) backend.
+    (exact-mean) backend. Homodyne splits the budget between X and P, so it
+    needs at least 2 shots.
     """
 
     scheme: str
@@ -71,14 +72,24 @@ class MeasurementConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if not math.isinf(self.shots):
-            if self.shots != int(self.shots) or self.shots < 1:
+        if not self.analytic:
+            if not 1 <= self.shots < math.inf or self.shots != int(self.shots):
                 raise ValueError("shots must be a positive integer or math.inf")
             object.__setattr__(self, "shots", int(self.shots))
+            if self.scheme == HOMODYNE and self.shots < 2:
+                raise ValueError("homodyne needs at least 2 shots to cover both quadratures")
 
     @property
     def analytic(self) -> bool:
-        return math.isinf(self.shots)
+        return self.shots == math.inf
+
+    @property
+    def shots_per_quadrature(self) -> int:
+        """Outcomes drawn per quadrature and setting: the floored half of the
+        budget for homodyne, all of it for heterodyne, 0 when analytic."""
+        if self.analytic:
+            return 0
+        return self.shots // 2 if self.scheme == HOMODYNE else self.shots
 
 
 @dataclass(frozen=True)
@@ -97,8 +108,8 @@ class QuadratureSampleMeans:
 class DeviceModel:
     """Symplectic matrix + uniform loss (+ optional single-mode cubic gate).
 
-    ``cubic_gamma`` enables the mean-field cubic nonlinearity and is only
-    supported for single-mode devices.
+    ``cubic_gamma`` enables the mean-field cubic nonlinearity; it must be
+    finite and is only supported for single-mode devices.
     """
 
     s: np.ndarray
@@ -111,6 +122,11 @@ class DeviceModel:
             raise ValueError("device matrix is not symplectic")
         if not 0 < self.eta <= 1:
             raise ValueError(f"transmissivity must be in (0, 1], got {self.eta}")
+        if self.cubic_gamma is not None:
+            if not math.isfinite(self.cubic_gamma):
+                raise ValueError(f"cubic_gamma must be finite, got {self.cubic_gamma}")
+            if s.shape != (2, 2):
+                raise ValueError("cubic gate is only supported for single-mode devices")
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
 
@@ -138,14 +154,10 @@ def evolve(model: DeviceModel, probe: ProbeSpec) -> GaussianState:
     Loss is applied at the input, which is equivalent to uniform loss anywhere
     inside the device as far as the means are concerned.
     """
-    if probe.mode_j > model.n_modes:
-        raise ValueError(f"probe mode {probe.mode_j} out of range 1..{model.n_modes}")
     state = coherent_probe_state(model.n_modes, probe.mode_j, probe.amplitude, probe.phase)
     state = apply_uniform_loss(model.eta, state)
     state = apply_symplectic(model.s, state)
     if model.cubic_gamma is not None:
-        if model.n_modes != 1:
-            raise ValueError("cubic gate is only supported for single-mode devices")
         state = GaussianState(
             mean=cubic_phase_mean_map(model.cubic_gamma, state.mean), cov=state.cov
         )
@@ -172,20 +184,17 @@ def sample_quadratures(
     correlated through the per-mode covariance block.
 
     Raises:
-        ValueError: for the analytic backend (no outcomes to draw), or a
-            homodyne budget of fewer than 2 shots (cannot be split).
+        ValueError: for the analytic backend (no outcomes to draw).
     """
     if config.analytic:
         raise ValueError("analytic backend has no sample outcomes; use measure()")
     n = state.n_modes
+    m = config.shots_per_quadrature
     rng = np.random.default_rng(config.seed)
     mx, mp = state.mean[:n], state.mean[n:]
     xx, xp, pp = _mode_blocks(state)
 
     if config.scheme == HOMODYNE:
-        if config.shots < 2:
-            raise ValueError("homodyne needs at least 2 shots to cover both quadratures")
-        m = config.shots // 2
         x = rng.normal(mx, np.sqrt(xx / 2.0), size=(m, n))
         p = rng.normal(mp, np.sqrt(pp / 2.0), size=(m, n))
         return x, p
@@ -193,7 +202,6 @@ def sample_quadratures(
     # Heterodyne: per-mode 2x2 covariance (block + I)/2, sampled through its
     # closed-form Cholesky factor. The Schur complement is bounded below by
     # 1/(4 a) for any PSD block, so the square roots are safe.
-    m = config.shots
     a = (xx + 1.0) / 2.0
     b = xp / 2.0
     d = (pp + 1.0) / 2.0
@@ -214,17 +222,11 @@ def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSample
     """
     n = state.n_modes
     if config.analytic:
-        return QuadratureSampleMeans(
-            x_means=state.mean[:n].copy(),
-            p_means=state.mean[n:].copy(),
-            shots_used_per_quadrature=0,
-        )
-    x, p = sample_quadratures(state, config)
-    return QuadratureSampleMeans(
-        x_means=x.mean(axis=0),
-        p_means=p.mean(axis=0),
-        shots_used_per_quadrature=x.shape[0],
-    )
+        x_means, p_means = state.mean[:n].copy(), state.mean[n:].copy()
+    else:
+        x, p = sample_quadratures(state, config)
+        x_means, p_means = x.mean(axis=0), p.mean(axis=0)
+    return QuadratureSampleMeans(x_means, p_means, config.shots_per_quadrature)
 
 
 @dataclass
@@ -249,12 +251,8 @@ class SimulatedDevice:
     ) -> QuadratureSampleMeans:
         state = evolve(self.model, probe)
         self.settings_used += 1
-        if not config.analytic:
-            if config.scheme == HOMODYNE:
-                # one probe per single-quadrature outcome; odd budgets floor
-                self.probes_used += 2 * (config.shots // 2)
-            else:
-                self.probes_used += config.shots
+        # one probe per homodyne single-quadrature outcome or heterodyne shot
+        self.probes_used += config.shots_per_quadrature * (2 if config.scheme == HOMODYNE else 1)
         return measure(state, config)
 
 

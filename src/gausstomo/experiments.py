@@ -12,11 +12,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import embed_unitary, scaled_frobenius
+from .core import NotPassiveError, embed_unitary, scaled_frobenius
 from .device import HETERODYNE, HOMODYNE, DeviceModel, MeasurementConfig, SCHEMES, SimulatedDevice
 from .randgen import DEFAULT_R_MAX, derive_seed, haar_unitary, random_symplectic
 from .tomography import (
@@ -27,7 +27,6 @@ from .tomography import (
     reconstruct_symplectic,
     reconstruct_unitary,
 )
-from .core import NotPassiveError
 
 # seed stream tags, so device draws and measurement noise never collide
 _DEV = 0
@@ -52,13 +51,57 @@ class ExperimentRecord:
     dropped: int
 
 
-def _stats(values: Sequence[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return math.nan, math.nan
-    if arr.size == 1:
-        return float(arr[0]), math.nan
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+def _record(experiment_id: str, errors: Sequence[float], dropped: int, **cell) -> ExperimentRecord:
+    """One row: the swept cell, and the mean and standard error of its errors."""
+    arr = np.asarray(errors, dtype=float)
+    f_mean = float(arr.mean()) if arr.size else math.nan
+    f_stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.nan
+    return ExperimentRecord(
+        experiment_id=experiment_id, f_mean=f_mean, f_stderr=f_stderr, dropped=dropped, **cell
+    )
+
+
+def _scaling_sweep(
+    experiment_id: str, n_list: Sequence[int], schemes: Sequence[str],
+    eta_list: Sequence[float], amplitude: float, shots: int | float, repetitions: int, seed: int,
+    draw: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+    score: Callable[[np.ndarray, SimulatedDevice, MeasurementConfig], float],
+    drop_on: tuple[type[Exception], ...],
+) -> list[ExperimentRecord]:
+    """Reconstruction error versus mode count, one row per (n, scheme, eta).
+
+    For every (n, rep), ``draw(n, device_seed)`` returns the ground truth and
+    the device's symplectic matrix; that one device is probed under every
+    (eta, scheme) combination. ``score(truth, device, config)`` reconstructs
+    and returns the error; a ``drop_on`` exception drops the repetition.
+    """
+    errors: dict[tuple[int, str, float], list[float]] = {}
+    dropped: dict[tuple[int, str, float], int] = {}
+    for n in n_list:
+        for rep in range(repetitions):
+            truth, s_true = draw(n, derive_seed(seed, _DEV, n, rep))
+            for eta_idx, eta in enumerate(eta_list):
+                model = DeviceModel(s_true, eta=eta)
+                for scheme_idx, scheme in enumerate(schemes):
+                    key = (n, scheme, eta)
+                    meas_seed = derive_seed(seed, _MEAS, n, rep, eta_idx, scheme_idx)
+                    config = MeasurementConfig(scheme=scheme, shots=shots, seed=meas_seed)
+                    try:
+                        error = score(truth, SimulatedDevice(model), config)
+                    except drop_on:
+                        dropped[key] = dropped.get(key, 0) + 1
+                        continue
+                    errors.setdefault(key, []).append(error)
+    return [
+        _record(
+            experiment_id, errors.get((n, scheme, eta), []), dropped.get((n, scheme, eta), 0),
+            n_modes=n, scheme=scheme, eta=eta, amplitude=amplitude, shots=shots, trials=1,
+            repetitions=repetitions, seed=seed,
+        )
+        for n in n_list
+        for scheme in schemes
+        for eta in eta_list
+    ]
 
 
 def run_mode_scaling(
@@ -77,49 +120,18 @@ def run_mode_scaling(
     under every (scheme, eta) combination, with the same device shared across
     combinations so scheme comparisons are paired.
     """
-    errors: dict[tuple[int, str, float], list[float]] = {}
-    dropped: dict[tuple[int, str, float], int] = {}
-    for n in n_list:
-        for rep in range(repetitions):
-            s_true = random_symplectic(n, r_max=r_max, seed=derive_seed(seed, _DEV, n, rep))
-            for eta_idx, eta in enumerate(eta_list):
-                model = DeviceModel(s_true, eta=eta)
-                for scheme_idx, scheme in enumerate(schemes):
-                    key = (n, scheme, eta)
-                    config = MeasurementConfig(
-                        scheme=scheme,
-                        shots=shots,
-                        seed=derive_seed(seed, _MEAS, n, rep, eta_idx, scheme_idx),
-                    )
-                    try:
-                        result = reconstruct_symplectic(SimulatedDevice(model), amplitude, config)
-                    except LossRecoveryError:
-                        dropped[key] = dropped.get(key, 0) + 1
-                        continue
-                    errors.setdefault(key, []).append(scaled_frobenius(s_true, result.s_recon))
-    records = []
-    for n in n_list:
-        for scheme in schemes:
-            for eta in eta_list:
-                key = (n, scheme, eta)
-                f_mean, f_stderr = _stats(errors.get(key, []))
-                records.append(
-                    ExperimentRecord(
-                        experiment_id="mode-scaling",
-                        n_modes=n,
-                        scheme=scheme,
-                        eta=eta,
-                        amplitude=amplitude,
-                        shots=shots,
-                        trials=1,
-                        repetitions=repetitions,
-                        f_mean=f_mean,
-                        f_stderr=f_stderr,
-                        seed=seed,
-                        dropped=dropped.get(key, 0),
-                    )
-                )
-    return records
+
+    def draw(n, device_seed):
+        s_true = random_symplectic(n, r_max=r_max, seed=device_seed)
+        return s_true, s_true
+
+    def score(s_true, device, config):
+        return scaled_frobenius(s_true, reconstruct_symplectic(device, amplitude, config).s_recon)
+
+    return _scaling_sweep(
+        "mode-scaling", n_list, schemes, eta_list, amplitude, shots, repetitions, seed,
+        draw, score, (LossRecoveryError,),
+    )
 
 
 def run_unitary_scaling(
@@ -137,52 +149,19 @@ def run_unitary_scaling(
     reconstructed N x N unitaries. Repetitions whose reconstruction fails the
     passivity or loss-recovery checks are counted in ``dropped``.
     """
-    errors: dict[tuple[int, str, float], list[float]] = {}
-    dropped: dict[tuple[int, str, float], int] = {}
-    for n in n_list:
-        for rep in range(repetitions):
-            u_true = haar_unitary(n, seed=derive_seed(seed, _DEV, n, rep))
-            s_true = embed_unitary(u_true)
-            for eta_idx, eta in enumerate(eta_list):
-                model = DeviceModel(s_true, eta=eta)
-                for scheme_idx, scheme in enumerate(schemes):
-                    key = (n, scheme, eta)
-                    config = MeasurementConfig(
-                        scheme=scheme,
-                        shots=shots,
-                        seed=derive_seed(seed, _MEAS, n, rep, eta_idx, scheme_idx),
-                    )
-                    try:
-                        result = reconstruct_unitary(SimulatedDevice(model), amplitude, config)
-                    except (LossRecoveryError, NotPassiveError):
-                        dropped[key] = dropped.get(key, 0) + 1
-                        continue
-                    errors.setdefault(key, []).append(
-                        scaled_frobenius(u_true, result.u_hat, n_modes=n)
-                    )
-    records = []
-    for n in n_list:
-        for scheme in schemes:
-            for eta in eta_list:
-                key = (n, scheme, eta)
-                f_mean, f_stderr = _stats(errors.get(key, []))
-                records.append(
-                    ExperimentRecord(
-                        experiment_id="unitary-scaling",
-                        n_modes=n,
-                        scheme=scheme,
-                        eta=eta,
-                        amplitude=amplitude,
-                        shots=shots,
-                        trials=1,
-                        repetitions=repetitions,
-                        f_mean=f_mean,
-                        f_stderr=f_stderr,
-                        seed=seed,
-                        dropped=dropped.get(key, 0),
-                    )
-                )
-    return records
+
+    def draw(n, device_seed):
+        u_true = haar_unitary(n, seed=device_seed)
+        return u_true, embed_unitary(u_true)
+
+    def score(u_true, device, config):
+        u_hat = reconstruct_unitary(device, amplitude, config).u_hat
+        return scaled_frobenius(u_true, u_hat, n_modes=u_true.shape[0])
+
+    return _scaling_sweep(
+        "unitary-scaling", n_list, schemes, eta_list, amplitude, shots, repetitions, seed,
+        draw, score, (LossRecoveryError, NotPassiveError),
+    )
 
 
 def run_intensity_scaling(
@@ -214,11 +193,8 @@ def run_intensity_scaling(
             for rep in range(repetitions):
                 tilde_sum = np.zeros((2 * n_modes, 2 * n_modes))
                 for trial in range(trials):
-                    config = MeasurementConfig(
-                        scheme=scheme,
-                        shots=shots,
-                        seed=derive_seed(seed, _MEAS, amp_idx, trials_idx, rep, trial),
-                    )
+                    meas_seed = derive_seed(seed, _MEAS, amp_idx, trials_idx, rep, trial)
+                    config = MeasurementConfig(scheme=scheme, shots=shots, seed=meas_seed)
                     tilde_sum += measure_attenuated_matrix(
                         SimulatedDevice(model), amplitude, config
                     )
@@ -229,23 +205,11 @@ def run_intensity_scaling(
                     n_dropped += 1
                     continue
                 errs.append(scaled_frobenius(s_true, tilde_avg / math.sqrt(eta_hat)))
-            f_mean, f_stderr = _stats(errs)
-            records.append(
-                ExperimentRecord(
-                    experiment_id="intensity",
-                    n_modes=n_modes,
-                    scheme=scheme,
-                    eta=eta,
-                    amplitude=amplitude,
-                    shots=shots,
-                    trials=trials,
-                    repetitions=repetitions,
-                    f_mean=f_mean,
-                    f_stderr=f_stderr,
-                    seed=seed,
-                    dropped=n_dropped,
-                )
-            )
+            records.append(_record(
+                "intensity", errs, n_dropped, n_modes=n_modes, scheme=scheme, eta=eta,
+                amplitude=amplitude, shots=shots, trials=trials, repetitions=repetitions,
+                seed=seed,
+            ))
     return records
 
 
@@ -264,11 +228,10 @@ def run_phase_error_study(
     deviation of the trial-averaged element estimate from the true element,
     normalised by the Euclidean size of the element's (X, P) row pair.
     """
-    if phi_max < 0 or phi_max >= math.pi / 4:
+    if not 0 <= phi_max < math.pi / 4:
         raise ValueError("phi_max must lie in [0, pi/4)")
     s_true = random_symplectic(1, r_max=r_max, seed=derive_seed(seed, _DEV))
-    model = DeviceModel(s_true, eta=1.0)
-    device = SimulatedDevice(model)
+    device = SimulatedDevice(DeviceModel(s_true, eta=1.0))
     config = MeasurementConfig(scheme=HOMODYNE, shots=math.inf)
     target = s_true[0, 0]
     norm = math.hypot(s_true[0, 0], s_true[0, 1])
@@ -285,23 +248,11 @@ def run_phase_error_study(
                 for phi in phis
             ]
             errs.append(abs(float(np.mean(estimates)) - target) / norm)
-        f_mean, f_stderr = _stats(errs)
-        records.append(
-            ExperimentRecord(
-                experiment_id="phase-error",
-                n_modes=1,
-                scheme=config.scheme,
-                eta=1.0,
-                amplitude=amplitude,
-                shots=config.shots,
-                trials=trials,
-                repetitions=repetitions,
-                f_mean=f_mean,
-                f_stderr=f_stderr,
-                seed=seed,
-                dropped=0,
-            )
-        )
+        records.append(_record(
+            "phase-error", errs, 0, n_modes=1, scheme=config.scheme, eta=1.0,
+            amplitude=amplitude, shots=config.shots, trials=trials, repetitions=repetitions,
+            seed=seed,
+        ))
     return records
 
 

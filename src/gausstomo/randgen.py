@@ -60,13 +60,13 @@ def random_symplectic(
 
     Args:
         n: number of modes, >= 1.
-        r_max: maximum squeezing magnitude, >= 0.
+        r_max: maximum squeezing magnitude, finite and >= 0.
         seed: integer seed or an existing ``numpy.random.Generator``.
     """
     if n < 1:
         raise ValueError("number of modes must be >= 1")
-    if r_max < 0:
-        raise ValueError("r_max must be >= 0")
+    if not 0 <= r_max < np.inf:
+        raise ValueError(f"r_max must be finite and >= 0, got {r_max}")
     rng = np.random.default_rng(seed)
     k1 = embed_unitary(_haar_unitary(n, rng))
     r = rng.uniform(-r_max, r_max, size=n)

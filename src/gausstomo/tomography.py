@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
-from .core import STRUCTURAL_TOL
+from .core import STRUCTURAL_TOL, NotPassiveError, matrix_to_json
 from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans
 from .randgen import derive_seed
 
@@ -28,11 +28,14 @@ SQRT2 = math.sqrt(2.0)
 
 
 class LossRecoveryError(RuntimeError):
-    """Transmissivity recovery failed: det(s_tilde) <= 0.
+    """Transmissivity recovery failed: det(s_tilde) <= 0, or the recovered
+    transmissivity is not finite and > 0.
 
     At very low shot counts (or for a non-symplectic device) the estimated
     matrix can have non-positive determinant; this is surfaced rather than
-    clamped so that accuracy studies are not silently biased.
+    clamped so that accuracy studies are not silently biased. A probe
+    amplitude at the edge of the floating-point range can make the
+    determinant overflow or underflow.
     """
 
 
@@ -69,29 +72,59 @@ class UnitaryReconstruction:
     unitarity_residual: float
 
 
+def _eta_from_log(log_eta: float) -> float:
+    """``exp(log_eta)``, which must be a finite, positive transmissivity."""
+    with np.errstate(over="ignore"):
+        eta_hat = float(np.exp(log_eta))
+    if not 0 < eta_hat < math.inf:
+        raise LossRecoveryError(f"recovered transmissivity {eta_hat} is not finite and > 0")
+    return eta_hat
+
+
 def estimate_eta(s_tilde: np.ndarray) -> float:
     """Recover the uniform transmissivity from det(s_tilde) = eta^N.
 
     Raises:
-        LossRecoveryError: if the determinant is not positive.
+        LossRecoveryError: if the determinant is not positive, or the
+            recovered transmissivity is not finite and > 0.
     """
     s_tilde = np.asarray(s_tilde, dtype=float)
     if s_tilde.ndim != 2 or s_tilde.shape[0] != s_tilde.shape[1] or s_tilde.shape[0] % 2:
         raise ValueError(f"expected a 2N x 2N matrix, got shape {s_tilde.shape}")
     n = s_tilde.shape[0] // 2
     sign, logabsdet = np.linalg.slogdet(s_tilde)
-    if sign <= 0:
+    if not sign > 0:
         raise LossRecoveryError(
             "det(s_tilde) <= 0: shot noise too large or device not symplectic"
         )
-    return float(np.exp(logabsdet / n))
+    return _eta_from_log(logabsdet / n)
 
 
-def _setting_config(config: MeasurementConfig, setting_index: int) -> MeasurementConfig:
-    """Give each probe setting its own derived seed stream."""
+def _probe_scale(amplitude: float) -> float:
+    """``sqrt(2) * amplitude``: a measured mean over this is a matrix element."""
+    if not 0 < amplitude < math.inf:
+        raise ValueError(f"probe amplitude must be finite and > 0, got {amplitude}")
+    return SQRT2 * amplitude
+
+
+def _probe_settings(
+    device: ProbeableDevice, probes: list[ProbeSpec], config: MeasurementConfig
+) -> Iterator[QuadratureSampleMeans]:
+    """Issue the probe settings in order and yield their means; setting k gets
+    its own seed stream ``derive_seed(config.seed, k)``, so settings could
+    run concurrently."""
+    for k, probe in enumerate(probes):
+        setting = config if config.analytic else replace(config, seed=derive_seed(config.seed, k))
+        yield device.probe_and_measure(probe, setting)
+
+
+def _mean_stderr(config: MeasurementConfig) -> float:
+    """Shot-noise standard error of one quadrature mean of a near-coherent
+    output (outcome variance 1/2 homodyne, 1 heterodyne); 0 when analytic."""
     if config.analytic:
-        return config
-    return replace(config, seed=derive_seed(config.seed, setting_index))
+        return 0.0
+    outcome_var = 0.5 if config.scheme == HOMODYNE else 1.0
+    return math.sqrt(outcome_var / config.shots_per_quadrature)
 
 
 def measure_attenuated_matrix(
@@ -105,24 +138,18 @@ def measure_attenuated_matrix(
     so estimates from repeated runs can be averaged before rescaling.
 
     Raises:
-        ValueError: non-positive amplitude, or a homodyne budget below 2.
+        ValueError: amplitude not finite and > 0.
     """
-    if amplitude <= 0:
-        raise ValueError("probe amplitude must be > 0")
-    if config.scheme == HOMODYNE and not config.analytic and config.shots < 2:
-        raise ValueError("homodyne needs at least 2 shots per setting")
+    scale = _probe_scale(amplitude)
     n = device.n_modes
-    s_tilde = np.zeros((2 * n, 2 * n))
-    scale = SQRT2 * amplitude
-    for setting, (j, phase, col) in enumerate(
-        (j, phase, col_base + j - 1)
+    probes = [
+        ProbeSpec(mode_j=j, amplitude=amplitude, phase=phase)
         for j in range(1, n + 1)
-        for phase, col_base in ((0.0, 0), (math.pi / 2.0, n))
-    ):
-        means = device.probe_and_measure(
-            ProbeSpec(mode_j=j, amplitude=amplitude, phase=phase),
-            _setting_config(config, setting),
-        )
+        for phase in (0.0, math.pi / 2.0)
+    ]
+    s_tilde = np.zeros((2 * n, 2 * n))
+    for probe, means in zip(probes, _probe_settings(device, probes, config)):
+        col = probe.mode_j - 1 + (n if probe.phase else 0)
         s_tilde[:n, col] = means.x_means / scale
         s_tilde[n:, col] = means.p_means / scale
     return s_tilde
@@ -138,13 +165,14 @@ def reconstruct_symplectic(
 
     Args:
         device: probe-and-measure interface.
-        amplitude: coherent probe amplitude, > 0.
+        amplitude: coherent probe amplitude, finite and > 0.
         config: measurement scheme, shots and master seed; per-setting seeds
             are derived from it, so settings could run concurrently.
 
     Raises:
-        ValueError: non-positive amplitude, or a homodyne budget below 2.
-        LossRecoveryError: non-positive determinant of the raw estimate.
+        ValueError: amplitude not finite and > 0.
+        LossRecoveryError: non-positive determinant of the raw estimate, or
+            a recovered transmissivity that is not finite and > 0.
     """
     s_tilde = measure_attenuated_matrix(device, amplitude, config)
     eta_hat = estimate_eta(s_tilde)
@@ -168,45 +196,28 @@ def reconstruct_unitary(
     uniform loss is recovered from ``|det|`` and divided out.
 
     Raises:
-        ValueError: non-positive amplitude or too-small homodyne budget.
-        LossRecoveryError: vanishing determinant of the raw estimate.
+        ValueError: amplitude not finite and > 0.
+        LossRecoveryError: vanishing determinant of the raw estimate, or a
+            recovered transmissivity that is not finite and > 0.
         NotPassiveError: unitarity residual of the rescaled estimate exceeds
             10x the expected shot-noise scale, which signals an active device.
     """
-    from .core import NotPassiveError  # local import keeps module deps one-way
-
-    if amplitude <= 0:
-        raise ValueError("probe amplitude must be > 0")
-    if config.scheme == HOMODYNE and not config.analytic and config.shots < 2:
-        raise ValueError("homodyne needs at least 2 shots per setting")
+    scale = _probe_scale(amplitude)
     n = device.n_modes
+    probes = [ProbeSpec(mode_j=j, amplitude=amplitude, phase=0.0) for j in range(1, n + 1)]
     u_tilde = np.zeros((n, n), dtype=complex)
-    scale = SQRT2 * amplitude
-    shots_per_quad = 0
-    for j in range(1, n + 1):
-        means = device.probe_and_measure(
-            ProbeSpec(mode_j=j, amplitude=amplitude, phase=0.0),
-            _setting_config(config, j - 1),
-        )
-        u_tilde[:, j - 1] = means.x_means / scale - 1j * means.p_means / scale
-        shots_per_quad = means.shots_used_per_quadrature
+    for col, means in enumerate(_probe_settings(device, probes, config)):
+        u_tilde[:, col] = means.x_means / scale - 1j * means.p_means / scale
 
-    sign, logabsdet = np.linalg.slogdet(u_tilde)
-    if not np.isfinite(logabsdet) or abs(sign) == 0:
-        raise LossRecoveryError("det(u_tilde) vanished: cannot recover loss")
-    eta_hat = float(np.exp(2.0 * logabsdet / n))
+    # a vanishing determinant has log -inf and recovers eta_hat = 0
+    _, logabsdet = np.linalg.slogdet(u_tilde)
+    eta_hat = _eta_from_log(2.0 * logabsdet / n)
     u_hat = u_tilde / math.sqrt(eta_hat)
 
     residual = float(np.max(np.abs(u_hat @ u_hat.conj().T - np.eye(n))))
     # Expected residual scale: each matrix entry carries the standard error of
-    # a quadrature mean of a minimum-uncertainty output (variance 1/2 homodyne,
-    # 1 heterodyne), divided by sqrt(2) alpha sqrt(eta).
-    if shots_per_quad > 0:
-        outcome_var = 0.5 if config.scheme == HOMODYNE else 1.0
-        entry_se = math.sqrt(outcome_var / shots_per_quad) / (scale * math.sqrt(eta_hat))
-        noise_scale = entry_se * math.sqrt(2 * n)
-    else:
-        noise_scale = 0.0
+    # a quadrature mean divided by sqrt(2) alpha sqrt(eta).
+    noise_scale = _mean_stderr(config) / (scale * math.sqrt(eta_hat)) * math.sqrt(2 * n)
     threshold = max(STRUCTURAL_TOL, 10.0 * noise_scale)
     if residual > threshold:
         raise NotPassiveError(
@@ -233,11 +244,11 @@ def reconstruct_element_with_phase_error(
     Args:
         i: output mode index (X quadrature row), 1-based.
         j: input mode index, 1-based.
+        amplitude: coherent probe amplitude, finite and > 0.
         phi: phase-modulation error in radians, |phi| < pi/4.
     """
-    if amplitude <= 0:
-        raise ValueError("probe amplitude must be > 0")
-    if abs(phi) >= math.pi / 4:
+    scale = _probe_scale(amplitude)
+    if not abs(phi) < math.pi / 4:
         raise ValueError("phase error must satisfy |phi| < pi/4")
     n = device.n_modes
     if not 1 <= i <= n or not 1 <= j <= n:
@@ -245,7 +256,7 @@ def reconstruct_element_with_phase_error(
     means = device.probe_and_measure(
         ProbeSpec(mode_j=j, amplitude=amplitude, phase=phi), config
     )
-    return float(means.x_means[i - 1] / (SQRT2 * amplitude))
+    return float(means.x_means[i - 1] / scale)
 
 
 def probe_ratios(
@@ -256,17 +267,16 @@ def probe_ratios(
     For a Gaussian device the ratio is the matrix element ``S_{N+1,1}``
     regardless of amplitude; an amplitude-dependent ratio is the signature of
     dynamics beyond the Gaussian regime.
+
+    Raises:
+        ValueError: an amplitude not finite and > 0.
     """
-    ratios = []
-    for idx, amp in enumerate(amplitudes):
-        if amp <= 0:
-            raise ValueError("probe amplitudes must be > 0")
-        means = device.probe_and_measure(
-            ProbeSpec(mode_j=1, amplitude=amp, phase=0.0),
-            _setting_config(config, idx),
-        )
-        ratios.append(float(means.p_means[0] / (SQRT2 * amp)))
-    return ratios
+    scales = [_probe_scale(amp) for amp in amplitudes]
+    probes = [ProbeSpec(mode_j=1, amplitude=amp, phase=0.0) for amp in amplitudes]
+    return [
+        float(means.p_means[0] / scale)
+        for means, scale in zip(_probe_settings(device, probes, config), scales)
+    ]
 
 
 def default_detection_tol(amplitudes: list[float], config: MeasurementConfig) -> float:
@@ -275,18 +285,11 @@ def default_detection_tol(amplitudes: list[float], config: MeasurementConfig) ->
     Assumes a near-coherent output (outcome variance 1/2 for homodyne, 1 for
     heterodyne). Floored at the structural tolerance so the analytic backend
     is not tripped by roundoff.
+
+    Raises:
+        ValueError: an amplitude not finite and > 0.
     """
-    if config.analytic:
-        return STRUCTURAL_TOL
-    if config.scheme == HOMODYNE:
-        outcome_var, shots = 0.5, config.shots // 2
-    else:
-        outcome_var, shots = 1.0, config.shots
-    if shots < 1:
-        raise ValueError("shot budget too small for this scheme")
-    worst_se = max(
-        math.sqrt(outcome_var / shots) / (SQRT2 * amp) for amp in amplitudes
-    )
+    worst_se = max(_mean_stderr(config) / _probe_scale(amp) for amp in amplitudes)
     return max(STRUCTURAL_TOL, 5.0 * worst_se)
 
 
@@ -299,9 +302,9 @@ def detect_non_gaussian(
     """Probe at several amplitudes and flag amplitude-dependent response.
 
     Args:
-        amplitudes: at least two distinct positive probe amplitudes.
-        tol: decision threshold on the maximum pairwise ratio difference;
-            defaults to :func:`default_detection_tol`.
+        amplitudes: at least two distinct, finite, positive probe amplitudes.
+        tol: decision threshold on the maximum pairwise ratio difference,
+            finite and >= 0; defaults to :func:`default_detection_tol`.
 
     Returns:
         ``(non_gaussian, ratios)``: the verdict and the per-amplitude ratios.
@@ -312,6 +315,8 @@ def detect_non_gaussian(
         raise ValueError("probe amplitudes must be distinct")
     if tol is None:
         tol = default_detection_tol(amplitudes, config)
+    elif not 0 <= tol < math.inf:
+        raise ValueError(f"detection tolerance must be finite and >= 0, got {tol}")
     ratios = probe_ratios(device, amplitudes, config)
     spread = max(ratios) - min(ratios)
     return spread > tol, ratios
@@ -324,8 +329,6 @@ def reconstruction_to_json(
 
     ``shots`` is null for the analytic backend, since JSON has no infinity.
     """
-    from .core import matrix_to_json
-
     return {
         "s_tilde": matrix_to_json(result.s_tilde, "symplectic"),
         "eta_hat": float(result.eta_hat),

@@ -249,3 +249,52 @@ def test_experiment_bad_reps_leaves_no_file(tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert not (tmp_path / "never.meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--gamma", "nan", "--amplitudes", "1,2"],
+        ["detect", "--gamma", "0.1", "--amplitudes", "1,2", "--tol", "nan"],
+        ["detect", "--gamma", "0.1", "--amplitudes", "0,1", "--shots", "100"],
+    ],
+)
+def test_detect_rejects_bad_input(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    assert "gaussian" not in out
+
+
+def test_reconstruct_rejects_nan_amplitude(tmp_path, capsys):
+    dev, _ = write_device(tmp_path, n=1, seed=0)
+    out = tmp_path / "recon.json"
+    code, _, _ = run(["reconstruct", "--device", str(dev), "--amplitude", "nan",
+                      "--out", str(out)], capsys)
+    assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["mode-scaling", "--amplitude", "nan"],
+        ["mode-scaling", "--r-max", "nan"],
+        ["phase-error", "--phi-max", "nan"],
+    ],
+)
+def test_experiment_rejects_non_finite_input(extra, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    argv = ["experiment", *extra, "--modes", "1", "--reps", "1", "--shots", "inf",
+            "--out", str(out)]
+    code, _, _ = run(argv, capsys)
+    assert code == 1
+    assert not out.exists()
+
+
+def test_dump_json_rejects_non_finite(tmp_path):
+    from gausstomo.cli import _dump_json
+
+    out = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        _dump_json({"eta_hat": math.nan}, str(out))
+    assert not out.exists()

@@ -227,3 +227,45 @@ def test_device_json_missing_field():
     del obj["eta"]
     with pytest.raises(ValueError):
         device_from_json(obj)
+
+
+@pytest.mark.parametrize("shots", [-math.inf, math.nan])
+def test_measurement_config_rejects_bad_shots(shots):
+    with pytest.raises(ValueError):
+        MeasurementConfig(scheme=HETERODYNE, shots=shots)
+
+
+def test_measurement_config_homodyne_budget_checked_at_construction():
+    with pytest.raises(ValueError):
+        MeasurementConfig(scheme=HOMODYNE, shots=1)
+
+
+@pytest.mark.parametrize(
+    "scheme, shots, per_quadrature",
+    [(HOMODYNE, 2, 1), (HOMODYNE, 7, 3), (HETERODYNE, 7, 7), (HOMODYNE, math.inf, 0),
+     (HETERODYNE, math.inf, 0)],
+)
+def test_shots_per_quadrature(scheme, shots, per_quadrature):
+    config = MeasurementConfig(scheme=scheme, shots=shots, seed=1)
+    assert config.shots_per_quadrature == per_quadrature
+    device = SimulatedDevice(DeviceModel(np.eye(4)))
+    means = device.probe_and_measure(ProbeSpec(mode_j=2, amplitude=1.0), config)
+    assert means.shots_used_per_quadrature == per_quadrature
+    assert device.probes_used == per_quadrature * (2 if scheme == HOMODYNE else 1)
+
+
+def test_device_model_rejects_multimode_cubic_gate():
+    with pytest.raises(ValueError, match="single-mode"):
+        DeviceModel(np.eye(4), cubic_gamma=0.1)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_device_model_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError):
+        DeviceModel(np.eye(2), cubic_gamma=gamma)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+def test_probe_spec_rejects_non_finite_amplitude(amplitude):
+    with pytest.raises(ValueError):
+        ProbeSpec(mode_j=1, amplitude=amplitude)

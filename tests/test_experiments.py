@@ -219,3 +219,9 @@ def test_csv_bytes_reproducible():
     a = records_to_csv(run_mode_scaling([2], **kwargs))
     b = records_to_csv(run_mode_scaling([2], **kwargs))
     assert a == b
+
+
+@pytest.mark.parametrize("runner", [run_mode_scaling, run_unitary_scaling])
+def test_scaling_rejects_non_finite_amplitude(runner):
+    with pytest.raises(ValueError):
+        runner([1], amplitude=math.nan, shots=math.inf, repetitions=1)

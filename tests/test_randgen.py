@@ -76,3 +76,9 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(0, 1, 2) != derive_seed(0, 2, 1)
     assert derive_seed(0) != derive_seed(1)
     assert 0 <= derive_seed(3, 4) < 2**64
+
+
+@pytest.mark.parametrize("r_max", [float("nan"), float("inf"), -0.1])
+def test_random_symplectic_rejects_bad_r_max(r_max):
+    with pytest.raises(ValueError):
+        random_symplectic(2, r_max=r_max, seed=0)

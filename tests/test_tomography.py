@@ -17,6 +17,7 @@ from gausstomo import (
     estimate_eta,
     haar_unitary,
     measure_attenuated_matrix,
+    probe_ratios,
     random_symplectic,
     reconstruct_element_with_phase_error,
     reconstruct_symplectic,
@@ -339,3 +340,51 @@ def test_reconstruction_json_finite_and_analytic():
     assert obj["shots"] is None
     assert obj["frobenius_vs_truth"] is None
     np.testing.assert_allclose(np.array(obj["s_recon"]["data"]), analytic.s_recon)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda dev, a: reconstruct_symplectic(dev, a, ANALYTIC_HET),
+        lambda dev, a: measure_attenuated_matrix(dev, a, ANALYTIC_HET),
+        lambda dev, a: reconstruct_unitary(dev, a, ANALYTIC_HET),
+        lambda dev, a: reconstruct_element_with_phase_error(dev, 1, 1, a, 0.0, ANALYTIC_HOM),
+        lambda dev, a: probe_ratios(dev, [1.0, a], ANALYTIC_HET),
+        lambda dev, a: default_detection_tol([1.0, a], ANALYTIC_HET),
+    ],
+)
+def test_non_finite_amplitude_rejected(call, amplitude):
+    dev = SimulatedDevice(DeviceModel(np.eye(2)))
+    with pytest.raises(ValueError):
+        call(dev, amplitude)
+    assert dev.settings_used == 0
+
+
+def test_default_tol_rejects_zero_amplitude():
+    with pytest.raises(ValueError):
+        default_detection_tol([0.0, 1.0], MeasurementConfig(scheme=HETERODYNE, shots=100))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+def test_detect_rejects_bad_tol(tol):
+    with pytest.raises(ValueError):
+        detect_non_gaussian(cubic_device(0.1), [1.0, 2.0], ANALYTIC_HET, tol=tol)
+
+
+# At 1e-300 the shot noise divided by sqrt(2) a makes det(s_tilde) overflow,
+# so eta_hat = exp(logdet / N) is inf; at 1e308 the sample means overflow and
+# eta_hat is NaN. Neither may come back as a result.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("amplitude, seed", [(1e-300, 0), (1e308, 2)])
+def test_non_finite_eta_hat_is_loss_recovery_error(amplitude, seed):
+    config = MeasurementConfig(scheme=HETERODYNE, shots=100, seed=seed)
+    with pytest.raises(LossRecoveryError):
+        reconstruct_symplectic(make_device(1, eta=0.5, seed=seed), amplitude, config)
+
+
+def test_unitary_non_finite_eta_hat_is_loss_recovery_error():
+    device = SimulatedDevice(DeviceModel(embed_unitary(haar_unitary(2, seed=3)), eta=0.5))
+    config = MeasurementConfig(scheme=HETERODYNE, shots=100, seed=1)
+    with pytest.raises(LossRecoveryError):
+        reconstruct_unitary(device, 1e-300, config)
