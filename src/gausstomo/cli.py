@@ -6,8 +6,8 @@ failure of a reconstruction. Data goes to the requested output file, or to
 standard output when no file is given; progress and summaries that would
 corrupt machine-readable standard output go to standard error instead.
 
-Output files are written in one shot after a command finishes, so a failed
-run never leaves a partial file behind.
+Output files are written after a command finishes, each through a temporary
+file and a rename, so a failed run never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ from .device import (
     MeasurementConfig,
     SCHEMES,
     SimulatedDevice,
+    _check_scheme,
     device_from_json,
 )
 from .experiments import (
+    _write_atomic,
     run_intensity_scaling,
     run_mode_scaling,
     run_phase_error_study,
@@ -110,8 +112,7 @@ def _dump_json(obj, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_atomic(out_path, text)
 
 
 def _build_parser() -> _Parser:
@@ -270,10 +271,7 @@ def _run_experiment(args):
 def _scheme_list(text: str | None) -> tuple[str, ...]:
     if text is None:
         return SCHEMES
-    schemes = tuple(part.strip() for part in text.split(",") if part.strip())
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
+    schemes = tuple(_check_scheme(part.strip()) for part in text.split(",") if part.strip())
     if not schemes:
         raise ValueError("empty scheme list")
     return schemes
@@ -281,9 +279,14 @@ def _scheme_list(text: str | None) -> tuple[str, ...]:
 
 def _cmd_experiment(args, argv: list[str]) -> int:
     records = _run_experiment(args)
-    write_csv(records, args.out)
-    meta = {"invocation": argv, "seed": args.seed, "version": __version__}
-    _dump_json(meta, os.path.splitext(args.out)[0] + ".meta.json")
+    # the meta file goes first and is taken back if the CSV cannot be placed
+    meta_path = os.path.splitext(args.out)[0] + ".meta.json"
+    _dump_json({"invocation": argv, "seed": args.seed, "version": __version__}, meta_path)
+    try:
+        write_csv(records, args.out)
+    except BaseException:
+        os.unlink(meta_path)
+        raise
     sys.stderr.write(f"wrote {len(records)} rows to {args.out}\n")
     return EXIT_OK
 

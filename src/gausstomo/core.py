@@ -169,14 +169,19 @@ def coherent_probe_state(n: int, mode_j: int, amplitude: float, phase: float) ->
     """
     if n < 1:
         raise ValueError("number of modes must be >= 1")
-    if not 1 <= mode_j <= n:
-        raise ValueError(f"mode index {mode_j} out of range 1..{n}")
     if amplitude < 0:
         raise ValueError("probe amplitude must be >= 0")
+    return GaussianState(mean=_coherent_mean(n, mode_j, amplitude, phase), cov=np.eye(2 * n))
+
+
+def _coherent_mean(n: int, mode_j: int, amplitude: float, phase: float) -> np.ndarray:
+    """Mean vector of :func:`coherent_probe_state`, after its mode-range check."""
+    if not 1 <= mode_j <= n:
+        raise ValueError(f"mode index {mode_j} out of range 1..{n}")
     mean = np.zeros(2 * n)
     mean[mode_j - 1] = np.sqrt(2.0) * amplitude * np.cos(phase)
     mean[n + mode_j - 1] = np.sqrt(2.0) * amplitude * np.sin(phase)
-    return GaussianState(mean=mean, cov=np.eye(2 * n))
+    return mean
 
 
 def apply_symplectic(s: np.ndarray, state: GaussianState) -> GaussianState:

@@ -16,6 +16,11 @@ Measurement schemes and their sampling statistics (vacuum covariance = I):
 
 With ``shots=math.inf`` the measurement is analytic: exact state means are
 returned, no sampling. This is the oracle backend for exactness tests.
+
+Every coherent probe has vacuum covariance and uniform loss mixes vacuum with
+vacuum, so the output covariance ``S S^T`` and its sampling factors are the
+same for every probe setting: a :class:`DeviceModel` computes them once, and
+each setting propagates only its mean.
 """
 
 from __future__ import annotations
@@ -28,17 +33,24 @@ import numpy as np
 from .core import (
     GaussianState,
     STRUCTURAL_TOL,
+    _coherent_mean,
     apply_symplectic,
     apply_uniform_loss,
-    coherent_probe_state,
     is_symplectic,
     matrix_from_json,
     matrix_to_json,
+    vacuum_state,
 )
 
 HOMODYNE = "homodyne"
 HETERODYNE = "heterodyne"
 SCHEMES = (HOMODYNE, HETERODYNE)
+
+
+def _check_scheme(scheme: str) -> str:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    return scheme
 
 
 @dataclass(frozen=True)
@@ -70,8 +82,7 @@ class MeasurementConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        _check_scheme(self.scheme)
         if not self.analytic:
             if not 1 <= self.shots < math.inf or self.shots != int(self.shots):
                 raise ValueError("shots must be a positive integer or math.inf")
@@ -109,12 +120,15 @@ class DeviceModel:
     """Symplectic matrix + uniform loss (+ optional single-mode cubic gate).
 
     ``cubic_gamma`` enables the mean-field cubic nonlinearity; it must be
-    finite and is only supported for single-mode devices.
+    finite and is only supported for single-mode devices. The output
+    covariance and the per-scheme sampling factors are computed once here.
     """
 
     s: np.ndarray
     eta: float = 1.0
     cubic_gamma: float | None = None
+    _cov: np.ndarray = field(init=False, repr=False, compare=False)
+    _factors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.array(self.s, dtype=float)
@@ -129,6 +143,9 @@ class DeviceModel:
                 raise ValueError("cubic gate is only supported for single-mode devices")
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
+        cov = apply_symplectic(s, apply_uniform_loss(self.eta, vacuum_state(self.n_modes))).cov
+        object.__setattr__(self, "_cov", cov)
+        object.__setattr__(self, "_factors", {sch: _sampling_factors(cov, sch) for sch in SCHEMES})
 
     @property
     def n_modes(self) -> int:
@@ -147,31 +164,67 @@ def cubic_phase_mean_map(gamma: float, mean: np.ndarray) -> np.ndarray:
     return np.array([x, p + 3.0 * gamma * x * x])
 
 
+def _output_mean(model: DeviceModel, probe: ProbeSpec) -> np.ndarray:
+    """Output mean of a coherent probe: loss, then S, then the optional cubic gate."""
+    mean = _coherent_mean(model.n_modes, probe.mode_j, probe.amplitude, probe.phase)
+    mean = model.s @ (np.sqrt(model.eta) * mean)
+    if model.cubic_gamma is not None:
+        mean = cubic_phase_mean_map(model.cubic_gamma, mean)
+    return mean
+
+
 def evolve(model: DeviceModel, probe: ProbeSpec) -> GaussianState:
     """Propagate a coherent probe through loss, the symplectic map and the
     optional cubic gate; returns the output state.
 
     Loss is applied at the input, which is equivalent to uniform loss anywhere
-    inside the device as far as the means are concerned.
+    inside the device as far as the means are concerned. The covariance is the
+    model's cached one: probe and loss are vacuum, the cubic gate acts on means.
     """
-    state = coherent_probe_state(model.n_modes, probe.mode_j, probe.amplitude, probe.phase)
-    state = apply_uniform_loss(model.eta, state)
-    state = apply_symplectic(model.s, state)
-    if model.cubic_gamma is not None:
-        state = GaussianState(
-            mean=cubic_phase_mean_map(model.cubic_gamma, state.mean), cov=state.cov
-        )
-    return state
+    return GaussianState(mean=_output_mean(model, probe), cov=model._cov)
 
 
-def _mode_blocks(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-mode (xx, xp, pp) covariance entries as length-N vectors."""
-    n = state.n_modes
-    cov = state.cov
-    xx = np.diagonal(cov[:n, :n]).copy()
-    pp = np.diagonal(cov[n:, n:]).copy()
+def _sampling_factors(cov: np.ndarray, scheme: str) -> tuple[np.ndarray, ...]:
+    """Per-mode homodyne X and P standard deviations, or heterodyne Cholesky
+    factors (l11, l21, l22) of each mode's (block + I)/2."""
+    n = cov.shape[0] // 2
+    xx = np.diagonal(cov[:n, :n])
+    pp = np.diagonal(cov[n:, n:])
+    if scheme == HOMODYNE:
+        return np.sqrt(xx / 2.0), np.sqrt(pp / 2.0)
+    # The Schur complement is bounded below by 1/(4 a) for any PSD block, so
+    # the square roots are safe.
     xp = (np.diagonal(cov[:n, n:]) + np.diagonal(cov[n:, :n])) / 2.0
-    return xx, xp, pp
+    a = (xx + 1.0) / 2.0
+    b = xp / 2.0
+    d = (pp + 1.0) / 2.0
+    l11 = np.sqrt(a)
+    return l11, b / l11, np.sqrt(d - b * b / a)
+
+
+def _draw(mean: np.ndarray, factors: tuple, config: MeasurementConfig) -> tuple[np.ndarray, ...]:
+    """Raw X and P outcomes, each of shape (shots_per_quadrature, N)."""
+    n = mean.size // 2
+    m = config.shots_per_quadrature
+    rng = np.random.default_rng(config.seed)
+    mx, mp = mean[:n], mean[n:]
+    if config.scheme == HOMODYNE:
+        sx, sp = factors
+        return rng.normal(mx, sx, size=(m, n)), rng.normal(mp, sp, size=(m, n))
+    l11, l21, l22 = factors
+    z = rng.standard_normal((m, n, 2))
+    return mx + l11 * z[:, :, 0], mp + l21 * z[:, :, 0] + l22 * z[:, :, 1]
+
+
+def _sample_means(mean: np.ndarray, factors, config: MeasurementConfig) -> QuadratureSampleMeans:
+    """Exact means when analytic, otherwise the sample means of :func:`_draw`."""
+    n = mean.size // 2
+    if config.analytic:
+        x_means, p_means = mean[:n].copy(), mean[n:].copy()
+    else:
+        x, p = _draw(mean, factors, config)
+        x_means, p_means = x.mean(axis=0), p.mean(axis=0)
+    return QuadratureSampleMeans(x_means, p_means, config.shots_per_quadrature)
 
 
 def sample_quadratures(
@@ -180,38 +233,15 @@ def sample_quadratures(
     """Draw raw quadrature outcomes; arrays of shape (shots_used_per_quadrature, N).
 
     Homodyne outcomes for X and P come from disjoint halves of the shot
-    budget; heterodyne X and P columns belong to the same joint shots and are
-    correlated through the per-mode covariance block.
+    budget, with variance ``sigma_ii / 2``; heterodyne X and P columns belong
+    to the same joint shots, sampled from each mode's ``(block + I) / 2``.
 
     Raises:
         ValueError: for the analytic backend (no outcomes to draw).
     """
     if config.analytic:
         raise ValueError("analytic backend has no sample outcomes; use measure()")
-    n = state.n_modes
-    m = config.shots_per_quadrature
-    rng = np.random.default_rng(config.seed)
-    mx, mp = state.mean[:n], state.mean[n:]
-    xx, xp, pp = _mode_blocks(state)
-
-    if config.scheme == HOMODYNE:
-        x = rng.normal(mx, np.sqrt(xx / 2.0), size=(m, n))
-        p = rng.normal(mp, np.sqrt(pp / 2.0), size=(m, n))
-        return x, p
-
-    # Heterodyne: per-mode 2x2 covariance (block + I)/2, sampled through its
-    # closed-form Cholesky factor. The Schur complement is bounded below by
-    # 1/(4 a) for any PSD block, so the square roots are safe.
-    a = (xx + 1.0) / 2.0
-    b = xp / 2.0
-    d = (pp + 1.0) / 2.0
-    l11 = np.sqrt(a)
-    l21 = b / l11
-    l22 = np.sqrt(d - b * b / a)
-    z = rng.standard_normal((m, n, 2))
-    x = mx + l11 * z[:, :, 0]
-    p = mp + l21 * z[:, :, 0] + l22 * z[:, :, 1]
-    return x, p
+    return _draw(state.mean, _sampling_factors(state.cov, config.scheme), config)
 
 
 def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSampleMeans:
@@ -220,13 +250,8 @@ def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSample
     Returns exact means for the analytic backend, otherwise the sample means
     of :func:`sample_quadratures`.
     """
-    n = state.n_modes
-    if config.analytic:
-        x_means, p_means = state.mean[:n].copy(), state.mean[n:].copy()
-    else:
-        x, p = sample_quadratures(state, config)
-        x_means, p_means = x.mean(axis=0), p.mean(axis=0)
-    return QuadratureSampleMeans(x_means, p_means, config.shots_per_quadrature)
+    factors = None if config.analytic else _sampling_factors(state.cov, config.scheme)
+    return _sample_means(state.mean, factors, config)
 
 
 @dataclass
@@ -249,11 +274,11 @@ class SimulatedDevice:
     def probe_and_measure(
         self, probe: ProbeSpec, config: MeasurementConfig
     ) -> QuadratureSampleMeans:
-        state = evolve(self.model, probe)
+        mean = _output_mean(self.model, probe)
         self.settings_used += 1
         # one probe per homodyne single-quadrature outcome or heterodyne shot
         self.probes_used += config.shots_per_quadrature * (2 if config.scheme == HOMODYNE else 1)
-        return measure(state, config)
+        return _sample_means(mean, self.model._factors[config.scheme], config)
 
 
 def device_to_json(model: DeviceModel) -> dict:

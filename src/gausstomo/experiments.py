@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
@@ -275,8 +276,20 @@ def records_to_csv(records: Iterable[ExperimentRecord]) -> str:
     return buf.getvalue()
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file next to ``path``, then rename it
+    over ``path``: the file is either complete or not touched at all."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_csv(records: Iterable[ExperimentRecord], path) -> None:
-    """Write records to ``path`` as CSV in one shot."""
-    text = records_to_csv(records)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write records to ``path`` as CSV, all or nothing."""
+    _write_atomic(path, records_to_csv(records))

@@ -269,14 +269,18 @@ def probe_ratios(
     dynamics beyond the Gaussian regime.
 
     Raises:
-        ValueError: an amplitude not finite and > 0.
+        ValueError: an amplitude not finite and > 0, or one whose ratio is
+            not finite (the output mean overflowed).
     """
     scales = [_probe_scale(amp) for amp in amplitudes]
     probes = [ProbeSpec(mode_j=1, amplitude=amp, phase=0.0) for amp in amplitudes]
-    return [
-        float(means.p_means[0] / scale)
-        for means, scale in zip(_probe_settings(device, probes, config), scales)
-    ]
+    ratios = []
+    for amp, means, scale in zip(amplitudes, _probe_settings(device, probes, config), scales):
+        ratio = float(means.p_means[0] / scale)
+        if not math.isfinite(ratio):
+            raise ValueError(f"probe amplitude {amp} gives a non-finite ratio {ratio}")
+        ratios.append(ratio)
+    return ratios
 
 
 def default_detection_tol(amplitudes: list[float], config: MeasurementConfig) -> float:

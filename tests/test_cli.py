@@ -298,3 +298,39 @@ def test_dump_json_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         _dump_json({"eta_hat": math.nan}, str(out))
     assert not out.exists()
+
+
+def test_experiment_meta_path_blocked_leaves_no_csv(tmp_path, capsys):
+    (tmp_path / "x.meta.json").mkdir()
+    out = tmp_path / "x.csv"
+    code, _, _ = run(["experiment", "phase-error", "--reps", "2", "--trials", "1,2",
+                      "--out", str(out)], capsys)
+    assert code == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.meta.json"]
+
+
+def test_experiment_csv_path_blocked_leaves_no_meta(tmp_path, capsys):
+    (tmp_path / "x.csv").mkdir()
+    code, _, _ = run(["experiment", "phase-error", "--reps", "2", "--trials", "1,2",
+                      "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+    assert list((tmp_path / "x.csv").iterdir()) == []
+
+
+def test_experiment_rejects_unknown_scheme_before_sweep(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code, _, err = run(["experiment", "mode-scaling", "--schemes", "homodyne,bogus",
+                        "--modes", "1", "--reps", "1", "--out", str(out)], capsys)
+    assert code == 1
+    assert "unknown scheme 'bogus'" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_detect_rejects_non_finite_ratio(capsys):
+    code, out, err = run(["detect", "--gamma", "0.1", "--amplitudes", "1e308,1",
+                          "--shots", "100"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "1e+308" in err

@@ -269,3 +269,23 @@ def test_device_model_rejects_non_finite_gamma(gamma):
 def test_probe_spec_rejects_non_finite_amplitude(amplitude):
     with pytest.raises(ValueError):
         ProbeSpec(mode_j=1, amplitude=amplitude)
+
+
+def test_probe_settings_build_no_gaussian_states(monkeypatch):
+    # the output covariance is the model's, computed once; settings carry means only
+    from gausstomo import reconstruct_symplectic
+
+    model = DeviceModel(random_symplectic(4, seed=1), eta=0.5)
+    built = []
+    original = GaussianState.__post_init__
+    monkeypatch.setattr(GaussianState, "__post_init__", lambda self: built.append(original(self)))
+    device = SimulatedDevice(model)
+    reconstruct_symplectic(device, 1000.0, MeasurementConfig(scheme=HETERODYNE, shots=10, seed=0))
+    assert device.settings_used == 8
+    assert built == []
+
+
+def test_evolve_returns_cached_covariance():
+    model = DeviceModel(random_symplectic(2, seed=4), eta=0.3)
+    out = evolve(model, ProbeSpec(mode_j=2, amplitude=1.5, phase=0.2))
+    np.testing.assert_allclose(out.cov, model.s @ model.s.T, atol=1e-12)

@@ -388,3 +388,10 @@ def test_unitary_non_finite_eta_hat_is_loss_recovery_error():
     config = MeasurementConfig(scheme=HETERODYNE, shots=100, seed=1)
     with pytest.raises(LossRecoveryError):
         reconstruct_unitary(device, 1e-300, config)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_probe_ratios_rejects_non_finite_ratio():
+    config = MeasurementConfig(scheme=HETERODYNE, shots=100, seed=0)
+    with pytest.raises(ValueError, match="1e\\+308"):
+        probe_ratios(cubic_device(0.1), [1e308, 1.0], config)
