@@ -83,9 +83,9 @@ def _list_of(cast, what: str):
 
     def parse(text: str) -> list:
         try:
-            values = [cast(part) for part in text.split(",") if part.strip()]
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {what} list {text!r}") from None
+            values = [cast(part.strip()) for part in text.split(",") if part.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid {what} list {text!r}: {exc}") from None
         if not values:
             raise argparse.ArgumentTypeError("empty list")
         return values
@@ -105,6 +105,29 @@ def _loss_fraction(text: str) -> float:
     if not 0 <= value < 1:
         raise argparse.ArgumentTypeError("loss fraction must be in [0, 1)")
     return value
+
+
+def _eta(text: str) -> float:
+    """A loss fraction L, given to a runner as the transmissivity eta = 1 - L."""
+    return 1.0 - _loss_fraction(text)
+
+
+# Flags of the experiment runners. Each stores the runner keyword named by its
+# dest and is left out when not given, so the runner's default applies.
+_MODE_LIST = ("--modes", dict(dest="n_list", type=_int_list, metavar="N,...",
+                              help="comma-separated mode counts"))
+_SCHEMES = ("--schemes", dict(type=_list_of(_check_scheme, "scheme"), metavar="SCHEME,...",
+                              help="comma-separated measurement schemes"))
+_LOSSES = ("--losses", dict(dest="eta_list", type=_list_of(_eta, "loss fraction"),
+                            metavar="L,...", help="comma-separated loss fractions L, eta = 1 - L"))
+_AMPLITUDE = ("--amplitude", dict(type=float, metavar="A", help="probe amplitude"))
+_SHOTS = ("--shots", dict(type=_shots, metavar="M",
+                          help="shots per probe setting, or 'inf' for exact means"))
+_REPS = ("--reps", dict(dest="repetitions", type=int, metavar="R",
+                        help="repetitions per grid point"))
+_R_MAX = ("--r-max", dict(type=float, metavar="R", help="squeeze-parameter range of the device"))
+_TRIALS = ("--trials", dict(dest="trials_list", type=_int_list, metavar="T,...",
+                            help="comma-separated counts of trials averaged per point"))
 
 
 def _dump_json(obj, out_path: str | None) -> None:
@@ -142,30 +165,36 @@ def _build_parser() -> _Parser:
     p_rec.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_exp = sub.add_parser("experiment", help="run an accuracy sweep and write CSV")
-    p_exp.add_argument("name", choices=("mode-scaling", "unitary-scaling", "intensity", "phase-error"))
-    p_exp.add_argument("--out", required=True, help="output CSV path")
-    p_exp.add_argument("--modes", type=_int_list, default=None,
-                       help="comma-separated mode counts (scaling experiments) "
-                            "or a single count (intensity)")
-    p_exp.add_argument("--schemes", default=None,
-                       help="comma-separated schemes (scaling experiments)")
-    p_exp.add_argument("--losses", type=_float_list, default=None,
-                       help="comma-separated loss fractions (scaling experiments)")
-    p_exp.add_argument("--scheme", choices=SCHEMES, default=HETERODYNE,
-                       help="scheme for the intensity experiment")
-    p_exp.add_argument("--loss", type=_loss_fraction, default=0.0,
-                       help="loss fraction for the intensity experiment")
-    p_exp.add_argument("--amplitude", type=float, default=None)
-    p_exp.add_argument("--amplitudes", type=_float_list, default=None,
-                       help="comma-separated probe amplitudes (intensity)")
-    p_exp.add_argument("--trials", type=_int_list, default=None,
-                       help="comma-separated per-point trial counts (intensity, phase-error)")
-    p_exp.add_argument("--phi-max", type=float, default=0.05,
-                       help="phase-error half-width in radians (phase-error)")
-    p_exp.add_argument("--shots", type=_shots, default=100)
-    p_exp.add_argument("--reps", type=_positive_int, default=None)
-    p_exp.add_argument("--r-max", type=float, default=DEFAULT_R_MAX)
-    p_exp.add_argument("--seed", type=int, default=0)
+    runners = p_exp.add_subparsers(dest="name", required=True, parser_class=_Parser)
+    # runners are read from the module's names at each build, so a wrapper put
+    # on those names (perfbench/tracer.py does) sees the calls
+    for name, runner, help_text, flags in (
+        ("mode-scaling", run_mode_scaling, "full-matrix error versus mode count",
+         (_MODE_LIST, _SCHEMES, _LOSSES, _AMPLITUDE, _SHOTS, _REPS, _R_MAX)),
+        ("unitary-scaling", run_unitary_scaling, "passive-shortcut error versus mode count",
+         (_MODE_LIST, _SCHEMES, _LOSSES, _AMPLITUDE, _SHOTS, _REPS)),
+        ("intensity", run_intensity_scaling, "error versus probe amplitude and trials",
+         (("--modes", dict(dest="n_modes", type=int, metavar="N", help="mode count")),
+          ("--amplitudes", dict(dest="amplitude_list", type=_float_list, metavar="A,...",
+                                help="comma-separated probe amplitudes")),
+          _TRIALS, _SHOTS,
+          ("--scheme", dict(choices=SCHEMES, metavar="SCHEME",
+                            help="measurement scheme, one of %(choices)s")),
+          ("--loss", dict(dest="eta", type=_eta, metavar="L", help="loss fraction L, eta = 1 - L")),
+          _REPS, _R_MAX)),
+        ("phase-error", run_phase_error_study, "element error versus probe phase error",
+         (("--phi-max", dict(type=float, metavar="PHI",
+                             help="phase-error half-width in radians")),
+          _TRIALS, _REPS, _AMPLITUDE, _R_MAX)),
+    ):
+        # no abbreviations: --loss must not pass for --losses, nor --amplitude for --amplitudes
+        p_run = runners.add_parser(name, help=help_text, allow_abbrev=False,
+                                   argument_default=argparse.SUPPRESS)
+        p_run.set_defaults(runner=runner)
+        p_run.add_argument("--out", required=True, metavar="CSV", help="output CSV path")
+        p_run.add_argument("--seed", type=int, default=0, metavar="SEED", help="master seed")
+        for flag, options in flags:
+            p_run.add_argument(flag, **options)
 
     p_det = sub.add_parser("detect", help="probe a cubic-phase device at several amplitudes")
     p_det.add_argument("--gamma", type=float, required=True,
@@ -216,69 +245,10 @@ def _cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _run_experiment(args):
-    def default(value, fallback):
-        return fallback if value is None else value
-
-    if args.name == "mode-scaling":
-        etas = tuple(1.0 - l for l in default(args.losses, [0.0, 0.5]))
-        return run_mode_scaling(
-            n_list=default(args.modes, [2, 4, 8, 12]),
-            schemes=_scheme_list(args.schemes),
-            eta_list=etas,
-            amplitude=default(args.amplitude, 1000.0),
-            shots=args.shots,
-            repetitions=default(args.reps, 50),
-            seed=args.seed,
-            r_max=args.r_max,
-        )
-    if args.name == "unitary-scaling":
-        etas = tuple(1.0 - l for l in default(args.losses, [0.0]))
-        return run_unitary_scaling(
-            n_list=default(args.modes, [2, 4, 8]),
-            schemes=_scheme_list(args.schemes),
-            eta_list=etas,
-            amplitude=default(args.amplitude, 1000.0),
-            shots=args.shots,
-            repetitions=default(args.reps, 50),
-            seed=args.seed,
-        )
-    if args.name == "intensity":
-        modes = default(args.modes, [5])
-        if len(modes) != 1:
-            raise ValueError("intensity experiment takes a single --modes value")
-        return run_intensity_scaling(
-            amplitude_list=default(args.amplitudes, [10.0, 31.62, 100.0]),
-            trials_list=default(args.trials, [1, 10, 100]),
-            shots=args.shots,
-            seed=args.seed,
-            n_modes=modes[0],
-            scheme=args.scheme,
-            eta=1.0 - args.loss,
-            repetitions=default(args.reps, 20),
-            r_max=args.r_max,
-        )
-    return run_phase_error_study(
-        phi_max=args.phi_max,
-        trials_list=default(args.trials, [1, 10, 100, 1000, 10000]),
-        seed=args.seed,
-        repetitions=default(args.reps, 200),
-        amplitude=default(args.amplitude, 1.0),
-        r_max=args.r_max,
-    )
-
-
-def _scheme_list(text: str | None) -> tuple[str, ...]:
-    if text is None:
-        return SCHEMES
-    schemes = tuple(_check_scheme(part.strip()) for part in text.split(",") if part.strip())
-    if not schemes:
-        raise ValueError("empty scheme list")
-    return schemes
-
-
 def _cmd_experiment(args, argv: list[str]) -> int:
-    records = _run_experiment(args)
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "name", "out", "runner")}
+    records = args.runner(**params)
     # the meta file goes first and is taken back if the CSV cannot be placed
     meta_path = os.path.splitext(args.out)[0] + ".meta.json"
     _dump_json({"invocation": argv, "seed": args.seed, "version": __version__}, meta_path)

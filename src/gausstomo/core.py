@@ -15,6 +15,7 @@ symplectic and of determinant +1; on covariances as ``sigma -> S sigma S^T``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,17 +162,23 @@ def coherent_probe_state(n: int, mode_j: int, amplitude: float, phase: float) ->
     Args:
         n: number of modes.
         mode_j: input mode index, 1 <= mode_j <= n.
-        amplitude: real probe amplitude, >= 0.
+        amplitude: real probe amplitude, finite and >= 0.
         phase: probe phase in radians.
 
     Raises:
-        ValueError: if ``mode_j`` is out of range or ``amplitude`` is negative.
+        ValueError: if ``mode_j`` is out of range or ``amplitude`` is negative
+            or not finite.
     """
     if n < 1:
         raise ValueError("number of modes must be >= 1")
-    if amplitude < 0:
-        raise ValueError("probe amplitude must be >= 0")
+    _check_probe_amplitude(amplitude)
     return GaussianState(mean=_coherent_mean(n, mode_j, amplitude, phase), cov=np.eye(2 * n))
+
+
+def _check_probe_amplitude(amplitude: float) -> None:
+    """A coherent probe's amplitude must be finite and >= 0."""
+    if not 0 <= amplitude < math.inf:
+        raise ValueError(f"probe amplitude must be finite and >= 0, got {amplitude}")
 
 
 def _coherent_mean(n: int, mode_j: int, amplitude: float, phase: float) -> np.ndarray:

@@ -33,6 +33,7 @@ import numpy as np
 from .core import (
     GaussianState,
     STRUCTURAL_TOL,
+    _check_probe_amplitude,
     _coherent_mean,
     apply_symplectic,
     apply_uniform_loss,
@@ -64,8 +65,7 @@ class ProbeSpec:
     def __post_init__(self):
         if self.mode_j < 1:
             raise ValueError("mode index must be >= 1")
-        if not 0 <= self.amplitude < math.inf:
-            raise ValueError("probe amplitude must be finite and >= 0")
+        _check_probe_amplitude(self.amplitude)
 
 
 @dataclass(frozen=True)

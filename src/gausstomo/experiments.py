@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import os
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
@@ -62,6 +63,14 @@ def _record(experiment_id: str, errors: Sequence[float], dropped: int, **cell) -
     )
 
 
+def _check_counts(**counts: Iterable[int]) -> None:
+    """Reject a mode, repetition or trial count below 1, before the first probe."""
+    for name, values in counts.items():
+        for value in values:
+            if operator.index(value) < 1:
+                raise ValueError(f"{name} must hold counts >= 1, got {value}")
+
+
 def _scaling_sweep(
     experiment_id: str, n_list: Sequence[int], schemes: Sequence[str],
     eta_list: Sequence[float], amplitude: float, shots: int | float, repetitions: int, seed: int,
@@ -76,6 +85,7 @@ def _scaling_sweep(
     (eta, scheme) combination. ``score(truth, device, config)`` reconstructs
     and returns the error; a ``drop_on`` exception drops the repetition.
     """
+    _check_counts(n_list=n_list, repetitions=[repetitions])
     errors: dict[tuple[int, str, float], list[float]] = {}
     dropped: dict[tuple[int, str, float], int] = {}
     for n in n_list:
@@ -106,7 +116,7 @@ def _scaling_sweep(
 
 
 def run_mode_scaling(
-    n_list: Sequence[int],
+    n_list: Sequence[int] = (2, 4, 8, 12),
     schemes: Sequence[str] = SCHEMES,
     eta_list: Sequence[float] = (1.0, 0.5),
     amplitude: float = 1000.0,
@@ -119,7 +129,8 @@ def run_mode_scaling(
 
     For every repetition a fresh random symplectic device is drawn and probed
     under every (scheme, eta) combination, with the same device shared across
-    combinations so scheme comparisons are paired.
+    combinations so scheme comparisons are paired. The default grid is
+    N = 2, 4, 8, 12 modes x both schemes x eta = 1.0, 0.5, 50 repetitions each.
     """
 
     def draw(n, device_seed):
@@ -136,7 +147,7 @@ def run_mode_scaling(
 
 
 def run_unitary_scaling(
-    n_list: Sequence[int],
+    n_list: Sequence[int] = (2, 4, 8),
     schemes: Sequence[str] = SCHEMES,
     eta_list: Sequence[float] = (1.0,),
     amplitude: float = 1000.0,
@@ -148,7 +159,8 @@ def run_unitary_scaling(
 
     The error metric is the scaled Frobenius distance between the true and
     reconstructed N x N unitaries. Repetitions whose reconstruction fails the
-    passivity or loss-recovery checks are counted in ``dropped``.
+    passivity or loss-recovery checks are counted in ``dropped``. The default
+    grid is N = 2, 4, 8 modes x both schemes at eta = 1.0, 50 repetitions each.
     """
 
     def draw(n, device_seed):
@@ -166,8 +178,8 @@ def run_unitary_scaling(
 
 
 def run_intensity_scaling(
-    amplitude_list: Sequence[float],
-    trials_list: Sequence[int],
+    amplitude_list: Sequence[float] = (10.0, 31.62, 100.0),
+    trials_list: Sequence[int] = (1, 10, 100),
     shots: int | float = 100,
     seed: int = 0,
     n_modes: int = 5,
@@ -180,15 +192,16 @@ def run_intensity_scaling(
 
     One fixed random device is probed at every (amplitude, trials) pair; the
     raw attenuated estimates of all trials are averaged before the loss is
-    recovered, so error should track 1 / (amplitude * sqrt(trials)).
+    recovered, so error should track 1 / (amplitude * sqrt(trials)). The
+    default grid is amplitudes 10, 31.62, 100 x 1, 10, 100 trials on a 5-mode
+    heterodyne device, 20 repetitions each.
     """
+    _check_counts(n_modes=[n_modes], trials_list=trials_list, repetitions=[repetitions])
     s_true = random_symplectic(n_modes, r_max=r_max, seed=derive_seed(seed, _DEV))
     model = DeviceModel(s_true, eta=eta)
     records = []
     for amp_idx, amplitude in enumerate(amplitude_list):
         for trials_idx, trials in enumerate(trials_list):
-            if trials < 1:
-                raise ValueError("trial counts must be >= 1")
             errs = []
             n_dropped = 0
             for rep in range(repetitions):
@@ -215,8 +228,8 @@ def run_intensity_scaling(
 
 
 def run_phase_error_study(
-    phi_max: float,
-    trials_list: Sequence[int],
+    phi_max: float = 0.05,
+    trials_list: Sequence[int] = (1, 10, 100, 1000, 10000),
     seed: int = 0,
     repetitions: int = 200,
     amplitude: float = 1.0,
@@ -227,10 +240,13 @@ def run_phase_error_study(
     A fixed single-mode random symplectic device is probed with phase errors
     drawn uniformly from [-phi_max, phi_max]. The reported error is the
     deviation of the trial-averaged element estimate from the true element,
-    normalised by the Euclidean size of the element's (X, P) row pair.
+    normalised by the Euclidean size of the element's (X, P) row pair. The
+    default grid is phi_max = 0.05 x 1, 10, 100, 1000, 10000 trials, 200
+    repetitions each.
     """
     if not 0 <= phi_max < math.pi / 4:
         raise ValueError("phi_max must lie in [0, pi/4)")
+    _check_counts(trials_list=trials_list, repetitions=[repetitions])
     s_true = random_symplectic(1, r_max=r_max, seed=derive_seed(seed, _DEV))
     device = SimulatedDevice(DeviceModel(s_true, eta=1.0))
     config = MeasurementConfig(scheme=HOMODYNE, shots=math.inf)
@@ -238,8 +254,6 @@ def run_phase_error_study(
     norm = math.hypot(s_true[0, 0], s_true[0, 1])
     records = []
     for trials_idx, trials in enumerate(trials_list):
-        if trials < 1:
-            raise ValueError("trial counts must be >= 1")
         errs = []
         for rep in range(repetitions):
             rng = np.random.default_rng(derive_seed(seed, _MEAS, trials_idx, rep))

@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from gausstomo import (
     matrix_from_json,
     random_symplectic,
 )
-from gausstomo.cli import main
+from gausstomo.cli import _build_parser, main
+from gausstomo.experiments import records_to_csv, run_mode_scaling, run_phase_error_study
 
 
 def run(argv, capsys):
@@ -277,18 +281,68 @@ def test_reconstruct_rejects_nan_amplitude(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra",
     [
-        ["mode-scaling", "--amplitude", "nan"],
-        ["mode-scaling", "--r-max", "nan"],
-        ["phase-error", "--phi-max", "nan"],
+        ["mode-scaling", "--amplitude", "nan", "--modes", "1", "--reps", "1", "--shots", "inf"],
+        ["mode-scaling", "--r-max", "nan", "--modes", "1", "--reps", "1", "--shots", "inf"],
+        ["phase-error", "--phi-max", "nan", "--trials", "1", "--reps", "1"],
     ],
 )
 def test_experiment_rejects_non_finite_input(extra, tmp_path, capsys):
     out = tmp_path / "scan.csv"
-    argv = ["experiment", *extra, "--modes", "1", "--reps", "1", "--shots", "inf",
-            "--out", str(out)]
-    code, _, _ = run(argv, capsys)
+    code, _, err = run(["experiment", *extra, "--out", str(out)], capsys)
     assert code == 1
+    # the error names the parameter that was bad, not an inapplicable flag
+    assert extra[1][2:].replace("-", "_") in err
     assert not out.exists()
+
+
+# every flag some experiment takes, with a value valid for the experiments that take it
+_FLAG_VALUES = {
+    "--modes": "2", "--schemes": "homodyne", "--losses": "0.5", "--scheme": "homodyne",
+    "--loss": "0.5", "--amplitude": "10", "--amplitudes": "10", "--trials": "1",
+    "--phi-max": "0.1", "--shots": "100", "--r-max": "0.3", "--reps": "1", "--seed": "1",
+}
+_INAPPLICABLE = {
+    "mode-scaling": ["--scheme", "--loss", "--amplitudes", "--trials", "--phi-max"],
+    "unitary-scaling": ["--scheme", "--loss", "--amplitudes", "--trials", "--phi-max", "--r-max"],
+    "intensity": ["--schemes", "--losses", "--amplitude", "--phi-max"],
+    "phase-error": ["--modes", "--schemes", "--losses", "--scheme", "--loss", "--amplitudes",
+                    "--shots"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, flag", [(name, flag) for name, flags in _INAPPLICABLE.items() for flag in flags]
+)
+def test_experiment_rejects_inapplicable_flag(name, flag, tmp_path, capsys):
+    code, _, err = run(["experiment", name, flag, _FLAG_VALUES[flag], "--reps", "1",
+                        "--out", str(tmp_path / "scan.csv")], capsys)
+    assert code == 1
+    assert f"unrecognized arguments: {flag}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_intensity_takes_one_mode_count(tmp_path, capsys):
+    code, _, _ = run(["experiment", "intensity", "--modes", "2,3", "--reps", "1",
+                      "--out", str(tmp_path / "scan.csv")], capsys)
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, records",
+    [
+        (["mode-scaling", "--modes", "2", "--reps", "1"],
+         lambda: run_mode_scaling([2], repetitions=1)),
+        (["phase-error", "--trials", "1,2", "--reps", "2"],
+         lambda: run_phase_error_study(trials_list=[1, 2], repetitions=2)),
+    ],
+    ids=["mode-scaling", "phase-error"],
+)
+def test_experiment_omitted_flags_take_runner_defaults(argv, records, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code, _, _ = run(["experiment", *argv, "--out", str(out)], capsys)
+    assert code == 0
+    assert out.read_bytes() == records_to_csv(records()).encode()
 
 
 def test_dump_json_rejects_non_finite(tmp_path):
@@ -334,3 +388,42 @@ def test_detect_rejects_non_finite_ratio(capsys):
     assert code == 1
     assert out == ""
     assert "1e+308" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    text = README.read_text(encoding="utf-8")
+    script = "\n".join(re.findall(r"```sh\n(.*?)```", text, flags=re.S))
+    lines = script.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("gausstomo ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands if argv[0] == "experiment"} == {
+        "mode-scaling", "unitary-scaling", "intensity", "phase-error"
+    }
+    for argv in commands:
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: gausstomo {shlex.join(argv)}")
+
+
+def test_readme_flag_table_matches_parser():
+    text = README.read_text(encoding="utf-8")
+    header = re.search(r"^\| flag \|(.*)\|$", text, flags=re.M).group(1)
+    names = [cell.strip(" `") for cell in header.split("|")]
+    rows = re.findall(r"^\| `(--[a-z-]+)` \|(.*)\|$", text, flags=re.M)
+    assert {flag for flag, _ in rows} == set(_FLAG_VALUES)
+    for flag, cells in rows:
+        for name, cell in zip(names, cells.split("|"), strict=True):
+            argv = ["experiment", name, flag, _FLAG_VALUES[flag], "--out", "x.csv"]
+            param = re.match(r"\s*`(\w+)`", cell)
+            if param is None:
+                with pytest.raises(SystemExit):
+                    _build_parser().parse_args(argv)
+            else:
+                assert param.group(1) in vars(_build_parser().parse_args(argv)), (name, flag)

@@ -166,6 +166,12 @@ def test_coherent_probe_negative_amplitude_rejected():
         coherent_probe_state(1, 1, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+def test_coherent_probe_non_finite_amplitude_rejected(amplitude):
+    with pytest.raises(ValueError, match="finite"):
+        coherent_probe_state(1, 1, amplitude, 0.0)
+
+
 def test_apply_symplectic_identity():
     state = coherent_probe_state(2, 1, 1.5, 0.3)
     out = apply_symplectic(np.eye(4), state)

@@ -225,3 +225,41 @@ def test_csv_bytes_reproducible():
 def test_scaling_rejects_non_finite_amplitude(runner):
     with pytest.raises(ValueError):
         runner([1], amplitude=math.nan, shots=math.inf, repetitions=1)
+
+
+@pytest.fixture
+def probe_count(monkeypatch):
+    """Count the probe settings issued to any simulated device."""
+    calls = []
+    original = SimulatedDevice.probe_and_measure
+
+    def counting(self, probe, config):
+        calls.append(probe)
+        return original(self, probe, config)
+
+    monkeypatch.setattr(SimulatedDevice, "probe_and_measure", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "sweep, match",
+    [
+        (lambda: run_mode_scaling([1], shots=math.inf, repetitions=0), "repetitions"),
+        (lambda: run_unitary_scaling([1], shots=math.inf, repetitions=0), "repetitions"),
+        (lambda: run_intensity_scaling([10.0], [1], shots=math.inf, repetitions=0),
+         "repetitions"),
+        (lambda: run_phase_error_study(0.05, [1], repetitions=0), "repetitions"),
+        (lambda: run_mode_scaling([2, -1], shots=math.inf, repetitions=1), "n_list"),
+        (lambda: run_unitary_scaling([2, 0], shots=math.inf, repetitions=1), "n_list"),
+        (lambda: run_intensity_scaling([10.0], [1], shots=math.inf, n_modes=0), "n_modes"),
+        (lambda: run_intensity_scaling([10.0], [2, 0], shots=math.inf, repetitions=1),
+         "trials_list"),
+        (lambda: run_phase_error_study(0.05, [2, 0], repetitions=1), "trials_list"),
+    ],
+    ids=["mode-reps", "unitary-reps", "intensity-reps", "phase-reps", "mode-n", "unitary-n",
+         "intensity-n", "intensity-trials", "phase-trials"],
+)
+def test_runners_reject_bad_counts_before_any_probe(sweep, match, probe_count):
+    with pytest.raises(ValueError, match=match):
+        sweep()
+    assert probe_count == []
