@@ -13,6 +13,7 @@ file and a rename, so a failed run never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,14 +36,8 @@ from .device import (
     _check_scheme,
     device_from_json,
 )
-from .experiments import (
-    _write_atomic,
-    run_intensity_scaling,
-    run_mode_scaling,
-    run_phase_error_study,
-    run_unitary_scaling,
-    write_csv,
-)
+from . import experiments
+from .experiments import _write_atomic, write_csv
 from .randgen import DEFAULT_R_MAX, haar_unitary, random_symplectic
 from .tomography import (
     LossRecoveryError,
@@ -138,7 +133,9 @@ def _dump_json(obj, out_path: str | None) -> None:
         _write_atomic(out_path, text)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="gausstomo", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -166,14 +163,12 @@ def _build_parser() -> _Parser:
 
     p_exp = sub.add_parser("experiment", help="run an accuracy sweep and write CSV")
     runners = p_exp.add_subparsers(dest="name", required=True, parser_class=_Parser)
-    # runners are read from the module's names at each build, so a wrapper put
-    # on those names (perfbench/tracer.py does) sees the calls
     for name, runner, help_text, flags in (
-        ("mode-scaling", run_mode_scaling, "full-matrix error versus mode count",
+        ("mode-scaling", "run_mode_scaling", "full-matrix error versus mode count",
          (_MODE_LIST, _SCHEMES, _LOSSES, _AMPLITUDE, _SHOTS, _REPS, _R_MAX)),
-        ("unitary-scaling", run_unitary_scaling, "passive-shortcut error versus mode count",
+        ("unitary-scaling", "run_unitary_scaling", "passive-shortcut error versus mode count",
          (_MODE_LIST, _SCHEMES, _LOSSES, _AMPLITUDE, _SHOTS, _REPS)),
-        ("intensity", run_intensity_scaling, "error versus probe amplitude and trials",
+        ("intensity", "run_intensity_scaling", "error versus probe amplitude and trials",
          (("--modes", dict(dest="n_modes", type=int, metavar="N", help="mode count")),
           ("--amplitudes", dict(dest="amplitude_list", type=_float_list, metavar="A,...",
                                 help="comma-separated probe amplitudes")),
@@ -182,7 +177,7 @@ def _build_parser() -> _Parser:
                             help="measurement scheme, one of %(choices)s")),
           ("--loss", dict(dest="eta", type=_eta, metavar="L", help="loss fraction L, eta = 1 - L")),
           _REPS, _R_MAX)),
-        ("phase-error", run_phase_error_study, "element error versus probe phase error",
+        ("phase-error", "run_phase_error_study", "element error versus probe phase error",
          (("--phi-max", dict(type=float, metavar="PHI",
                              help="phase-error half-width in radians")),
           _TRIALS, _REPS, _AMPLITUDE, _R_MAX)),
@@ -248,7 +243,8 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_experiment(args, argv: list[str]) -> int:
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "name", "out", "runner")}
-    records = args.runner(**params)
+    # looked up at each call: a wrapper put on the runner later sees the call
+    records = getattr(experiments, args.runner)(**params)
     # the meta file goes first and is taken back if the CSV cannot be placed
     meta_path = os.path.splitext(args.out)[0] + ".meta.json"
     _dump_json({"invocation": argv, "seed": args.seed, "version": __version__}, meta_path)

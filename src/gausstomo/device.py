@@ -21,6 +21,11 @@ Every coherent probe has vacuum covariance and uniform loss mixes vacuum with
 vacuum, so the output covariance ``S S^T`` and its sampling factors are the
 same for every probe setting: a :class:`DeviceModel` computes them once, and
 each setting propagates only its mean.
+
+Sample means are reduced as the shots are drawn, in blocks of about 256 KiB,
+to the same bits as the mean of the full (shots, N) outcome array: NumPy sums
+that array row by row, which a running sum carried across blocks continues,
+but a single column (N = 1) pairwise, so there one block spans every shot.
 """
 
 from __future__ import annotations
@@ -202,29 +207,66 @@ def _sampling_factors(cov: np.ndarray, scheme: str) -> tuple[np.ndarray, ...]:
     return l11, b / l11, np.sqrt(d - b * b / a)
 
 
-def _draw(mean: np.ndarray, factors: tuple, config: MeasurementConfig) -> tuple[np.ndarray, ...]:
-    """Raw X and P outcomes, each of shape (shots_per_quadrature, N)."""
+# float64 outcomes per block of the mean reduction: 256 KiB stay in cache from draw to sum
+_BLOCK_VALUES = 1 << 15
+
+
+def _draw_blocks(mean: np.ndarray, factors: tuple, config: MeasurementConfig, rows: int):
+    """Draw raw outcomes in blocks of at most ``rows`` shots, in stream order.
+
+    Yields ``(q, buf)`` for X (q = 0) and P (q = 1): ``buf[1:]`` holds a block's
+    (k, N) outcomes, row 0 is scratch for the caller. Homodyne draws every X
+    block before any P block; heterodyne X and P are views of one buffer.
+    ``loc + scale * z``, formed in place, is ``rng.normal(loc, scale)`` bit for bit.
+    """
     n = mean.size // 2
     m = config.shots_per_quadrature
     rng = np.random.default_rng(config.seed)
     mx, mp = mean[:n], mean[n:]
     if config.scheme == HOMODYNE:
-        sx, sp = factors
-        return rng.normal(mx, sx, size=(m, n)), rng.normal(mp, sp, size=(m, n))
+        for q, (loc, scale) in enumerate(zip((mx, mp), factors)):
+            buf = np.empty((rows + 1, n))
+            for start in range(0, m, rows):
+                z = rng.standard_normal(out=buf[1 : min(rows, m - start) + 1])
+                z *= scale
+                z += loc
+                yield q, buf[: len(z) + 1]
+        return
     l11, l21, l22 = factors
-    z = rng.standard_normal((m, n, 2))
-    return mx + l11 * z[:, :, 0], mp + l21 * z[:, :, 0] + l22 * z[:, :, 1]
+    buf = np.empty((rows + 1, n, 2))
+    tmp = np.empty((rows, n))
+    for start in range(0, m, rows):
+        k = min(rows, m - start)
+        rng.standard_normal(out=buf[1 : k + 1])
+        z0, z1 = buf[1 : k + 1, :, 0], buf[1 : k + 1, :, 1]
+        t = np.multiply(z0, l21, out=tmp[:k])
+        t += mp
+        z1 *= l22
+        z1 += t  # (mp + l21 z0) + l22 z1: the order of the unblocked expression
+        z0 *= l11
+        z0 += mx
+        yield 0, buf[: k + 1, :, 0]
+        yield 1, buf[: k + 1, :, 1]
 
 
 def _sample_means(mean: np.ndarray, factors, config: MeasurementConfig) -> QuadratureSampleMeans:
-    """Exact means when analytic, otherwise the sample means of :func:`_draw`."""
+    """Exact means when analytic, otherwise the sample means of the drawn outcomes."""
     n = mean.size // 2
+    m = config.shots_per_quadrature
     if config.analytic:
-        x_means, p_means = mean[:n].copy(), mean[n:].copy()
-    else:
-        x, p = _draw(mean, factors, config)
-        x_means, p_means = x.mean(axis=0), p.mean(axis=0)
-    return QuadratureSampleMeans(x_means, p_means, config.shots_per_quadrature)
+        return QuadratureSampleMeans(mean[:n].copy(), mean[n:].copy(), m)
+    # the running sum goes in row 0 of the next block; a single column is
+    # summed pairwise, so at N = 1 one block spans every shot
+    width = 1 if config.scheme == HOMODYNE else 2
+    rows = m if n == 1 else min(m, max(1, _BLOCK_VALUES // (width * n)))
+    sums = [None, None]
+    for q, buf in _draw_blocks(mean, factors, config, rows):
+        if sums[q] is None:
+            sums[q] = np.add.reduce(buf[1:], axis=0)
+        else:
+            buf[0] = sums[q]
+            sums[q] = np.add.reduce(buf, axis=0)
+    return QuadratureSampleMeans(sums[0] / m, sums[1] / m, m)
 
 
 def sample_quadratures(
@@ -241,7 +283,9 @@ def sample_quadratures(
     """
     if config.analytic:
         raise ValueError("analytic backend has no sample outcomes; use measure()")
-    return _draw(state.mean, _sampling_factors(state.cov, config.scheme), config)
+    factors = _sampling_factors(state.cov, config.scheme)
+    (_, x), (_, p) = _draw_blocks(state.mean, factors, config, config.shots_per_quadrature)
+    return x[1:], p[1:]
 
 
 def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSampleMeans:

@@ -13,6 +13,7 @@ from gausstomo import (
     matrix_from_json,
     random_symplectic,
 )
+from gausstomo import experiments
 from gausstomo.cli import _build_parser, main
 from gausstomo.experiments import records_to_csv, run_mode_scaling, run_phase_error_study
 
@@ -427,3 +428,18 @@ def test_readme_flag_table_matches_parser():
                     _build_parser().parse_args(argv)
             else:
                 assert param.group(1) in vars(_build_parser().parse_args(argv)), (name, flag)
+
+
+def test_cached_parser_does_not_carry_flags_between_calls(tmp_path, monkeypatch, capsys):
+    records = run_phase_error_study(trials_list=[1], repetitions=1)
+    seen = []
+    # the runner is looked up when it is called, so this wrapper is seen
+    # although the parser may have been built before it was put in place
+    monkeypatch.setattr(experiments, "run_phase_error_study",
+                        lambda **kw: seen.append(kw) or records)
+    assert _build_parser() is _build_parser()
+    for reps in (["--reps", "1"], []):
+        code, _, _ = run(["experiment", "phase-error", *reps, "--out", str(tmp_path / "p.csv")],
+                         capsys)
+        assert code == 0
+    assert seen == [{"seed": 0, "repetitions": 1}, {"seed": 0}]

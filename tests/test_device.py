@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,3 +290,17 @@ def test_evolve_returns_cached_covariance():
     model = DeviceModel(random_symplectic(2, seed=4), eta=0.3)
     out = evolve(model, ProbeSpec(mode_j=2, amplitude=1.5, phase=0.2))
     np.testing.assert_allclose(out.cov, model.s @ model.s.T, atol=1e-12)
+
+
+def test_heterodyne_means_use_bounded_memory():
+    # the shots are reduced block by block: the 2e5 x 16 x 2 outcomes (51 MB)
+    # are never held at once
+    device = SimulatedDevice(DeviceModel(random_symplectic(16, seed=0), eta=0.8))
+    config = MeasurementConfig(scheme=HETERODYNE, shots=200_000, seed=0)
+    tracemalloc.start()
+    try:
+        device.probe_and_measure(ProbeSpec(mode_j=3, amplitude=10.0), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

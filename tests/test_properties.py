@@ -1,8 +1,10 @@
 """Property-based checks over random mode counts, loss, seeds and schemes."""
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gausstomo import (
@@ -19,13 +21,16 @@ from gausstomo import (
     coherent_probe_state,
     cubic_phase_mean_map,
     embed_unitary,
+    evolve,
     extract_unitary,
     haar_unitary,
     measure,
     random_symplectic,
     reconstruct_symplectic,
+    sample_quadratures,
     scaled_frobenius,
 )
+from gausstomo.device import _sampling_factors
 
 modes = st.integers(min_value=1, max_value=8)
 etas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -90,3 +95,48 @@ def test_probe_and_measure_matches_state_composition(n, eta, seed, scheme, data,
     want = _composed_means(model, probe, config)
     assert np.array_equal(got.x_means, want.x_means)
     assert np.array_equal(got.p_means, want.p_means)
+
+
+def _unblocked_outcomes(state, config):
+    """Raw outcomes drawn the unblocked way: one homodyne ``rng.normal`` call
+    per quadrature, or one heterodyne ``standard_normal((m, n, 2))`` and the
+    affine map of each mode's Cholesky factor."""
+    n, m = state.mean.size // 2, config.shots_per_quadrature
+    mx, mp = state.mean[:n], state.mean[n:]
+    factors = _sampling_factors(state.cov, config.scheme)
+    rng = np.random.default_rng(config.seed)
+    if config.scheme == HOMODYNE:
+        sx, sp = factors
+        return rng.normal(mx, sx, size=(m, n)), rng.normal(mp, sp, size=(m, n))
+    l11, l21, l22 = factors
+    z = rng.standard_normal((m, n, 2))
+    return mx + l11 * z[:, :, 0], mp + l21 * z[:, :, 0] + l22 * z[:, :, 1]
+
+
+def _assert_streamed_means_match(n, seed, scheme, shots):
+    model = DeviceModel(random_symplectic(n, seed=seed), eta=0.7)
+    probe = ProbeSpec(1 + seed % n, 1000.0, 0.3)
+    config = MeasurementConfig(scheme, shots, seed=seed)
+    state = evolve(model, probe)
+    x, p = _unblocked_outcomes(state, config)
+    for got in (measure(state, config), SimulatedDevice(model).probe_and_measure(probe, config)):
+        assert np.array_equal(got.x_means, x.mean(axis=0))
+        assert np.array_equal(got.p_means, p.mean(axis=0))
+    x_raw, p_raw = sample_quadratures(state, config)
+    assert np.array_equal(x_raw, x) and np.array_equal(p_raw, p)
+
+
+@settings(max_examples=150)
+@given(n=modes, seed=seeds, scheme=schemes, data=st.data(),
+       block_values=st.integers(min_value=1, max_value=48))
+def test_streamed_means_equal_unblocked_means(n, seed, scheme, data, block_values):
+    # a block of a few rows makes every example cross several block boundaries;
+    # at N = 1 the means must still come from one block spanning every shot
+    shots = data.draw(st.integers(2 if scheme == HOMODYNE else 1, 500), label="shots")
+    with mock.patch("gausstomo.device._BLOCK_VALUES", block_values):
+        _assert_streamed_means_match(n, seed, scheme, shots)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_streamed_means_equal_unblocked_means_wide(scheme):
+    _assert_streamed_means_match(64, 5, scheme, 10_000)
