@@ -139,8 +139,6 @@ class DeviceModel:
         s = np.array(self.s, dtype=float)
         if not is_symplectic(s, STRUCTURAL_TOL):
             raise ValueError("device matrix is not symplectic")
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"transmissivity must be in (0, 1], got {self.eta}")
         if self.cubic_gamma is not None:
             if not math.isfinite(self.cubic_gamma):
                 raise ValueError(f"cubic_gamma must be finite, got {self.cubic_gamma}")

@@ -1,15 +1,20 @@
 """Repeatable accuracy sweeps over mode count, scheme, probe budget and phase.
 
-Every runner returns a list of :class:`ExperimentRecord` rows (one per swept
-combination) that can be dumped to CSV. Seeds are derived per repetition, so
-a run is bit-reproducible from its master seed, and the same random devices
-are shared across measurement schemes to sharpen comparisons.
+Every runner returns a list of :class:`ExperimentRecord` rows, one per cell of
+its grid, that can be dumped to CSV. All four runners share one sweep loop:
+repetitions run outermost, and each row is keyed by its cell's grid index, so
+a repeated grid value gets its own row. Seeds are derived per repetition and
+cell, so a run is bit-reproducible from its master seed, and the scaling
+runners share each repetition's random device across every scheme and loss
+to sharpen comparisons.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import math
 import operator
 import os
@@ -71,47 +76,33 @@ def _check_counts(**counts: Iterable[int]) -> None:
                 raise ValueError(f"{name} must hold counts >= 1, got {value}")
 
 
-def _scaling_sweep(
-    experiment_id: str, n_list: Sequence[int], schemes: Sequence[str],
-    eta_list: Sequence[float], amplitude: float, shots: int | float, repetitions: int, seed: int,
-    draw: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-    score: Callable[[np.ndarray, SimulatedDevice, MeasurementConfig], float],
-    drop_on: tuple[type[Exception], ...],
+def _sweep(
+    experiment_id: str, axes: dict[str, Sequence], repetitions: int,
+    error: Callable[[tuple[int, ...], int], float],
+    drop_on: tuple[type[Exception], ...] = (), **fixed,
 ) -> list[ExperimentRecord]:
-    """Reconstruction error versus mode count, one row per (n, scheme, eta).
+    """One row per cell of the grid ``axes`` (row field -> swept values).
 
-    For every (n, rep), ``draw(n, device_seed)`` returns the ground truth and
-    the device's symplectic matrix; that one device is probed under every
-    (eta, scheme) combination. ``score(truth, device, config)`` reconstructs
-    and returns the error; a ``drop_on`` exception drops the repetition.
+    Cells are index tuples into the axes, in row-major order. Repetitions run
+    outermost: for every ``rep``, every cell's ``error(idx, rep)`` is called
+    in turn, and a ``drop_on`` exception counts one drop for that cell. A
+    row pools only its own cell's repetitions.
     """
-    _check_counts(n_list=n_list, repetitions=[repetitions])
-    errors: dict[tuple[int, str, float], list[float]] = {}
-    dropped: dict[tuple[int, str, float], int] = {}
-    for n in n_list:
-        for rep in range(repetitions):
-            truth, s_true = draw(n, derive_seed(seed, _DEV, n, rep))
-            for eta_idx, eta in enumerate(eta_list):
-                model = DeviceModel(s_true, eta=eta)
-                for scheme_idx, scheme in enumerate(schemes):
-                    key = (n, scheme, eta)
-                    meas_seed = derive_seed(seed, _MEAS, n, rep, eta_idx, scheme_idx)
-                    config = MeasurementConfig(scheme=scheme, shots=shots, seed=meas_seed)
-                    try:
-                        error = score(truth, SimulatedDevice(model), config)
-                    except drop_on:
-                        dropped[key] = dropped.get(key, 0) + 1
-                        continue
-                    errors.setdefault(key, []).append(error)
+    cells = list(itertools.product(*(range(len(values)) for values in axes.values())))
+    errors: dict[tuple[int, ...], list[float]] = {idx: [] for idx in cells}
+    dropped = dict.fromkeys(cells, 0)
+    for rep in range(repetitions):
+        for idx in cells:
+            try:
+                errors[idx].append(error(idx, rep))
+            except drop_on:
+                dropped[idx] += 1
     return [
         _record(
-            experiment_id, errors.get((n, scheme, eta), []), dropped.get((n, scheme, eta), 0),
-            n_modes=n, scheme=scheme, eta=eta, amplitude=amplitude, shots=shots, trials=1,
-            repetitions=repetitions, seed=seed,
+            experiment_id, errors[idx], dropped[idx], repetitions=repetitions, **fixed,
+            **{name: values[i] for (name, values), i in zip(axes.items(), idx)},
         )
-        for n in n_list
-        for scheme in schemes
-        for eta in eta_list
+        for idx in cells
     ]
 
 
@@ -132,17 +123,24 @@ def run_mode_scaling(
     combinations so scheme comparisons are paired. The default grid is
     N = 2, 4, 8, 12 modes x both schemes x eta = 1.0, 0.5, 50 repetitions each.
     """
+    _check_counts(n_list=n_list, repetitions=[repetitions])
 
-    def draw(n, device_seed):
-        s_true = random_symplectic(n, r_max=r_max, seed=device_seed)
-        return s_true, s_true
+    @functools.lru_cache(maxsize=1)  # one device per (n, rep), shared by its cells
+    def draw(n, rep):
+        s_true = random_symplectic(n, r_max=r_max, seed=derive_seed(seed, _DEV, n, rep))
+        return s_true, [DeviceModel(s_true, eta=eta) for eta in eta_list]
 
-    def score(s_true, device, config):
-        return scaled_frobenius(s_true, reconstruct_symplectic(device, amplitude, config).s_recon)
+    def error(idx, rep):
+        n, scheme_idx, eta_idx = n_list[idx[0]], idx[1], idx[2]
+        s_true, models = draw(n, rep)
+        meas_seed = derive_seed(seed, _MEAS, n, rep, eta_idx, scheme_idx)
+        config = MeasurementConfig(scheme=schemes[scheme_idx], shots=shots, seed=meas_seed)
+        result = reconstruct_symplectic(SimulatedDevice(models[eta_idx]), amplitude, config)
+        return scaled_frobenius(s_true, result.s_recon)
 
-    return _scaling_sweep(
-        "mode-scaling", n_list, schemes, eta_list, amplitude, shots, repetitions, seed,
-        draw, score, (LossRecoveryError,),
+    return _sweep(
+        "mode-scaling", dict(n_modes=n_list, scheme=schemes, eta=eta_list), repetitions, error,
+        (LossRecoveryError,), amplitude=amplitude, shots=shots, trials=1, seed=seed,
     )
 
 
@@ -162,18 +160,25 @@ def run_unitary_scaling(
     passivity or loss-recovery checks are counted in ``dropped``. The default
     grid is N = 2, 4, 8 modes x both schemes at eta = 1.0, 50 repetitions each.
     """
+    _check_counts(n_list=n_list, repetitions=[repetitions])
 
-    def draw(n, device_seed):
-        u_true = haar_unitary(n, seed=device_seed)
-        return u_true, embed_unitary(u_true)
+    @functools.lru_cache(maxsize=1)  # one device per (n, rep), shared by its cells
+    def draw(n, rep):
+        u_true = haar_unitary(n, seed=derive_seed(seed, _DEV, n, rep))
+        return u_true, [DeviceModel(embed_unitary(u_true), eta=eta) for eta in eta_list]
 
-    def score(u_true, device, config):
-        u_hat = reconstruct_unitary(device, amplitude, config).u_hat
-        return scaled_frobenius(u_true, u_hat, n_modes=u_true.shape[0])
+    def error(idx, rep):
+        n, scheme_idx, eta_idx = n_list[idx[0]], idx[1], idx[2]
+        u_true, models = draw(n, rep)
+        meas_seed = derive_seed(seed, _MEAS, n, rep, eta_idx, scheme_idx)
+        config = MeasurementConfig(scheme=schemes[scheme_idx], shots=shots, seed=meas_seed)
+        u_hat = reconstruct_unitary(SimulatedDevice(models[eta_idx]), amplitude, config).u_hat
+        return scaled_frobenius(u_true, u_hat, n_modes=n)
 
-    return _scaling_sweep(
-        "unitary-scaling", n_list, schemes, eta_list, amplitude, shots, repetitions, seed,
-        draw, score, (LossRecoveryError, NotPassiveError),
+    return _sweep(
+        "unitary-scaling", dict(n_modes=n_list, scheme=schemes, eta=eta_list), repetitions,
+        error, (LossRecoveryError, NotPassiveError),
+        amplitude=amplitude, shots=shots, trials=1, seed=seed,
     )
 
 
@@ -199,32 +204,21 @@ def run_intensity_scaling(
     _check_counts(n_modes=[n_modes], trials_list=trials_list, repetitions=[repetitions])
     s_true = random_symplectic(n_modes, r_max=r_max, seed=derive_seed(seed, _DEV))
     model = DeviceModel(s_true, eta=eta)
-    records = []
-    for amp_idx, amplitude in enumerate(amplitude_list):
-        for trials_idx, trials in enumerate(trials_list):
-            errs = []
-            n_dropped = 0
-            for rep in range(repetitions):
-                tilde_sum = np.zeros((2 * n_modes, 2 * n_modes))
-                for trial in range(trials):
-                    meas_seed = derive_seed(seed, _MEAS, amp_idx, trials_idx, rep, trial)
-                    config = MeasurementConfig(scheme=scheme, shots=shots, seed=meas_seed)
-                    tilde_sum += measure_attenuated_matrix(
-                        SimulatedDevice(model), amplitude, config
-                    )
-                tilde_avg = tilde_sum / trials
-                try:
-                    eta_hat = estimate_eta(tilde_avg)
-                except LossRecoveryError:
-                    n_dropped += 1
-                    continue
-                errs.append(scaled_frobenius(s_true, tilde_avg / math.sqrt(eta_hat)))
-            records.append(_record(
-                "intensity", errs, n_dropped, n_modes=n_modes, scheme=scheme, eta=eta,
-                amplitude=amplitude, shots=shots, trials=trials, repetitions=repetitions,
-                seed=seed,
-            ))
-    return records
+
+    def error(idx, rep):
+        amplitude, trials = amplitude_list[idx[0]], trials_list[idx[1]]
+        tilde_sum = np.zeros((2 * n_modes, 2 * n_modes))
+        for trial in range(trials):
+            meas_seed = derive_seed(seed, _MEAS, *idx, rep, trial)
+            config = MeasurementConfig(scheme=scheme, shots=shots, seed=meas_seed)
+            tilde_sum += measure_attenuated_matrix(SimulatedDevice(model), amplitude, config)
+        tilde_avg = tilde_sum / trials
+        return scaled_frobenius(s_true, tilde_avg / math.sqrt(estimate_eta(tilde_avg)))
+
+    return _sweep(
+        "intensity", dict(amplitude=amplitude_list, trials=trials_list), repetitions, error,
+        (LossRecoveryError,), n_modes=n_modes, scheme=scheme, eta=eta, shots=shots, seed=seed,
+    )
 
 
 def run_phase_error_study(
@@ -252,23 +246,18 @@ def run_phase_error_study(
     config = MeasurementConfig(scheme=HOMODYNE, shots=math.inf)
     target = s_true[0, 0]
     norm = math.hypot(s_true[0, 0], s_true[0, 1])
-    records = []
-    for trials_idx, trials in enumerate(trials_list):
-        errs = []
-        for rep in range(repetitions):
-            rng = np.random.default_rng(derive_seed(seed, _MEAS, trials_idx, rep))
-            phis = rng.uniform(-phi_max, phi_max, trials)
-            estimates = [
-                reconstruct_element_with_phase_error(device, 1, 1, amplitude, phi, config)
-                for phi in phis
-            ]
-            errs.append(abs(float(np.mean(estimates)) - target) / norm)
-        records.append(_record(
-            "phase-error", errs, 0, n_modes=1, scheme=config.scheme, eta=1.0,
-            amplitude=amplitude, shots=config.shots, trials=trials, repetitions=repetitions,
-            seed=seed,
-        ))
-    return records
+
+    def error(idx, rep):
+        rng = np.random.default_rng(derive_seed(seed, _MEAS, *idx, rep))
+        phis = rng.uniform(-phi_max, phi_max, trials_list[idx[0]])
+        estimates = [reconstruct_element_with_phase_error(device, 1, 1, amplitude, phi, config)
+                     for phi in phis]
+        return abs(float(np.mean(estimates)) - target) / norm
+
+    return _sweep(
+        "phase-error", dict(trials=trials_list), repetitions, error, n_modes=1,
+        scheme=config.scheme, eta=1.0, amplitude=amplitude, shots=config.shots, seed=seed,
+    )
 
 
 def _format_cell(value) -> str:

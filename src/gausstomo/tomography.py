@@ -20,7 +20,7 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from .core import STRUCTURAL_TOL, NotPassiveError, matrix_to_json
+from .core import STRUCTURAL_TOL, NotPassiveError, _check_even_square, matrix_to_json
 from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans
 from .randgen import derive_seed
 
@@ -85,13 +85,12 @@ def estimate_eta(s_tilde: np.ndarray) -> float:
     """Recover the uniform transmissivity from det(s_tilde) = eta^N.
 
     Raises:
+        ValueError: if ``s_tilde`` is not a 2N x 2N matrix with N >= 1.
         LossRecoveryError: if the determinant is not positive, or the
             recovered transmissivity is not finite and > 0.
     """
     s_tilde = np.asarray(s_tilde, dtype=float)
-    if s_tilde.ndim != 2 or s_tilde.shape[0] != s_tilde.shape[1] or s_tilde.shape[0] % 2:
-        raise ValueError(f"expected a 2N x 2N matrix, got shape {s_tilde.shape}")
-    n = s_tilde.shape[0] // 2
+    n = _check_even_square(s_tilde, "s_tilde")
     sign, logabsdet = np.linalg.slogdet(s_tilde)
     if not sign > 0:
         raise LossRecoveryError(

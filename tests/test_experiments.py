@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +8,12 @@ from gausstomo import (
     DeviceModel,
     HETERODYNE,
     HOMODYNE,
+    LossRecoveryError,
     MeasurementConfig,
+    NotPassiveError,
     SimulatedDevice,
     derive_seed,
+    experiments,
     random_symplectic,
     reconstruct_symplectic,
 )
@@ -263,3 +267,91 @@ def test_runners_reject_bad_counts_before_any_probe(sweep, match, probe_count):
     with pytest.raises(ValueError, match=match):
         sweep()
     assert probe_count == []
+
+
+def test_repeated_mode_count_gets_its_own_row():
+    kwargs = dict(schemes=(HETERODYNE,), eta_list=(1.0,), shots=100, repetitions=3, seed=1)
+    (single,) = run_mode_scaling([2], **kwargs)
+    assert run_mode_scaling([2, 2], **kwargs) == [single, single]
+
+
+@pytest.mark.parametrize(
+    "grid", [dict(schemes=(HETERODYNE, HETERODYNE)), dict(eta_list=(1.0, 1.0))],
+    ids=["schemes", "eta"],
+)
+def test_repeated_scheme_or_loss_gets_its_own_row(grid):
+    kwargs = dict(schemes=(HETERODYNE,), eta_list=(1.0,), shots=100, repetitions=3, seed=1)
+    (single,) = run_mode_scaling([2], **kwargs)
+    first, _ = run_mode_scaling([2], **{**kwargs, **grid})
+    # the second cell draws its noise from its own index, so only the first matches
+    assert first == single
+
+
+@pytest.mark.parametrize(
+    "runner, target, raises",
+    [
+        (lambda: run_mode_scaling([2], schemes=(HETERODYNE,), eta_list=(0.5,), shots=100,
+                                  repetitions=5, seed=17),
+         "reconstruct_symplectic", {1: LossRecoveryError, 3: LossRecoveryError}),
+        (lambda: run_unitary_scaling([2], schemes=(HOMODYNE,), shots=100, repetitions=5, seed=18),
+         "reconstruct_unitary", {0: NotPassiveError, 3: LossRecoveryError}),
+        (lambda: run_intensity_scaling([10.0], [2], shots=100, seed=19, n_modes=2,
+                                       repetitions=5),
+         "estimate_eta", {2: LossRecoveryError, 4: LossRecoveryError}),
+    ],
+    ids=["mode", "unitary", "intensity"],
+)
+def test_sweep_drops_failed_repetitions(monkeypatch, runner, target, raises):
+    """A one-cell grid calls ``target`` once per repetition; the repetitions in
+    ``raises`` fail, the others keep the errors they have without failures."""
+    errors = []
+    scaled_frobenius = experiments.scaled_frobenius
+
+    def recording(*args, **kwargs):
+        errors.append(scaled_frobenius(*args, **kwargs))
+        return errors[-1]
+
+    monkeypatch.setattr(experiments, "scaled_frobenius", recording)
+    (full,) = runner()
+    assert full.dropped == 0 and len(errors) == 5
+    kept = [e for rep, e in enumerate(errors) if rep not in raises]
+    errors.clear()
+
+    original = getattr(experiments, target)
+    calls = itertools.count()
+
+    def failing(*args, **kwargs):
+        rep = next(calls)
+        if rep in raises:
+            raise raises[rep](f"injected at repetition {rep}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, target, failing)
+    (record,) = runner()
+    assert errors == kept
+    assert record.dropped == len(raises)
+    assert record.repetitions == 5
+    assert record.f_mean == float(np.mean(kept))
+
+
+@pytest.mark.parametrize(
+    "runner, draw", [(run_mode_scaling, "random_symplectic"), (run_unitary_scaling, "haar_unitary")]
+)
+def test_scaling_draws_one_device_per_mode_count_and_repetition(monkeypatch, runner, draw):
+    counts = {"draw": 0, "model": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, draw, counting("draw", getattr(experiments, draw)))
+    monkeypatch.setattr(experiments, "DeviceModel", counting("model", experiments.DeviceModel))
+    n_list, eta_list, repetitions = [1, 2], (1.0, 0.5), 3
+    runner(n_list, schemes=(HOMODYNE, HETERODYNE), eta_list=eta_list, shots=math.inf,
+           repetitions=repetitions, seed=20)
+    assert counts == {
+        "draw": len(n_list) * repetitions,
+        "model": len(n_list) * repetitions * len(eta_list),
+    }

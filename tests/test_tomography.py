@@ -57,6 +57,8 @@ def test_estimate_eta_rejects_negative_det():
 def test_estimate_eta_rejects_bad_shape():
     with pytest.raises(ValueError):
         estimate_eta(np.eye(3))
+    with pytest.raises(ValueError):
+        estimate_eta(np.zeros((0, 0)))
 
 
 def test_exact_inversion_lossless():
