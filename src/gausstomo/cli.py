@@ -38,7 +38,7 @@ from .device import (
 )
 from . import experiments
 from .experiments import _write_atomic, write_csv
-from .randgen import DEFAULT_R_MAX, haar_unitary, random_symplectic
+from .randgen import DEFAULT_R_MAX, _check_seed, haar_unitary, random_symplectic
 from .tomography import (
     LossRecoveryError,
     detect_non_gaussian,
@@ -205,12 +205,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
+    seed = _check_seed(args.seed)
     if args.kind == "symplectic":
         obj = matrix_to_json(
-            random_symplectic(args.modes, r_max=args.r_max, seed=args.seed), "symplectic"
+            random_symplectic(args.modes, r_max=args.r_max, seed=seed), "symplectic"
         )
     else:
-        obj = unitary_to_json(haar_unitary(args.modes, seed=args.seed))
+        obj = unitary_to_json(haar_unitary(args.modes, seed=seed))
     _dump_json(obj, args.out)
     return EXIT_OK
 

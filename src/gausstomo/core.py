@@ -171,6 +171,8 @@ def coherent_probe_state(n: int, mode_j: int, amplitude: float, phase: float) ->
     """
     if n < 1:
         raise ValueError("number of modes must be >= 1")
+    if mode_j < 1:
+        raise ValueError(f"mode index {mode_j} out of range 1..{n}")
     _check_probe_amplitude(amplitude)
     return GaussianState(mean=_coherent_mean(n, mode_j, amplitude, phase), cov=np.eye(2 * n))
 
@@ -182,8 +184,9 @@ def _check_probe_amplitude(amplitude: float) -> None:
 
 
 def _coherent_mean(n: int, mode_j: int, amplitude: float, phase: float) -> np.ndarray:
-    """Mean vector of :func:`coherent_probe_state`, after its mode-range check."""
-    if not 1 <= mode_j <= n:
+    """Mean vector of :func:`coherent_probe_state`, after the upper bound of the
+    mode index; the caller owns the lower bound (``ProbeSpec`` checks it)."""
+    if mode_j > n:
         raise ValueError(f"mode index {mode_j} out of range 1..{n}")
     mean = np.zeros(2 * n)
     mean[mode_j - 1] = np.sqrt(2.0) * amplitude * np.cos(phase)

@@ -22,6 +22,11 @@ vacuum, so the output covariance ``S S^T`` and its sampling factors are the
 same for every probe setting: a :class:`DeviceModel` computes them once, and
 each setting propagates only its mean.
 
+A setting's shots come from ``default_rng(config.seed)``, and the tomography
+layer sets that seed to ``derive_seed(master, k)`` for setting k, which
+defines the stream. Inside an experiment sweep, both come from tables derived
+before its first probe (:mod:`gausstomo.randgen`), with the same bits.
+
 Sample means are reduced as the shots are drawn, in blocks of about 256 KiB,
 to the same bits as the mean of the full (shots, N) outcome array: NumPy sums
 that array row by row, which a running sum carried across blocks continues,
@@ -47,6 +52,7 @@ from .core import (
     matrix_to_json,
     vacuum_state,
 )
+from .randgen import _check_seed, _stream
 
 HOMODYNE = "homodyne"
 HETERODYNE = "heterodyne"
@@ -88,6 +94,7 @@ class MeasurementConfig:
 
     def __post_init__(self):
         _check_scheme(self.scheme)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if not self.analytic:
             if not 1 <= self.shots < math.inf or self.shots != int(self.shots):
                 raise ValueError("shots must be a positive integer or math.inf")
@@ -219,7 +226,7 @@ def _draw_blocks(mean: np.ndarray, factors: tuple, config: MeasurementConfig, ro
     """
     n = mean.size // 2
     m = config.shots_per_quadrature
-    rng = np.random.default_rng(config.seed)
+    rng = _stream(config.seed)
     mx, mp = mean[:n], mean[n:]
     if config.scheme == HOMODYNE:
         for q, (loc, scale) in enumerate(zip((mx, mp), factors)):

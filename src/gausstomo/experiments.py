@@ -6,7 +6,9 @@ repetitions run outermost, and each row is keyed by its cell's grid index, so
 a repeated grid value gets its own row. Seeds are derived per repetition and
 cell, so a run is bit-reproducible from its master seed, and the scaling
 runners share each repetition's random device across every scheme and loss
-to sharpen comparisons.
+to sharpen comparisons. Before its first probe, the sweep derives every
+reconstruction's master seed and, in one pass, the random stream of each of
+its finite-shot settings (see :mod:`gausstomo.randgen`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import numpy as np
 
 from .core import NotPassiveError, embed_unitary, scaled_frobenius
 from .device import HETERODYNE, HOMODYNE, DeviceModel, MeasurementConfig, SCHEMES, SimulatedDevice
-from .randgen import DEFAULT_R_MAX, derive_seed, haar_unitary, random_symplectic
+from .randgen import (
+    DEFAULT_R_MAX, _check_seed, _sweep_streams, derive_seed, haar_unitary, random_symplectic,
+)
 from .tomography import (
     LossRecoveryError,
     estimate_eta,
@@ -68,8 +72,10 @@ def _record(experiment_id: str, errors: Sequence[float], dropped: int, **cell) -
     )
 
 
-def _check_counts(**counts: Iterable[int]) -> None:
-    """Reject a mode, repetition or trial count below 1, before the first probe."""
+def _check_inputs(seed: int, **counts: Iterable[int]) -> None:
+    """Reject a seed that is not a non-negative integer, and a mode, repetition
+    or trial count below 1, before the first probe."""
+    _check_seed(seed)
     for name, values in counts.items():
         for value in values:
             if operator.index(value) < 1:
@@ -78,25 +84,31 @@ def _check_counts(**counts: Iterable[int]) -> None:
 
 def _sweep(
     experiment_id: str, axes: dict[str, Sequence], repetitions: int,
-    error: Callable[[tuple[int, ...], int], float],
+    seeds: Callable[[tuple[int, ...], int], list[int]], settings: Callable[[tuple[int, ...]], int],
+    error: Callable[[tuple[int, ...], int, list[int]], float],
     drop_on: tuple[type[Exception], ...] = (), **fixed,
 ) -> list[ExperimentRecord]:
     """One row per cell of the grid ``axes`` (row field -> swept values).
 
-    Cells are index tuples into the axes, in row-major order. Repetitions run
-    outermost: for every ``rep``, every cell's ``error(idx, rep)`` is called
-    in turn, and a ``drop_on`` exception counts one drop for that cell. A
-    row pools only its own cell's repetitions.
+    Cells are index tuples into the axes, in row-major order. ``seeds(idx,
+    rep)`` lists a cell's master seeds in one repetition, one per
+    reconstruction, each issuing ``settings(idx)`` finite-shot settings; all
+    are derived, with every setting's stream, before the first probe.
+    Repetitions run outermost: for every ``rep``, every cell's ``error(idx,
+    rep, seeds)`` is called in turn, and a ``drop_on`` exception counts one
+    drop for that cell. A row pools only its own cell's repetitions.
     """
     cells = list(itertools.product(*(range(len(values)) for values in axes.values())))
     errors: dict[tuple[int, ...], list[float]] = {idx: [] for idx in cells}
     dropped = dict.fromkeys(cells, 0)
-    for rep in range(repetitions):
-        for idx in cells:
-            try:
-                errors[idx].append(error(idx, rep))
-            except drop_on:
-                dropped[idx] += 1
+    masters = {(idx, rep): seeds(idx, rep) for rep in range(repetitions) for idx in cells}
+    with _sweep_streams({m: settings(idx) for (idx, _), ms in masters.items() for m in ms}):
+        for rep in range(repetitions):
+            for idx in cells:
+                try:
+                    errors[idx].append(error(idx, rep, masters[idx, rep]))
+                except drop_on:
+                    dropped[idx] += 1
     return [
         _record(
             experiment_id, errors[idx], dropped[idx], repetitions=repetitions, **fixed,
@@ -123,24 +135,25 @@ def run_mode_scaling(
     combinations so scheme comparisons are paired. The default grid is
     N = 2, 4, 8, 12 modes x both schemes x eta = 1.0, 0.5, 50 repetitions each.
     """
-    _check_counts(n_list=n_list, repetitions=[repetitions])
+    _check_inputs(seed, n_list=n_list, repetitions=[repetitions])
 
     @functools.lru_cache(maxsize=1)  # one device per (n, rep), shared by its cells
     def draw(n, rep):
         s_true = random_symplectic(n, r_max=r_max, seed=derive_seed(seed, _DEV, n, rep))
         return s_true, [DeviceModel(s_true, eta=eta) for eta in eta_list]
 
-    def error(idx, rep):
+    def error(idx, rep, meas_seeds):
         n, scheme_idx, eta_idx = n_list[idx[0]], idx[1], idx[2]
         s_true, models = draw(n, rep)
-        meas_seed = derive_seed(seed, _MEAS, n, rep, eta_idx, scheme_idx)
-        config = MeasurementConfig(scheme=schemes[scheme_idx], shots=shots, seed=meas_seed)
+        config = MeasurementConfig(scheme=schemes[scheme_idx], shots=shots, seed=meas_seeds[0])
         result = reconstruct_symplectic(SimulatedDevice(models[eta_idx]), amplitude, config)
         return scaled_frobenius(s_true, result.s_recon)
 
     return _sweep(
-        "mode-scaling", dict(n_modes=n_list, scheme=schemes, eta=eta_list), repetitions, error,
-        (LossRecoveryError,), amplitude=amplitude, shots=shots, trials=1, seed=seed,
+        "mode-scaling", dict(n_modes=n_list, scheme=schemes, eta=eta_list), repetitions,
+        lambda idx, rep: [derive_seed(seed, _MEAS, n_list[idx[0]], rep, idx[2], idx[1])],
+        lambda idx: 2 * n_list[idx[0]] if shots < math.inf else 0,
+        error, (LossRecoveryError,), amplitude=amplitude, shots=shots, trials=1, seed=seed,
     )
 
 
@@ -160,23 +173,24 @@ def run_unitary_scaling(
     passivity or loss-recovery checks are counted in ``dropped``. The default
     grid is N = 2, 4, 8 modes x both schemes at eta = 1.0, 50 repetitions each.
     """
-    _check_counts(n_list=n_list, repetitions=[repetitions])
+    _check_inputs(seed, n_list=n_list, repetitions=[repetitions])
 
     @functools.lru_cache(maxsize=1)  # one device per (n, rep), shared by its cells
     def draw(n, rep):
         u_true = haar_unitary(n, seed=derive_seed(seed, _DEV, n, rep))
         return u_true, [DeviceModel(embed_unitary(u_true), eta=eta) for eta in eta_list]
 
-    def error(idx, rep):
+    def error(idx, rep, meas_seeds):
         n, scheme_idx, eta_idx = n_list[idx[0]], idx[1], idx[2]
         u_true, models = draw(n, rep)
-        meas_seed = derive_seed(seed, _MEAS, n, rep, eta_idx, scheme_idx)
-        config = MeasurementConfig(scheme=schemes[scheme_idx], shots=shots, seed=meas_seed)
+        config = MeasurementConfig(scheme=schemes[scheme_idx], shots=shots, seed=meas_seeds[0])
         u_hat = reconstruct_unitary(SimulatedDevice(models[eta_idx]), amplitude, config).u_hat
         return scaled_frobenius(u_true, u_hat, n_modes=n)
 
     return _sweep(
         "unitary-scaling", dict(n_modes=n_list, scheme=schemes, eta=eta_list), repetitions,
+        lambda idx, rep: [derive_seed(seed, _MEAS, n_list[idx[0]], rep, idx[2], idx[1])],
+        lambda idx: n_list[idx[0]] if shots < math.inf else 0,
         error, (LossRecoveryError, NotPassiveError),
         amplitude=amplitude, shots=shots, trials=1, seed=seed,
     )
@@ -201,22 +215,24 @@ def run_intensity_scaling(
     default grid is amplitudes 10, 31.62, 100 x 1, 10, 100 trials on a 5-mode
     heterodyne device, 20 repetitions each.
     """
-    _check_counts(n_modes=[n_modes], trials_list=trials_list, repetitions=[repetitions])
+    _check_inputs(seed, n_modes=[n_modes], trials_list=trials_list, repetitions=[repetitions])
     s_true = random_symplectic(n_modes, r_max=r_max, seed=derive_seed(seed, _DEV))
     model = DeviceModel(s_true, eta=eta)
 
-    def error(idx, rep):
-        amplitude, trials = amplitude_list[idx[0]], trials_list[idx[1]]
-        tilde_sum = np.zeros((2 * n_modes, 2 * n_modes))
-        for trial in range(trials):
-            meas_seed = derive_seed(seed, _MEAS, *idx, rep, trial)
+    def seeds(idx, rep):
+        return [derive_seed(seed, _MEAS, *idx, rep, trial) for trial in range(trials_list[idx[1]])]
+
+    def error(idx, rep, meas_seeds):
+        amplitude, tilde_sum = amplitude_list[idx[0]], np.zeros((2 * n_modes, 2 * n_modes))
+        for meas_seed in meas_seeds:
             config = MeasurementConfig(scheme=scheme, shots=shots, seed=meas_seed)
             tilde_sum += measure_attenuated_matrix(SimulatedDevice(model), amplitude, config)
-        tilde_avg = tilde_sum / trials
+        tilde_avg = tilde_sum / len(meas_seeds)
         return scaled_frobenius(s_true, tilde_avg / math.sqrt(estimate_eta(tilde_avg)))
 
     return _sweep(
-        "intensity", dict(amplitude=amplitude_list, trials=trials_list), repetitions, error,
+        "intensity", dict(amplitude=amplitude_list, trials=trials_list), repetitions, seeds,
+        lambda idx: 2 * n_modes if shots < math.inf else 0, error,
         (LossRecoveryError,), n_modes=n_modes, scheme=scheme, eta=eta, shots=shots, seed=seed,
     )
 
@@ -240,22 +256,22 @@ def run_phase_error_study(
     """
     if not 0 <= phi_max < math.pi / 4:
         raise ValueError("phi_max must lie in [0, pi/4)")
-    _check_counts(trials_list=trials_list, repetitions=[repetitions])
+    _check_inputs(seed, trials_list=trials_list, repetitions=[repetitions])
     s_true = random_symplectic(1, r_max=r_max, seed=derive_seed(seed, _DEV))
     device = SimulatedDevice(DeviceModel(s_true, eta=1.0))
     config = MeasurementConfig(scheme=HOMODYNE, shots=math.inf)
     target = s_true[0, 0]
     norm = math.hypot(s_true[0, 0], s_true[0, 1])
 
-    def error(idx, rep):
-        rng = np.random.default_rng(derive_seed(seed, _MEAS, *idx, rep))
-        phis = rng.uniform(-phi_max, phi_max, trials_list[idx[0]])
+    def error(idx, rep, phi_seeds):
+        phis = np.random.default_rng(phi_seeds[0]).uniform(-phi_max, phi_max, trials_list[idx[0]])
         estimates = [reconstruct_element_with_phase_error(device, 1, 1, amplitude, phi, config)
                      for phi in phis]
         return abs(float(np.mean(estimates)) - target) / norm
 
     return _sweep(
-        "phase-error", dict(trials=trials_list), repetitions, error, n_modes=1,
+        "phase-error", dict(trials=trials_list), repetitions,
+        lambda idx, rep: [derive_seed(seed, _MEAS, *idx, rep)], lambda idx: 0, error, n_modes=1,
         scheme=config.scheme, eta=1.0, amplitude=amplitude, shots=config.shots, seed=seed,
     )
 

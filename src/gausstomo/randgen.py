@@ -3,10 +3,18 @@
 All randomness in the package flows through ``numpy.random.default_rng``
 (PCG64), so a fixed seed reproduces bit-identical matrices across runs.
 Seed streams for independent settings or repetitions are derived with
-:func:`derive_seed`, which hashes an index tuple through ``SeedSequence``.
+:func:`derive_seed`, which hashes an index tuple through ``SeedSequence``
+and defines every stream. Inside :func:`_sweep_streams`, an experiment sweep
+reads its settings' child seeds ``derive_seed(master, k)``, and their
+generators' start states, from tables derived in one vectorised pass; any
+other seed takes the ``derive_seed`` and ``default_rng`` path.
 """
 
 from __future__ import annotations
+
+import contextlib
+import operator
+import threading
 
 import numpy as np
 
@@ -15,10 +23,116 @@ from .core import embed_unitary
 DEFAULT_R_MAX = 0.5
 
 
+def _check_seed(seed) -> int:
+    """Return a master seed as an int; it must be a non-negative integer."""
+    try:
+        if operator.index(seed) >= 0:
+            return operator.index(seed)
+    except TypeError:
+        pass
+    raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def derive_seed(master: int, *parts: int) -> int:
     """Derive an independent 64-bit child seed from a master seed and indices."""
     ss = np.random.SeedSequence((int(master),) + tuple(int(p) for p in parts))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's running uint32 hash: xor the constant in, step it, multiply."""
+    def step(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * mult & 0xFFFFFFFF
+        value = value * np.uint32(h)
+        return value ^ (value >> 16)
+    return step
+
+
+def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for each row ``e`` of
+    an (S, 4) uint32 array, each row's words left-aligned and zero-padded: its
+    4-word pool hashes a missing word as 0. The constants are SeedSequence's."""
+    mix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [mix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * mix(pool[src])
+                pool[dst] = value ^ (value >> 16)
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = np.stack([out(pool[i % 4]) for i in range(2 * n_words)], axis=1)
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _words32(values: np.ndarray) -> np.ndarray:
+    """Each uint64 value as its (low, high) uint32 words, as SeedSequence splits it."""
+    return values.astype("<u8").view("<u4").reshape(-1, 2)
+
+
+class _Streams(threading.local):
+    """Each thread's own sweep tables and reused generator."""
+
+    tables = None  # master -> (first row, settings); child seed, PCG64 words by row; generator
+    last = (None, 0)  # the child seed and row last read from the tables
+
+
+_streams = _Streams()
+
+
+def _stream_tables(settings: dict[int, int]) -> tuple:
+    """``derive_seed(master, k)`` for each ``k < settings[master]``, and each such
+    child's PCG64 seeding words ``generate_state(4, np.uint64)``, in one pass.
+    Masters are below 2**64."""
+    counts = np.fromiter(settings.values(), np.intp, len(settings))
+    starts = np.cumsum(counts) - counts
+    entropy = np.zeros((counts.sum(), 4), dtype=np.uint32)
+    entropy[:, :2] = _words32(np.repeat(np.fromiter(settings, np.uint64, len(settings)), counts))
+    entropy[:, 2] = np.arange(len(entropy)) - np.repeat(starts, counts)
+    one_word = entropy[:, 1] == 0  # a master below 2**32 hashes as (m, k), not (m, 0, k)
+    entropy[one_word, 1], entropy[one_word, 2] = entropy[one_word, 2], 0
+    children = _seed_words(entropy, 1)[:, 0]
+    entropy[:, :2], entropy[:, 2] = _words32(children), 0
+    return (dict(zip(settings, zip(starts.tolist(), counts.tolist()))), children,
+            _seed_words(entropy, 4), np.random.Generator(np.random.PCG64(0)))
+
+
+@contextlib.contextmanager
+def _sweep_streams(settings: dict[int, int]):
+    """Serve the streams of :func:`_stream_tables` until the block exits."""
+    saved = _streams.tables, _streams.last
+    _streams.tables = _stream_tables(settings)
+    try:
+        yield
+    finally:
+        _streams.tables, _streams.last = saved
+
+
+def _child_seed(master: int, k: int) -> int:
+    """``derive_seed(master, k)``, read from the sweep's tables when they hold it."""
+    tables = _streams.tables
+    start, count = tables[0].get(master, (0, 0)) if tables else (0, 0)
+    if not k < count:
+        return derive_seed(master, k)
+    _streams.last = (int(tables[1][start + k]), start + k)
+    return _streams.last[0]
+
+
+def _stream(seed: int) -> np.random.Generator:
+    """``default_rng(seed)``. For the child last read by :func:`_child_seed` it is
+    the thread's reused generator, set to the child's start state as PCG64's
+    ``srandom`` seeds it; so draw each such stream out before reading the next."""
+    child, row = _streams.last
+    if seed != child:
+        return np.random.default_rng(seed)
+    w0, w1, w2, w3 = _streams.tables[2][row].tolist()
+    inc = (w2 << 65 | w3 << 1 | 1) % 2**128
+    state = ((inc + (w0 << 64 | w1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
+    generator = _streams.tables[3]
+    generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                     "state": {"state": state, "inc": inc}}
+    return generator
 
 
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

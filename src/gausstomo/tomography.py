@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import STRUCTURAL_TOL, NotPassiveError, _check_even_square, matrix_to_json
 from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans
-from .randgen import derive_seed
+from .randgen import _child_seed
 
 SQRT2 = math.sqrt(2.0)
 
@@ -113,7 +113,7 @@ def _probe_settings(
     its own seed stream ``derive_seed(config.seed, k)``, so settings could
     run concurrently."""
     for k, probe in enumerate(probes):
-        setting = config if config.analytic else replace(config, seed=derive_seed(config.seed, k))
+        setting = config if config.analytic else replace(config, seed=_child_seed(config.seed, k))
         yield device.probe_and_measure(probe, setting)
 
 

@@ -149,6 +149,22 @@ def test_reconstruct_numerical_failure_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed, message", [("1.5", "argument --seed: invalid int value"),
+                                           ("-2", "seed must be a non-negative integer")],
+                         ids=["float", "negative"])
+@pytest.mark.parametrize("command", [
+    "generate --kind unitary --modes 2 --out OUT",
+    "detect --gamma 0 --amplitudes 1,2 --shots 10",
+    "experiment mode-scaling --modes 1 --reps 1 --shots 10 --out OUT",
+    "experiment phase-error --trials 1 --reps 1 --out OUT",
+], ids=["generate", "detect", "mode-scaling", "phase-error"])
+def test_bad_seed_is_usage_error_naming_seed(tmp_path, capsys, command, seed, message):
+    argv = command.replace("OUT", str(tmp_path / "out")).split() + ["--seed", seed]
+    code, stdout, err = run(argv, capsys)
+    assert code == 1 and stdout == "" and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_subcommand(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 1

@@ -157,7 +157,7 @@ def test_coherent_probe_mode_placement():
 
 @pytest.mark.parametrize("j", [0, 3])
 def test_coherent_probe_mode_out_of_range(j):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"mode index {j} out of range 1..2"):
         coherent_probe_state(2, j, 1.0, 0.0)
 
 

@@ -44,6 +44,23 @@ def test_probe_spec_validation():
         ProbeSpec(mode_j=1, amplitude=-2.0)
 
 
+def test_probe_mode_above_device_rejected():
+    device = SimulatedDevice(DeviceModel(np.eye(4)))
+    with pytest.raises(ValueError, match="mode index 3 out of range 1..2"):
+        device.probe_and_measure(ProbeSpec(mode_j=3, amplitude=1.0), MeasurementConfig(HOMODYNE, 10))
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", -2])
+def test_measurement_config_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        MeasurementConfig(scheme=HOMODYNE, shots=10, seed=seed)
+
+
+def test_measurement_config_seed_is_an_int():
+    config = MeasurementConfig(scheme=HOMODYNE, shots=10, seed=np.uint64(2**64 - 1))
+    assert type(config.seed) is int and config.seed == 2**64 - 1
+
+
 def test_measurement_config_validation():
     with pytest.raises(ValueError):
         MeasurementConfig(scheme="photon-counting", shots=10)

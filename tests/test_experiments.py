@@ -17,6 +17,7 @@ from gausstomo import (
     random_symplectic,
     reconstruct_symplectic,
 )
+from gausstomo import randgen
 from gausstomo.experiments import (
     ExperimentRecord,
     records_to_csv,
@@ -355,3 +356,85 @@ def test_scaling_draws_one_device_per_mode_count_and_repetition(monkeypatch, run
         "draw": len(n_list) * repetitions,
         "model": len(n_list) * repetitions * len(eta_list),
     }
+
+
+# one small sweep per runner, mixing both schemes, odd shot counts and N = 1,
+# with its probe settings and, of those, the settings that draw shots
+SWEEPS = [
+    pytest.param(lambda: run_mode_scaling([1, 3], schemes=(HOMODYNE, HETERODYNE),
+                                          eta_list=(1.0, 0.6), amplitude=200.0, shots=7,
+                                          repetitions=2, seed=31),
+                 2 * 2 * 2 * (2 + 6), 2 * 2 * 2 * (2 + 6), id="mode"),
+    pytest.param(lambda: run_unitary_scaling([2, 3], schemes=(HOMODYNE, HETERODYNE),
+                                             amplitude=200.0, shots=9, repetitions=2, seed=32),
+                 2 * 2 * (2 + 3), 2 * 2 * (2 + 3), id="unitary"),
+    pytest.param(lambda: run_intensity_scaling([10.0, 30.0], [1, 3], shots=20, seed=33,
+                                               n_modes=2, scheme=HOMODYNE, repetitions=2),
+                 2 * 2 * (1 + 3) * 4, 2 * 2 * (1 + 3) * 4, id="intensity"),
+    pytest.param(lambda: run_phase_error_study(0.05, [1, 10], seed=34, repetitions=2),
+                 2 * (1 + 10), 0, id="phase"),
+]
+
+
+@pytest.mark.parametrize("sweep, settings, drawing", SWEEPS)
+def test_sweep_streams_give_the_bytes_of_derive_seed_and_default_rng(
+    monkeypatch, sweep, settings, drawing
+):
+    """Every setting's stream read from the sweep's one-pass tables equals the
+    per-setting ``derive_seed`` + ``default_rng`` path, taken when the tables miss."""
+    derived = []
+    derive_seed = randgen.derive_seed
+    monkeypatch.setattr(randgen, "derive_seed", lambda *a: derived.append(a) or derive_seed(*a))
+    cached = records_to_csv(sweep())
+    assert derived == []  # no setting's seed was derived natively
+    monkeypatch.setattr(randgen, "_stream_tables", lambda settings: ({}, None, None, None))
+    assert records_to_csv(sweep()) == cached
+    assert len(derived) == drawing
+
+
+@pytest.mark.parametrize("sweep, settings, drawing", SWEEPS)
+def test_sweep_issues_one_probe_per_setting(monkeypatch, sweep, settings, drawing):
+    calls = []
+    original = SimulatedDevice.probe_and_measure
+
+    def counting(self, *args, **kwargs):
+        assert not kwargs  # (probe, config), positionally
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(SimulatedDevice, "probe_and_measure", counting)
+    sweep()
+    assert len(calls) == settings
+
+
+def test_sweep_clears_its_streams_on_return_and_on_raise(monkeypatch):
+    run_mode_scaling([2], schemes=(HETERODYNE,), eta_list=(1.0,), shots=10, repetitions=2)
+    assert randgen._streams.tables is None and randgen._streams.last == (None, 0)
+    seen = []
+
+    def failing(device, amplitude, config):
+        seen.append(randgen._streams.tables)
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(experiments, "reconstruct_symplectic", failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_mode_scaling([2], schemes=(HETERODYNE,), eta_list=(1.0,), shots=10, repetitions=2)
+    assert seen[0] is not None
+    assert randgen._streams.tables is None and randgen._streams.last == (None, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", -2])
+@pytest.mark.parametrize(
+    "runner",
+    [
+        lambda seed: run_mode_scaling([1], shots=10, repetitions=1, seed=seed),
+        lambda seed: run_unitary_scaling([1], shots=10, repetitions=1, seed=seed),
+        lambda seed: run_intensity_scaling([10.0], [1], shots=10, repetitions=1, seed=seed),
+        lambda seed: run_phase_error_study(0.05, [1], repetitions=1, seed=seed),
+    ],
+    ids=["mode", "unitary", "intensity", "phase"],
+)
+def test_runners_reject_bad_seed_before_any_probe(runner, seed, probe_count):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        runner(seed)
+    assert probe_count == []

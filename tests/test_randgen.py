@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gausstomo import DEFAULT_R_MAX, derive_seed, haar_unitary, is_symplectic, random_symplectic
+from gausstomo import randgen
 
 
 def test_haar_unitary_single_mode_is_phase():
@@ -82,3 +85,66 @@ def test_derive_seed_stable_and_distinct():
 def test_random_symplectic_rejects_bad_r_max(r_max):
     with pytest.raises(ValueError):
         random_symplectic(2, r_max=r_max, seed=0)
+
+
+# (master, k) -> derive_seed(master, k), and the PCG64 (state, inc) of
+# default_rng(derive_seed(master, k)); SeedSequence and PCG64 seeding are
+# specified on little-endian words, so these hold on every platform
+PINNED_STREAMS = [
+    (0, 0, 15793235383387715774,
+     0x8C03BA954894611D775D3D476B050614, 0xF0A87D86C2674172D43004A2C6FC2385),
+    (2**32 - 1, 1, 6766491796382316032,
+     0xFB905EE02F7F2C02255CB8B2DFE8ABFD, 0x4B2DFC8393CEF576690B159201D90AEF),
+    (2**32, 5, 13922735284947157694,
+     0xE51D7A95FCB1880C03C13FFC50095B14, 0x8832289B9A77031D33D66B4A208D94D5),
+    (2**64 - 1, 127, 8196200917048970049,
+     0xCD1C639870B9704497B4D5050198BAE4, 0x7FB844AFDD5BA041EFA6307476796A1B),
+]
+
+
+@pytest.mark.parametrize("master, k, child, state, inc", PINNED_STREAMS,
+                         ids=["zero", "one-word", "two-word", "largest"])
+def test_pinned_streams(master, k, child, state, inc):
+    assert derive_seed(master, k) == child
+    pcg = {"state": state, "inc": inc}
+    assert np.random.default_rng(child).bit_generator.state["state"] == pcg
+    with randgen._sweep_streams({master: k + 1}):
+        assert randgen._child_seed(master, k) == child
+        replayed = randgen._stream(child)
+        assert replayed is randgen._streams.tables[3]
+        assert replayed.bit_generator.state["state"] == pcg
+
+
+@settings(max_examples=40)
+@given(st.dictionaries(st.integers(0, 2**64 - 1), st.integers(1, 128), min_size=1, max_size=3))
+@example({0: 3, 2**32 - 1: 128, 2**32: 1, 2**64 - 1: 17})
+def test_sweep_streams_match_derive_seed_and_default_rng(settings_per_master):
+    """The one-pass tables replay SeedSequence bit for bit, for one- and two-word masters."""
+    with randgen._sweep_streams(settings_per_master):
+        for master, count in settings_per_master.items():
+            for k in range(count):
+                child = randgen._child_seed(master, k)
+                assert child == derive_seed(master, k)
+                replayed = randgen._stream(child)
+                assert replayed is randgen._streams.tables[3]  # the reused generator
+                native = np.random.default_rng(child)
+                assert replayed.bit_generator.state == native.bit_generator.state
+            # past the table: the native derivation
+            assert randgen._child_seed(master, count) == derive_seed(master, count)
+
+
+def test_stream_outside_a_sweep_is_a_fresh_generator():
+    assert randgen._streams.tables is None
+    assert randgen._child_seed(7, 2) == derive_seed(7, 2)
+    np.testing.assert_array_equal(randgen._stream(5).standard_normal(4),
+                                  np.random.default_rng(5).standard_normal(4))
+
+
+def test_replayed_stream_restarts_at_every_read():
+    child = derive_seed(11, 0)
+    expected = np.random.default_rng(child).standard_normal(8)
+    with randgen._sweep_streams({11: 1}):
+        assert randgen._child_seed(11, 0) == child
+        for _ in range(2):
+            np.testing.assert_array_equal(randgen._stream(child).standard_normal(8), expected)
+    assert randgen._streams.tables is None and randgen._streams.last == (None, 0)
