@@ -16,12 +16,14 @@ symplectic and of determinant +1; on covariances as ``sigma -> S sigma S^T``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 # Absolute entrywise tolerance for structural checks (symplectic, unitary).
 STRUCTURAL_TOL = 1e-9
+_SQRT2 = np.sqrt(2.0)  # of a coherent mean; a NumPy float, so its products keep NumPy types
 
 # Block asymmetry admitted when reading a unitary out of a reconstructed
 # (hence noisy) passive symplectic matrix.
@@ -163,24 +165,34 @@ def coherent_probe_state(n: int, mode_j: int, amplitude: float, phase: float) ->
         n: number of modes.
         mode_j: input mode index, 1 <= mode_j <= n.
         amplitude: real probe amplitude, finite and >= 0.
-        phase: probe phase in radians.
+        phase: probe phase in radians, finite.
 
     Raises:
-        ValueError: if ``mode_j`` is out of range or ``amplitude`` is negative
-            or not finite.
+        ValueError: if ``mode_j`` is not an integer or out of range, or
+            ``amplitude`` or ``phase`` is out of range or not finite.
     """
     if n < 1:
         raise ValueError("number of modes must be >= 1")
-    if mode_j < 1:
+    if _check_index(mode_j, "mode index") < 1:
         raise ValueError(f"mode index {mode_j} out of range 1..{n}")
-    _check_probe_amplitude(amplitude)
+    _check_probe(amplitude, phase)
     return GaussianState(mean=_coherent_mean(n, mode_j, amplitude, phase), cov=np.eye(2 * n))
 
 
-def _check_probe_amplitude(amplitude: float) -> None:
-    """A coherent probe's amplitude must be finite and >= 0."""
+def _check_probe(amplitude: float, phase: float) -> None:
+    """A coherent probe's amplitude must be finite and >= 0, its phase finite."""
     if not 0 <= amplitude < math.inf:
         raise ValueError(f"probe amplitude must be finite and >= 0, got {amplitude}")
+    if not math.isfinite(phase):
+        raise ValueError(f"probe phase must be finite, got {phase}")
+
+
+def _check_index(index, name: str) -> int:
+    """Return an index as an int; it must be an integer (``operator.index``)."""
+    try:
+        return operator.index(index)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {index!r}") from None
 
 
 def _coherent_mean(n: int, mode_j: int, amplitude: float, phase: float) -> np.ndarray:
@@ -189,8 +201,8 @@ def _coherent_mean(n: int, mode_j: int, amplitude: float, phase: float) -> np.nd
     if mode_j > n:
         raise ValueError(f"mode index {mode_j} out of range 1..{n}")
     mean = np.zeros(2 * n)
-    mean[mode_j - 1] = np.sqrt(2.0) * amplitude * np.cos(phase)
-    mean[n + mode_j - 1] = np.sqrt(2.0) * amplitude * np.sin(phase)
+    mean[mode_j - 1] = _SQRT2 * amplitude * np.cos(phase)
+    mean[n + mode_j - 1] = _SQRT2 * amplitude * np.sin(phase)
     return mean
 
 

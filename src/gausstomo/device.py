@@ -30,7 +30,9 @@ before its first probe (:mod:`gausstomo.randgen`), with the same bits.
 Sample means are reduced as the shots are drawn, in blocks of about 256 KiB,
 to the same bits as the mean of the full (shots, N) outcome array: NumPy sums
 that array row by row, which a running sum carried across blocks continues,
-but a single column (N = 1) pairwise, so there one block spans every shot.
+but a single column (N = 1) pairwise, so there one block spans every shot and
+each column is summed alone. A heterodyne block is one (shots, N, 2) array of
+joint shots, X and P on the last axis, reduced by one sum over the shots.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ import numpy as np
 from .core import (
     GaussianState,
     STRUCTURAL_TOL,
-    _check_probe_amplitude,
+    _check_index,
+    _check_probe,
     _coherent_mean,
     apply_symplectic,
     apply_uniform_loss,
@@ -67,16 +70,16 @@ def _check_scheme(scheme: str) -> str:
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """A coherent probe: input mode (1-based), amplitude and phase."""
+    """A coherent probe: input mode (1-based integer), amplitude and finite phase."""
 
     mode_j: int
     amplitude: float
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.mode_j < 1:
+        if _check_index(self.mode_j, "mode index") < 1:
             raise ValueError("mode index must be >= 1")
-        _check_probe_amplitude(self.amplitude)
+        _check_probe(self.amplitude, self.phase)
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,12 @@ class MeasurementConfig:
             return 0
         return self.shots // 2 if self.scheme == HOMODYNE else self.shots
 
+    def _reseeded(self, seed: int) -> MeasurementConfig:
+        """This config, unchecked, with ``seed``: an int in [0, 2**64) as ``derive_seed`` gives."""
+        child = object.__new__(type(self))
+        child.__dict__.update(self.__dict__, seed=seed)
+        return child
+
 
 @dataclass(frozen=True)
 class QuadratureSampleMeans:
@@ -133,7 +142,7 @@ class DeviceModel:
 
     ``cubic_gamma`` enables the mean-field cubic nonlinearity; it must be
     finite and is only supported for single-mode devices. The output
-    covariance and the per-scheme sampling factors are computed once here.
+    covariance, the sampling factors and ``sqrt(eta)`` are computed once here.
     """
 
     s: np.ndarray
@@ -141,6 +150,7 @@ class DeviceModel:
     cubic_gamma: float | None = None
     _cov: np.ndarray = field(init=False, repr=False, compare=False)
     _factors: dict = field(init=False, repr=False, compare=False)
+    _sqrt_eta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.array(self.s, dtype=float)
@@ -155,7 +165,8 @@ class DeviceModel:
         object.__setattr__(self, "s", s)
         cov = apply_symplectic(s, apply_uniform_loss(self.eta, vacuum_state(self.n_modes))).cov
         object.__setattr__(self, "_cov", cov)
-        object.__setattr__(self, "_factors", {sch: _sampling_factors(cov, sch) for sch in SCHEMES})
+        object.__setattr__(self, "_factors", _draw_factors(cov))
+        object.__setattr__(self, "_sqrt_eta", np.sqrt(self.eta))
 
     @property
     def n_modes(self) -> int:
@@ -177,7 +188,7 @@ def cubic_phase_mean_map(gamma: float, mean: np.ndarray) -> np.ndarray:
 def _output_mean(model: DeviceModel, probe: ProbeSpec) -> np.ndarray:
     """Output mean of a coherent probe: loss, then S, then the optional cubic gate."""
     mean = _coherent_mean(model.n_modes, probe.mode_j, probe.amplitude, probe.phase)
-    mean = model.s @ (np.sqrt(model.eta) * mean)
+    mean = model.s @ (model._sqrt_eta * mean)
     if model.cubic_gamma is not None:
         mean = cubic_phase_mean_map(model.cubic_gamma, mean)
     return mean
@@ -212,20 +223,27 @@ def _sampling_factors(cov: np.ndarray, scheme: str) -> tuple[np.ndarray, ...]:
     return l11, b / l11, np.sqrt(d - b * b / a)
 
 
+def _draw_factors(cov: np.ndarray) -> dict:
+    """Each scheme's factors for :func:`_draw_blocks`: homodyne X and P standard
+    deviations; heterodyne ``l21`` and the (N, 2) stack of ``l11, l22``."""
+    l11, l21, l22 = _sampling_factors(cov, HETERODYNE)
+    return {HOMODYNE: _sampling_factors(cov, HOMODYNE), HETERODYNE: (l21, np.stack((l11, l22), 1))}
+
+
 # float64 outcomes per block of the mean reduction: 256 KiB stay in cache from draw to sum
 _BLOCK_VALUES = 1 << 15
 
 
-def _draw_blocks(mean: np.ndarray, factors: tuple, config: MeasurementConfig, rows: int):
-    """Draw raw outcomes in blocks of at most ``rows`` shots, in stream order.
+def _draw_blocks(mean: np.ndarray, factors: tuple, config: MeasurementConfig, m: int, rows: int):
+    """Draw ``m`` outcomes per quadrature in blocks of at most ``rows`` shots, in stream order.
 
-    Yields ``(q, buf)`` for X (q = 0) and P (q = 1): ``buf[1:]`` holds a block's
-    (k, N) outcomes, row 0 is scratch for the caller. Homodyne draws every X
-    block before any P block; heterodyne X and P are views of one buffer.
-    ``loc + scale * z``, formed in place, is ``rng.normal(loc, scale)`` bit for bit.
+    Yields ``(q, buf)``: ``buf[1:]`` holds a block's outcomes, row 0 is scratch
+    for the caller. Homodyne yields (k, N) blocks of X (q = 0), all before
+    those of P (q = 1); heterodyne yields (k, N, 2) blocks of joint shots
+    (q = 0), X and P on the last axis. ``loc + scale * z``, formed in place, is
+    ``rng.normal(loc, scale)`` bit for bit.
     """
     n = mean.size // 2
-    m = config.shots_per_quadrature
     rng = _stream(config.seed)
     mx, mp = mean[:n], mean[n:]
     if config.scheme == HOMODYNE:
@@ -237,41 +255,38 @@ def _draw_blocks(mean: np.ndarray, factors: tuple, config: MeasurementConfig, ro
                 z += loc
                 yield q, buf[: len(z) + 1]
         return
-    l11, l21, l22 = factors
+    l21, scale = factors
     buf = np.empty((rows + 1, n, 2))
     tmp = np.empty((rows, n))
     for start in range(0, m, rows):
         k = min(rows, m - start)
-        rng.standard_normal(out=buf[1 : k + 1])
-        z0, z1 = buf[1 : k + 1, :, 0], buf[1 : k + 1, :, 1]
-        t = np.multiply(z0, l21, out=tmp[:k])
+        z = rng.standard_normal(out=buf[1 : k + 1])
+        t = np.multiply(z[:, :, 0], l21, out=tmp[:k])
         t += mp
-        z1 *= l22
-        z1 += t  # (mp + l21 z0) + l22 z1: the order of the unblocked expression
-        z0 *= l11
-        z0 += mx
-        yield 0, buf[: k + 1, :, 0]
-        yield 1, buf[: k + 1, :, 1]
+        z *= scale
+        z[:, :, 1] += t  # (mp + l21 z0) + l22 z1: the order of the unblocked expression
+        z[:, :, 0] += mx
+        yield 0, buf[: k + 1]
 
 
-def _sample_means(mean: np.ndarray, factors, config: MeasurementConfig) -> QuadratureSampleMeans:
-    """Exact means when analytic, otherwise the sample means of the drawn outcomes."""
+def _sample_means(mean: np.ndarray, factors, config: MeasurementConfig, m: int):
+    """Exact means (views of ``mean``) when ``m`` is 0, else the means of ``m`` shots."""
     n = mean.size // 2
-    m = config.shots_per_quadrature
-    if config.analytic:
-        return QuadratureSampleMeans(mean[:n].copy(), mean[n:].copy(), m)
-    # the running sum goes in row 0 of the next block; a single column is
-    # summed pairwise, so at N = 1 one block spans every shot
-    width = 1 if config.scheme == HOMODYNE else 2
-    rows = m if n == 1 else min(m, max(1, _BLOCK_VALUES // (width * n)))
+    if not m:
+        return QuadratureSampleMeans(mean[:n], mean[n:], m)
+    homodyne = config.scheme == HOMODYNE
+    rows = m if n == 1 else min(m, max(1, _BLOCK_VALUES // ((1 if homodyne else 2) * n)))
     sums = [None, None]
-    for q, buf in _draw_blocks(mean, factors, config, rows):
-        if sums[q] is None:
+    for q, buf in _draw_blocks(mean, factors, config, m, rows):
+        if n == 1 and not homodyne:  # one block; each column is summed pairwise
+            sums[q] = np.array([[buf[1:, 0, 0].sum(), buf[1:, 0, 1].sum()]])
+        elif sums[q] is None:
             sums[q] = np.add.reduce(buf[1:], axis=0)
         else:
-            buf[0] = sums[q]
+            buf[0] = sums[q]  # the running sum goes in row 0 of the next block
             sums[q] = np.add.reduce(buf, axis=0)
-    return QuadratureSampleMeans(sums[0] / m, sums[1] / m, m)
+    x, p = (sums[0] / m, sums[1] / m) if homodyne else (sums[0] / m).T
+    return QuadratureSampleMeans(x, p, m)
 
 
 def sample_quadratures(
@@ -288,9 +303,10 @@ def sample_quadratures(
     """
     if config.analytic:
         raise ValueError("analytic backend has no sample outcomes; use measure()")
-    factors = _sampling_factors(state.cov, config.scheme)
-    (_, x), (_, p) = _draw_blocks(state.mean, factors, config, config.shots_per_quadrature)
-    return x[1:], p[1:]
+    m, factors = config.shots_per_quadrature, _draw_factors(state.cov)[config.scheme]
+    blocks = [buf[1:] for _, buf in _draw_blocks(state.mean, factors, config, m, m)]
+    x, p = blocks if config.scheme == HOMODYNE else np.moveaxis(blocks[0], -1, 0)
+    return x, p
 
 
 def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSampleMeans:
@@ -299,8 +315,8 @@ def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSample
     Returns exact means for the analytic backend, otherwise the sample means
     of :func:`sample_quadratures`.
     """
-    factors = None if config.analytic else _sampling_factors(state.cov, config.scheme)
-    return _sample_means(state.mean, factors, config)
+    factors = None if config.analytic else _draw_factors(state.cov)[config.scheme]
+    return _sample_means(state.mean.copy(), factors, config, config.shots_per_quadrature)
 
 
 @dataclass
@@ -324,10 +340,11 @@ class SimulatedDevice:
         self, probe: ProbeSpec, config: MeasurementConfig
     ) -> QuadratureSampleMeans:
         mean = _output_mean(self.model, probe)
+        m = config.shots_per_quadrature
         self.settings_used += 1
         # one probe per homodyne single-quadrature outcome or heterodyne shot
-        self.probes_used += config.shots_per_quadrature * (2 if config.scheme == HOMODYNE else 1)
-        return _sample_means(mean, self.model._factors[config.scheme], config)
+        self.probes_used += m * (2 if config.scheme == HOMODYNE else 1)
+        return _sample_means(mean, self.model._factors[config.scheme], config, m)
 
 
 def device_to_json(model: DeviceModel) -> dict:

@@ -18,14 +18,13 @@ import functools
 import io
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import NotPassiveError, embed_unitary, scaled_frobenius
+from .core import NotPassiveError, _check_index, embed_unitary, scaled_frobenius
 from .device import HETERODYNE, HOMODYNE, DeviceModel, MeasurementConfig, SCHEMES, SimulatedDevice
 from .randgen import (
     DEFAULT_R_MAX, _check_seed, _sweep_streams, derive_seed, haar_unitary, random_symplectic,
@@ -78,7 +77,7 @@ def _check_inputs(seed: int, **counts: Iterable[int]) -> None:
     _check_seed(seed)
     for name, values in counts.items():
         for value in values:
-            if operator.index(value) < 1:
+            if _check_index(value, name) < 1:
                 raise ValueError(f"{name} must hold counts >= 1, got {value}")
 
 

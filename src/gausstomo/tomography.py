@@ -15,12 +15,12 @@ imaginary parts of one unitary column, halving the number of settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Protocol
 
 import numpy as np
 
-from .core import STRUCTURAL_TOL, NotPassiveError, _check_even_square, matrix_to_json
+from .core import STRUCTURAL_TOL, NotPassiveError, _check_even_square, _check_index, matrix_to_json
 from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans
 from .randgen import _child_seed
 
@@ -111,9 +111,9 @@ def _probe_settings(
 ) -> Iterator[QuadratureSampleMeans]:
     """Issue the probe settings in order and yield their means; setting k gets
     its own seed stream ``derive_seed(config.seed, k)``, so settings could
-    run concurrently."""
+    run concurrently. Each setting's config is the checked ``config`` reseeded."""
     for k, probe in enumerate(probes):
-        setting = config if config.analytic else replace(config, seed=_child_seed(config.seed, k))
+        setting = config if config.analytic else config._reseeded(_child_seed(config.seed, k))
         yield device.probe_and_measure(probe, setting)
 
 
@@ -149,8 +149,9 @@ def measure_attenuated_matrix(
     s_tilde = np.zeros((2 * n, 2 * n))
     for probe, means in zip(probes, _probe_settings(device, probes, config)):
         col = probe.mode_j - 1 + (n if probe.phase else 0)
-        s_tilde[:n, col] = means.x_means / scale
-        s_tilde[n:, col] = means.p_means / scale
+        s_tilde[:n, col] = means.x_means
+        s_tilde[n:, col] = means.p_means
+    s_tilde /= scale  # elementwise: the bits of dividing each mean
     return s_tilde
 
 
@@ -241,8 +242,8 @@ def reconstruct_element_with_phase_error(
     the phase error leaks the conjugate-column element in at first order.
 
     Args:
-        i: output mode index (X quadrature row), 1-based.
-        j: input mode index, 1-based.
+        i: output mode index (X quadrature row), 1-based integer.
+        j: input mode index, 1-based integer.
         amplitude: coherent probe amplitude, finite and > 0.
         phi: phase-modulation error in radians, |phi| < pi/4.
     """
@@ -250,6 +251,7 @@ def reconstruct_element_with_phase_error(
     if not abs(phi) < math.pi / 4:
         raise ValueError("phase error must satisfy |phi| < pi/4")
     n = device.n_modes
+    i, j = _check_index(i, "element index i"), _check_index(j, "element index j")
     if not 1 <= i <= n or not 1 <= j <= n:
         raise ValueError(f"element indices ({i}, {j}) out of range 1..{n}")
     means = device.probe_and_measure(

@@ -336,3 +336,20 @@ def test_matrix_json_kind_mismatch():
 def test_unitary_json_round_trip():
     u = haar_unitary(3, seed=4)
     np.testing.assert_allclose(unitary_from_json(unitary_to_json(u)), u, atol=0)
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_coherent_probe_non_finite_phase_rejected(phase):
+    with pytest.raises(ValueError, match="phase"):
+        coherent_probe_state(1, 1, 1.0, phase)
+
+
+@pytest.mark.parametrize("mode_j", [1.5, 1.0])
+def test_coherent_probe_non_integer_mode_rejected(mode_j):
+    with pytest.raises(ValueError, match="mode index must be an integer"):
+        coherent_probe_state(2, mode_j, 1.0, 0.0)
+
+
+def test_coherent_probe_accepts_numpy_integer_mode():
+    got = coherent_probe_state(3, np.int64(2), 1.5, 0.3)
+    assert np.array_equal(got.mean, coherent_probe_state(3, 2, 1.5, 0.3).mean)

@@ -321,3 +321,46 @@ def test_heterodyne_means_use_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_probe_spec_rejects_non_finite_phase(phase):
+    with pytest.raises(ValueError, match="phase"):
+        ProbeSpec(mode_j=1, amplitude=1.0, phase=phase)
+
+
+@pytest.mark.parametrize("mode_j", [1.5, 2.0, "2", None])
+def test_probe_spec_rejects_non_integer_mode(mode_j):
+    with pytest.raises(ValueError, match="mode index must be an integer"):
+        ProbeSpec(mode_j=mode_j, amplitude=1.0)
+
+
+def test_probe_spec_accepts_numpy_integer_mode():
+    device = SimulatedDevice(DeviceModel(np.eye(4)))
+    config = MeasurementConfig(HETERODYNE, math.inf)
+    got = device.probe_and_measure(ProbeSpec(mode_j=np.int64(2), amplitude=1.0), config)
+    want = device.probe_and_measure(ProbeSpec(mode_j=2, amplitude=1.0), config)
+    assert np.array_equal(got.x_means, want.x_means) and np.array_equal(got.p_means, want.p_means)
+
+
+def test_analytic_probe_results_do_not_alias():
+    device = SimulatedDevice(DeviceModel(random_symplectic(3, seed=2), eta=0.6))
+    config = MeasurementConfig(HOMODYNE, math.inf)
+    probe = ProbeSpec(mode_j=2, amplitude=3.0, phase=0.4)
+    first, second, fresh = (device.probe_and_measure(probe, config) for _ in range(3))
+    for a in (first.x_means, first.p_means):
+        for b in (second.x_means, second.p_means):
+            assert not np.shares_memory(a, b)
+    first.x_means[:] = first.p_means[:] = 0.0
+    assert np.array_equal(second.x_means, fresh.x_means)
+    assert np.array_equal(second.p_means, fresh.p_means)
+
+
+@pytest.mark.parametrize("shots", [math.inf, 7])
+@pytest.mark.parametrize("scheme", [HOMODYNE, HETERODYNE])
+def test_measure_never_aliases_the_state_mean(scheme, shots):
+    state = evolve(DeviceModel(random_symplectic(2, seed=3)), ProbeSpec(mode_j=1, amplitude=2.0))
+    means = measure(state, MeasurementConfig(scheme, shots, seed=1))
+    for got in (means.x_means, means.p_means):
+        assert not np.shares_memory(got, state.mean)
+    assert state.mean.flags.writeable is False

@@ -260,9 +260,11 @@ def probe_count(monkeypatch):
         (lambda: run_intensity_scaling([10.0], [2, 0], shots=math.inf, repetitions=1),
          "trials_list"),
         (lambda: run_phase_error_study(0.05, [2, 0], repetitions=1), "trials_list"),
+        (lambda: run_mode_scaling([2, 1.5], shots=math.inf, repetitions=1), "n_list"),
+        (lambda: run_phase_error_study(0.05, [1], repetitions=2.5), "repetitions"),
     ],
     ids=["mode-reps", "unitary-reps", "intensity-reps", "phase-reps", "mode-n", "unitary-n",
-         "intensity-n", "intensity-trials", "phase-trials"],
+         "intensity-n", "intensity-trials", "phase-trials", "mode-n-float", "phase-reps-float"],
 )
 def test_runners_reject_bad_counts_before_any_probe(sweep, match, probe_count):
     with pytest.raises(ValueError, match=match):

@@ -1,5 +1,7 @@
 """Property-based checks over random mode counts, loss, seeds and schemes."""
 
+import contextlib
+import dataclasses
 import math
 from unittest import mock
 
@@ -20,17 +22,20 @@ from gausstomo import (
     apply_uniform_loss,
     coherent_probe_state,
     cubic_phase_mean_map,
+    derive_seed,
     embed_unitary,
     evolve,
     extract_unitary,
     haar_unitary,
     measure,
+    measure_attenuated_matrix,
     random_symplectic,
     reconstruct_symplectic,
     sample_quadratures,
     scaled_frobenius,
 )
 from gausstomo.device import _sampling_factors
+from gausstomo.randgen import _sweep_streams
 
 modes = st.integers(min_value=1, max_value=8)
 etas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -140,3 +145,34 @@ def test_streamed_means_equal_unblocked_means(n, seed, scheme, data, block_value
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_streamed_means_equal_unblocked_means_wide(scheme):
     _assert_streamed_means_match(64, 5, scheme, 10_000)
+
+
+def _per_column_attenuated_matrix(model, amplitude, config):
+    """s_tilde the per-column way: setting k's config rebuilt by
+    ``dataclasses.replace`` with seed ``derive_seed(seed, k)``, and each
+    column's means divided by sqrt(2) amplitude as they arrive."""
+    n, scale = model.n_modes, math.sqrt(2.0) * amplitude
+    device, s_tilde = SimulatedDevice(model), np.zeros((2 * model.n_modes, 2 * model.n_modes))
+    for k, (j, phase) in enumerate((j, phase) for j in range(1, n + 1) for phase in (0.0, math.pi / 2)):
+        setting = config if config.analytic else dataclasses.replace(
+            config, seed=derive_seed(config.seed, k))
+        means = device.probe_and_measure(ProbeSpec(j, amplitude, phase), setting)
+        col = j - 1 + (n if phase else 0)
+        s_tilde[:n, col] = means.x_means / scale
+        s_tilde[n:, col] = means.p_means / scale
+    return s_tilde
+
+
+@settings(max_examples=80)
+@given(n=modes, eta=etas, seed=seeds, scheme=schemes, data=st.data(), in_sweep=st.booleans(),
+       amplitude=st.floats(min_value=1e-3, max_value=1e4))
+def test_attenuated_matrix_equals_per_column_reference(n, eta, seed, scheme, data, in_sweep,
+                                                       amplitude):
+    # in a sweep the settings' streams come from the vectorised tables
+    shots = data.draw(st.one_of(st.integers(2 if scheme == HOMODYNE else 1, 300),
+                                st.just(math.inf)), label="shots")
+    model = DeviceModel(random_symplectic(n, seed=seed), eta=eta)
+    config = MeasurementConfig(scheme, shots, seed=seed)
+    with _sweep_streams({seed: 2 * n}) if in_sweep else contextlib.nullcontext():
+        got = measure_attenuated_matrix(SimulatedDevice(model), amplitude, config)
+    assert np.array_equal(got, _per_column_attenuated_matrix(model, amplitude, config))

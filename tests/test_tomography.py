@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from gausstomo import (
     NotPassiveError,
     SimulatedDevice,
     default_detection_tol,
+    derive_seed,
     detect_non_gaussian,
     embed_unitary,
     estimate_eta,
@@ -397,3 +399,54 @@ def test_probe_ratios_rejects_non_finite_ratio():
     config = MeasurementConfig(scheme=HETERODYNE, shots=100, seed=0)
     with pytest.raises(ValueError, match="1e\\+308"):
         probe_ratios(cubic_device(0.1), [1e308, 1.0], config)
+
+
+@pytest.mark.parametrize("i, j", [(1.5, 1), (1, 1.5), (1, "1"), (None, 1)])
+def test_phase_error_rejects_non_integer_index(i, j):
+    with pytest.raises(ValueError, match="element index . must be an integer"):
+        reconstruct_element_with_phase_error(make_device(2, seed=20), i, j, 1.0, 0.0, ANALYTIC_HOM)
+
+
+def test_phase_error_accepts_numpy_integer_index():
+    dev = make_device(2, seed=20)
+    got = reconstruct_element_with_phase_error(dev, np.int64(2), np.int64(2), 1.0, 0.1, ANALYTIC_HOM)
+    assert got == reconstruct_element_with_phase_error(dev, 2, 2, 1.0, 0.1, ANALYTIC_HOM)
+
+
+class _RecordingDevice:
+    """A device that records the config of every setting it is asked for."""
+
+    def __init__(self, n):
+        self.inner, self.configs = make_device(n, seed=5), []
+
+    @property
+    def n_modes(self):
+        return self.inner.n_modes
+
+    def probe_and_measure(self, probe, config):
+        self.configs.append(config)
+        return self.inner.probe_and_measure(probe, config)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("scheme, shots", [(HOMODYNE, 10), (HETERODYNE, 3)])
+def test_setting_config_equals_replaced_config(scheme, shots, seed):
+    config = MeasurementConfig(scheme=scheme, shots=shots, seed=seed)
+    device = _RecordingDevice(2)
+    measure_attenuated_matrix(device, 10.0, config)
+    assert len(device.configs) == 4
+    for k, child in enumerate(device.configs):
+        want = dataclasses.replace(config, seed=derive_seed(seed, k))
+        assert type(child) is MeasurementConfig
+        assert dataclasses.astuple(child) == dataclasses.astuple(want)
+        assert child == want and hash(child) == hash(want)
+        assert type(child.seed) is int and type(child.shots) is int
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            child.seed = 1
+    assert config.seed == seed  # the parent is not touched
+
+
+def test_analytic_settings_share_the_checked_config():
+    device = _RecordingDevice(2)
+    measure_attenuated_matrix(device, 10.0, ANALYTIC_HET)
+    assert all(child is ANALYTIC_HET for child in device.configs)
