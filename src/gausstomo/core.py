@@ -195,14 +195,14 @@ def _check_index(index, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {index!r}") from None
 
 
-def _coherent_mean(n: int, mode_j: int, amplitude: float, phase: float) -> np.ndarray:
-    """Mean vector of :func:`coherent_probe_state`, after the upper bound of the
-    mode index; the caller owns the lower bound (``ProbeSpec`` checks it)."""
+def _coherent_mean(n: int, mode_j: int, amplitude: float, phase: float, gain=1.0) -> np.ndarray:
+    """Mean of :func:`coherent_probe_state` times ``gain`` > 0 (on its two nonzero entries: the
+    same bits); checks the mode index's upper bound, the caller (``ProbeSpec``) the lower."""
     if mode_j > n:
         raise ValueError(f"mode index {mode_j} out of range 1..{n}")
     mean = np.zeros(2 * n)
-    mean[mode_j - 1] = _SQRT2 * amplitude * np.cos(phase)
-    mean[n + mode_j - 1] = _SQRT2 * amplitude * np.sin(phase)
+    mean[mode_j - 1] = gain * (_SQRT2 * amplitude * np.cos(phase))
+    mean[n + mode_j - 1] = gain * (_SQRT2 * amplitude * np.sin(phase))
     return mean
 
 

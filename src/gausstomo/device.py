@@ -32,7 +32,12 @@ to the same bits as the mean of the full (shots, N) outcome array: NumPy sums
 that array row by row, which a running sum carried across blocks continues,
 but a single column (N = 1) pairwise, so there one block spans every shot and
 each column is summed alone. A heterodyne block is one (shots, N, 2) array of
-joint shots, X and P on the last axis, reduced by one sum over the shots.
+joint shots, X and P on the last axis. A block is formed by two passes over its
+full width, ``z *= scale`` and ``z += loc``: ``scale`` holds the sampling factors
+broadcast to the block, ``loc`` the mean plus, in heterodyne P, ``l21 z0``. IEEE
+addition commutes, so ``l22 z1 + (l21 z0 + mp)`` is the unblocked ``(mp + l21 z0)
++ l22 z1`` bit for bit. A model keeps each scheme's broadcast factors: copies up
+to 4096 values (32 KiB), zero-copy views above.
 """
 
 from __future__ import annotations
@@ -151,6 +156,7 @@ class DeviceModel:
     _cov: np.ndarray = field(init=False, repr=False, compare=False)
     _factors: dict = field(init=False, repr=False, compare=False)
     _sqrt_eta: float = field(init=False, repr=False, compare=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.array(self.s, dtype=float)
@@ -187,8 +193,8 @@ def cubic_phase_mean_map(gamma: float, mean: np.ndarray) -> np.ndarray:
 
 def _output_mean(model: DeviceModel, probe: ProbeSpec) -> np.ndarray:
     """Output mean of a coherent probe: loss, then S, then the optional cubic gate."""
-    mean = _coherent_mean(model.n_modes, probe.mode_j, probe.amplitude, probe.phase)
-    mean = model.s @ (model._sqrt_eta * mean)
+    mean = model.s @ _coherent_mean(model.n_modes, probe.mode_j, probe.amplitude, probe.phase,
+                                    model._sqrt_eta)
     if model.cubic_gamma is not None:
         mean = cubic_phase_mean_map(model.cubic_gamma, mean)
     return mean
@@ -232,60 +238,71 @@ def _draw_factors(cov: np.ndarray) -> dict:
 
 # float64 outcomes per block of the mean reduction: 256 KiB stay in cache from draw to sum
 _BLOCK_VALUES = 1 << 15
+# a model copies its factors broadcast to a block of at most this many values (32 KiB)
+_CACHED_VALUES = 1 << 12
 
 
-def _draw_blocks(mean: np.ndarray, factors: tuple, config: MeasurementConfig, m: int, rows: int):
-    """Draw ``m`` outcomes per quadrature in blocks of at most ``rows`` shots, in stream order.
+def _block_factors(factors: tuple, m: int, scheme: str, kept: dict) -> tuple:
+    """Per-mode ``factors`` broadcast to a block of the shots of ``m`` (at N = 1 one
+    block spans every shot), kept in ``kept`` (one block shape per scheme):
+    contiguous copies while a block holds at most ``_CACHED_VALUES`` values,
+    else zero-copy views."""
+    rows = m if len(factors[0]) == 1 else min(m, max(1, _BLOCK_VALUES // factors[-1].size))
+    if kept.get(scheme, (0,))[0] != rows:
+        small = rows * factors[-1].size <= _CACHED_VALUES
+        kept[scheme] = (rows, tuple(np.repeat(f[None], rows, 0) if small
+                                    else np.broadcast_to(f, (rows, *f.shape)) for f in factors))
+    return kept[scheme][1]
+
+
+def _draw_blocks(mean: np.ndarray, blocks: tuple, config: MeasurementConfig, m: int):
+    """Draw ``m`` outcomes per quadrature in blocks shaped like ``blocks``, in stream order.
 
     Yields ``(q, buf)``: ``buf[1:]`` holds a block's outcomes, row 0 is scratch
     for the caller. Homodyne yields (k, N) blocks of X (q = 0), all before
     those of P (q = 1); heterodyne yields (k, N, 2) blocks of joint shots
-    (q = 0), X and P on the last axis. ``loc + scale * z``, formed in place, is
-    ``rng.normal(loc, scale)`` bit for bit.
+    (q = 0), X and P on the last axis. Each block is ``z * scale + loc``, which
+    for homodyne is ``rng.normal(loc, scale)`` bit for bit.
     """
-    n = mean.size // 2
+    n, rows = mean.size // 2, len(blocks[0])
     rng = _stream(config.seed)
     mx, mp = mean[:n], mean[n:]
     if config.scheme == HOMODYNE:
-        for q, (loc, scale) in enumerate(zip((mx, mp), factors)):
+        for q, (loc, scale) in enumerate(zip((mx, mp), blocks)):
             buf = np.empty((rows + 1, n))
             for start in range(0, m, rows):
                 z = rng.standard_normal(out=buf[1 : min(rows, m - start) + 1])
-                z *= scale
+                z *= scale[: len(z)]
                 z += loc
                 yield q, buf[: len(z) + 1]
         return
-    l21, scale = factors
-    buf = np.empty((rows + 1, n, 2))
-    tmp = np.empty((rows, n))
+    l21, scale = blocks
+    buf, loc, tmp = np.empty((rows + 1, n, 2)), np.empty((rows, n, 2)), np.empty((rows, n))
+    loc[:, :, 0] = mx
     for start in range(0, m, rows):
         k = min(rows, m - start)
         z = rng.standard_normal(out=buf[1 : k + 1])
-        t = np.multiply(z[:, :, 0], l21, out=tmp[:k])
+        t = np.multiply(z[:, :, 0], l21[:k], out=tmp[:k])
         t += mp
-        z *= scale
-        z[:, :, 1] += t  # (mp + l21 z0) + l22 z1: the order of the unblocked expression
-        z[:, :, 0] += mx
+        loc[:k, :, 1] = t
+        z *= scale[:k]
+        z += loc[:k]  # l22 z1 + (l21 z0 + mp): the unblocked (mp + l21 z0) + l22 z1, commuted
         yield 0, buf[: k + 1]
 
 
-def _sample_means(mean: np.ndarray, factors, config: MeasurementConfig, m: int):
-    """Exact means (views of ``mean``) when ``m`` is 0, else the means of ``m`` shots."""
+def _sample_means(mean: np.ndarray, blocks: tuple, config: MeasurementConfig, m: int):
+    """The means of ``m`` shots per quadrature, drawn with the block factors ``blocks``."""
     n = mean.size // 2
-    if not m:
-        return QuadratureSampleMeans(mean[:n], mean[n:], m)
-    homodyne = config.scheme == HOMODYNE
-    rows = m if n == 1 else min(m, max(1, _BLOCK_VALUES // ((1 if homodyne else 2) * n)))
     sums = [None, None]
-    for q, buf in _draw_blocks(mean, factors, config, m, rows):
-        if n == 1 and not homodyne:  # one block; each column is summed pairwise
+    for q, buf in _draw_blocks(mean, blocks, config, m):
+        if n == 1 and config.scheme == HETERODYNE:  # one block; each column is summed pairwise
             sums[q] = np.array([[buf[1:, 0, 0].sum(), buf[1:, 0, 1].sum()]])
         elif sums[q] is None:
             sums[q] = np.add.reduce(buf[1:], axis=0)
         else:
             buf[0] = sums[q]  # the running sum goes in row 0 of the next block
             sums[q] = np.add.reduce(buf, axis=0)
-    x, p = (sums[0] / m, sums[1] / m) if homodyne else (sums[0] / m).T
+    x, p = (sums[0] / m, sums[1] / m) if config.scheme == HOMODYNE else (sums[0] / m).T
     return QuadratureSampleMeans(x, p, m)
 
 
@@ -303,9 +320,11 @@ def sample_quadratures(
     """
     if config.analytic:
         raise ValueError("analytic backend has no sample outcomes; use measure()")
-    m, factors = config.shots_per_quadrature, _draw_factors(state.cov)[config.scheme]
-    blocks = [buf[1:] for _, buf in _draw_blocks(state.mean, factors, config, m, m)]
-    x, p = blocks if config.scheme == HOMODYNE else np.moveaxis(blocks[0], -1, 0)
+    m = config.shots_per_quadrature
+    factors = _draw_factors(state.cov)[config.scheme]
+    blocks = tuple(np.broadcast_to(f, (m, *f.shape)) for f in factors)  # one block of every shot
+    outcomes = [buf[1:] for _, buf in _draw_blocks(state.mean, blocks, config, m)]
+    x, p = outcomes if config.scheme == HOMODYNE else np.moveaxis(outcomes[0], -1, 0)
     return x, p
 
 
@@ -315,8 +334,11 @@ def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSample
     Returns exact means for the analytic backend, otherwise the sample means
     of :func:`sample_quadratures`.
     """
-    factors = None if config.analytic else _draw_factors(state.cov)[config.scheme]
-    return _sample_means(state.mean.copy(), factors, config, config.shots_per_quadrature)
+    m, scheme = config.shots_per_quadrature, config.scheme
+    if not m:
+        return QuadratureSampleMeans(*np.split(state.mean.copy(), 2), m)
+    blocks = _block_factors(_draw_factors(state.cov)[scheme], m, scheme, {})
+    return _sample_means(state.mean, blocks, config, m)
 
 
 @dataclass
@@ -340,11 +362,14 @@ class SimulatedDevice:
         self, probe: ProbeSpec, config: MeasurementConfig
     ) -> QuadratureSampleMeans:
         mean = _output_mean(self.model, probe)
-        m = config.shots_per_quadrature
+        m, n, scheme = config.shots_per_quadrature, self.model.n_modes, config.scheme
         self.settings_used += 1
+        if not m:  # analytic: views of this setting's own fresh mean
+            return QuadratureSampleMeans(mean[:n], mean[n:], m)
         # one probe per homodyne single-quadrature outcome or heterodyne shot
-        self.probes_used += m * (2 if config.scheme == HOMODYNE else 1)
-        return _sample_means(mean, self.model._factors[config.scheme], config, m)
+        self.probes_used += m * (2 if scheme == HOMODYNE else 1)
+        blocks = _block_factors(self.model._factors[scheme], m, scheme, self.model._blocks)
+        return _sample_means(mean, blocks, config, m)
 
 
 def device_to_json(model: DeviceModel) -> dict:

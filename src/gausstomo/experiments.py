@@ -26,14 +26,16 @@ import numpy as np
 
 from .core import NotPassiveError, _check_index, embed_unitary, scaled_frobenius
 from .device import HETERODYNE, HOMODYNE, DeviceModel, MeasurementConfig, SCHEMES, SimulatedDevice
+from .device import _check_scheme
 from .randgen import (
     DEFAULT_R_MAX, _check_seed, _sweep_streams, derive_seed, haar_unitary, random_symplectic,
 )
 from .tomography import (
     LossRecoveryError,
+    _phase_error_elements,
+    _probe_scale,
     estimate_eta,
     measure_attenuated_matrix,
-    reconstruct_element_with_phase_error,
     reconstruct_symplectic,
     reconstruct_unitary,
 )
@@ -71,10 +73,14 @@ def _record(experiment_id: str, errors: Sequence[float], dropped: int, **cell) -
     )
 
 
-def _check_inputs(seed: int, **counts: Iterable[int]) -> None:
-    """Reject a seed that is not a non-negative integer, and a mode, repetition
-    or trial count below 1, before the first probe."""
+def _check_inputs(seed: int, amplitudes, schemes, **counts: Iterable[int]) -> None:
+    """Before the first probe, reject a seed that is not a non-negative integer,
+    an amplitude not finite and > 0, an unknown scheme and a count below 1."""
     _check_seed(seed)
+    for amplitude in amplitudes:
+        _probe_scale(amplitude)
+    for scheme in schemes:
+        _check_scheme(scheme)
     for name, values in counts.items():
         for value in values:
             if _check_index(value, name) < 1:
@@ -134,7 +140,7 @@ def run_mode_scaling(
     combinations so scheme comparisons are paired. The default grid is
     N = 2, 4, 8, 12 modes x both schemes x eta = 1.0, 0.5, 50 repetitions each.
     """
-    _check_inputs(seed, n_list=n_list, repetitions=[repetitions])
+    _check_inputs(seed, [amplitude], schemes, n_list=n_list, repetitions=[repetitions])
 
     @functools.lru_cache(maxsize=1)  # one device per (n, rep), shared by its cells
     def draw(n, rep):
@@ -172,7 +178,7 @@ def run_unitary_scaling(
     passivity or loss-recovery checks are counted in ``dropped``. The default
     grid is N = 2, 4, 8 modes x both schemes at eta = 1.0, 50 repetitions each.
     """
-    _check_inputs(seed, n_list=n_list, repetitions=[repetitions])
+    _check_inputs(seed, [amplitude], schemes, n_list=n_list, repetitions=[repetitions])
 
     @functools.lru_cache(maxsize=1)  # one device per (n, rep), shared by its cells
     def draw(n, rep):
@@ -214,7 +220,8 @@ def run_intensity_scaling(
     default grid is amplitudes 10, 31.62, 100 x 1, 10, 100 trials on a 5-mode
     heterodyne device, 20 repetitions each.
     """
-    _check_inputs(seed, n_modes=[n_modes], trials_list=trials_list, repetitions=[repetitions])
+    _check_inputs(seed, amplitude_list, [scheme], n_modes=[n_modes], trials_list=trials_list,
+                  repetitions=[repetitions])
     s_true = random_symplectic(n_modes, r_max=r_max, seed=derive_seed(seed, _DEV))
     model = DeviceModel(s_true, eta=eta)
 
@@ -255,7 +262,7 @@ def run_phase_error_study(
     """
     if not 0 <= phi_max < math.pi / 4:
         raise ValueError("phi_max must lie in [0, pi/4)")
-    _check_inputs(seed, trials_list=trials_list, repetitions=[repetitions])
+    _check_inputs(seed, [amplitude], [], trials_list=trials_list, repetitions=[repetitions])
     s_true = random_symplectic(1, r_max=r_max, seed=derive_seed(seed, _DEV))
     device = SimulatedDevice(DeviceModel(s_true, eta=1.0))
     config = MeasurementConfig(scheme=HOMODYNE, shots=math.inf)
@@ -264,8 +271,7 @@ def run_phase_error_study(
 
     def error(idx, rep, phi_seeds):
         phis = np.random.default_rng(phi_seeds[0]).uniform(-phi_max, phi_max, trials_list[idx[0]])
-        estimates = [reconstruct_element_with_phase_error(device, 1, 1, amplitude, phi, config)
-                     for phi in phis]
+        estimates = _phase_error_elements(device, 1, 1, amplitude, phis, config)
         return abs(float(np.mean(estimates)) - target) / norm
 
     return _sweep(

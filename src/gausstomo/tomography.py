@@ -10,6 +10,8 @@ every X and P mean at the output. Each measured mean, divided by
 Passive (linear-optical) devices need only the real-amplitude probes: the
 upper and lower halves of each measured column are the real and (negated)
 imaginary parts of one unitary column, halving the number of settings.
+
+A phase-error scan checks its inputs once, then issues one setting per phase.
 """
 
 from __future__ import annotations
@@ -227,6 +229,21 @@ def reconstruct_unitary(
     return UnitaryReconstruction(u_hat=u_hat, eta_hat=eta_hat, unitarity_residual=residual)
 
 
+def _phase_error_elements(device: ProbeableDevice, i: int, j: int, amplitude: float, phis,
+                          config: MeasurementConfig) -> list[float]:
+    """Estimates of element (i, j), one ``probe_and_measure`` per phase error in
+    ``phis``; the indices, the amplitude and every phase are checked first."""
+    scale = _probe_scale(amplitude)
+    if not np.all(np.abs(np.asarray(phis, dtype=float)) < math.pi / 4):
+        raise ValueError("phase error must satisfy |phi| < pi/4")
+    n = device.n_modes
+    i, j = _check_index(i, "element index i"), _check_index(j, "element index j")
+    if not 1 <= i <= n or not 1 <= j <= n:
+        raise ValueError(f"element indices ({i}, {j}) out of range 1..{n}")
+    probes = (ProbeSpec(j, amplitude, phi) for phi in phis)
+    return [float(device.probe_and_measure(p, config).x_means[i - 1] / scale) for p in probes]
+
+
 def reconstruct_element_with_phase_error(
     device: ProbeableDevice,
     i: int,
@@ -247,17 +264,7 @@ def reconstruct_element_with_phase_error(
         amplitude: coherent probe amplitude, finite and > 0.
         phi: phase-modulation error in radians, |phi| < pi/4.
     """
-    scale = _probe_scale(amplitude)
-    if not abs(phi) < math.pi / 4:
-        raise ValueError("phase error must satisfy |phi| < pi/4")
-    n = device.n_modes
-    i, j = _check_index(i, "element index i"), _check_index(j, "element index j")
-    if not 1 <= i <= n or not 1 <= j <= n:
-        raise ValueError(f"element indices ({i}, {j}) out of range 1..{n}")
-    means = device.probe_and_measure(
-        ProbeSpec(mode_j=j, amplitude=amplitude, phase=phi), config
-    )
-    return float(means.x_means[i - 1] / scale)
+    return _phase_error_elements(device, i, j, amplitude, [phi], config)[0]
 
 
 def probe_ratios(

@@ -1,5 +1,8 @@
+import gc
 import math
 import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from gausstomo import (
     sample_quadratures,
     vacuum_state,
 )
+from gausstomo import device as device_module
+from gausstomo.experiments import run_mode_scaling
 
 SQRT2 = math.sqrt(2.0)
 
@@ -364,3 +369,47 @@ def test_measure_never_aliases_the_state_mean(scheme, shots):
     for got in (means.x_means, means.p_means):
         assert not np.shares_memory(got, state.mean)
     assert state.mean.flags.writeable is False
+
+
+def test_block_factors_die_with_their_model():
+    model = DeviceModel(random_symplectic(3, seed=1), eta=0.5)
+    device = SimulatedDevice(model)
+    for scheme in (HOMODYNE, HETERODYNE):
+        device.probe_and_measure(ProbeSpec(1, 10.0), MeasurementConfig(scheme, 100, seed=0))
+    assert set(model._blocks) == {HOMODYNE, HETERODYNE}
+    ref = weakref.ref(model)
+    del model, device
+    assert ref() is None  # freed by its reference count: no cycle and no outside holder
+    # and no module-level container could hold another copy
+    assert not [name for name, value in vars(device_module).items() if not name.startswith("__")
+                and (isinstance(value, (dict, list, set, np.ndarray)) or hasattr(value, "cache_info"))]
+
+
+def test_wide_model_keeps_no_block_data():
+    # a heterodyne block at N = 64 holds 256 x 64 x 2 values, above the cap: the
+    # model keeps zero-copy views of its own factors and no array data
+    model = DeviceModel(random_symplectic(64, seed=0), eta=0.8)
+    config = MeasurementConfig(HETERODYNE, 10_000, seed=0)
+    SimulatedDevice(model).probe_and_measure(ProbeSpec(mode_j=3, amplitude=10.0), config)
+    (rows, blocks), = model._blocks.values()
+    assert rows == 256
+    for block, factor in zip(blocks, model._factors[HETERODYNE]):
+        assert not block.flags.owndata and block.strides[0] == 0
+        assert np.shares_memory(block, factor)
+
+
+def test_scaling_sweep_memory_does_not_grow_with_its_devices():
+    # 20 repetitions draw 20 devices of two models each; kept block factors
+    # (about 26 KB per model at N = 8) must die with their models
+    def peak(cap):
+        with mock.patch("gausstomo.device._CACHED_VALUES", cap):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_mode_scaling([8], eta_list=(1.0, 0.5), shots=100, repetitions=20, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    kept, views = peak(device_module._CACHED_VALUES), peak(0)
+    assert kept - views < 128 * 1024

@@ -262,9 +262,23 @@ def probe_count(monkeypatch):
         (lambda: run_phase_error_study(0.05, [2, 0], repetitions=1), "trials_list"),
         (lambda: run_mode_scaling([2, 1.5], shots=math.inf, repetitions=1), "n_list"),
         (lambda: run_phase_error_study(0.05, [1], repetitions=2.5), "repetitions"),
+        # every amplitude and scheme of a grid is checked too, not only the first cell's
+        (lambda: run_intensity_scaling(amplitude_list=(10.0, -1.0), trials_list=(1,),
+                                       repetitions=1), "amplitude"),
+        (lambda: run_intensity_scaling([10.0, math.inf], [1], repetitions=1), "amplitude"),
+        (lambda: run_intensity_scaling([10.0], [1], scheme="bogus", repetitions=1), "scheme"),
+        (lambda: run_mode_scaling([1], schemes=(HETERODYNE, "bogus"), repetitions=1), "scheme"),
+        (lambda: run_unitary_scaling([1], schemes=(HOMODYNE, "bogus"), repetitions=1), "scheme"),
+        (lambda: run_mode_scaling([1], amplitude=0.0, repetitions=1), "amplitude"),
+        (lambda: run_unitary_scaling([1], amplitude=-2.0, repetitions=1), "amplitude"),
+        (lambda: run_phase_error_study(0.05, [1], amplitude=math.nan, repetitions=1),
+         "amplitude"),
     ],
     ids=["mode-reps", "unitary-reps", "intensity-reps", "phase-reps", "mode-n", "unitary-n",
-         "intensity-n", "intensity-trials", "phase-trials", "mode-n-float", "phase-reps-float"],
+         "intensity-n", "intensity-trials", "phase-trials", "mode-n-float", "phase-reps-float",
+         "intensity-negative-amplitude", "intensity-inf-amplitude", "intensity-scheme",
+         "mode-scheme", "unitary-scheme", "mode-amplitude", "unitary-amplitude",
+         "phase-amplitude"],
 )
 def test_runners_reject_bad_counts_before_any_probe(sweep, match, probe_count):
     with pytest.raises(ValueError, match=match):

@@ -7,9 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gausstomo import (
+    HETERODYNE,
     HOMODYNE,
     SCHEMES,
     DeviceModel,
@@ -34,7 +35,7 @@ from gausstomo import (
     sample_quadratures,
     scaled_frobenius,
 )
-from gausstomo.device import _sampling_factors
+from gausstomo.device import _CACHED_VALUES, _block_factors, _sampling_factors
 from gausstomo.randgen import _sweep_streams
 
 modes = st.integers(min_value=1, max_value=8)
@@ -105,7 +106,7 @@ def test_probe_and_measure_matches_state_composition(n, eta, seed, scheme, data,
 def _unblocked_outcomes(state, config):
     """Raw outcomes drawn the unblocked way: one homodyne ``rng.normal`` call
     per quadrature, or one heterodyne ``standard_normal((m, n, 2))`` and the
-    affine map of each mode's Cholesky factor."""
+    affine map of each mode's Cholesky factor, P summed left to right."""
     n, m = state.mean.size // 2, config.shots_per_quadrature
     mx, mp = state.mean[:n], state.mean[n:]
     factors = _sampling_factors(state.cov, config.scheme)
@@ -115,31 +116,53 @@ def _unblocked_outcomes(state, config):
         return rng.normal(mx, sx, size=(m, n)), rng.normal(mp, sp, size=(m, n))
     l11, l21, l22 = factors
     z = rng.standard_normal((m, n, 2))
-    return mx + l11 * z[:, :, 0], mp + l21 * z[:, :, 0] + l22 * z[:, :, 1]
+    return mx + l11 * z[:, :, 0], (mp + l21 * z[:, :, 0]) + l22 * z[:, :, 1]
 
 
-def _assert_streamed_means_match(n, seed, scheme, shots):
+def _assert_streamed_means_match(n, seed, scheme, shots, cap_offset=None):
+    """Means and outcomes equal the unblocked ones. The model keeps copies of its
+    block factors when a block holds at most the cap's values, and views above
+    it; ``cap_offset`` sets the cap that far from the block's own value count,
+    else the module's cap holds."""
     model = DeviceModel(random_symplectic(n, seed=seed), eta=0.7)
     probe = ProbeSpec(1 + seed % n, 1000.0, 0.3)
     config = MeasurementConfig(scheme, shots, seed=seed)
+    factors = model._factors[scheme]
+    values = _block_factors(factors, config.shots_per_quadrature, scheme, {})[-1].size
+    cap = _CACHED_VALUES if cap_offset is None else values + cap_offset
     state = evolve(model, probe)
     x, p = _unblocked_outcomes(state, config)
-    for got in (measure(state, config), SimulatedDevice(model).probe_and_measure(probe, config)):
-        assert np.array_equal(got.x_means, x.mean(axis=0))
-        assert np.array_equal(got.p_means, p.mean(axis=0))
+    with mock.patch("gausstomo.device._CACHED_VALUES", cap):
+        device = SimulatedDevice(model)
+        for got in (measure(state, config), device.probe_and_measure(probe, config),
+                    device.probe_and_measure(probe, config)):  # the second reads the kept factors
+            assert np.array_equal(got.x_means, x.mean(axis=0))
+            assert np.array_equal(got.p_means, p.mean(axis=0))
+    (_, blocks), = model._blocks.values()
+    assert all(block.flags.owndata == (values <= cap) for block in blocks)
     x_raw, p_raw = sample_quadratures(state, config)
     assert np.array_equal(x_raw, x) and np.array_equal(p_raw, p)
 
 
 @settings(max_examples=150)
-@given(n=modes, seed=seeds, scheme=schemes, data=st.data(),
-       block_values=st.integers(min_value=1, max_value=48))
-def test_streamed_means_equal_unblocked_means(n, seed, scheme, data, block_values):
-    # a block of a few rows makes every example cross several block boundaries;
-    # at N = 1 the means must still come from one block spanning every shot
-    shots = data.draw(st.integers(2 if scheme == HOMODYNE else 1, 500), label="shots")
+@given(n=modes, seed=seeds, scheme=schemes, shots=st.integers(min_value=1, max_value=500),
+       block_values=st.integers(min_value=1, max_value=48),
+       cap_offset=st.sampled_from([-1, 0, 1]))
+# blocks of 5, 5 and 3 shots, kept and as views; one block spanning every shot at N = 1
+@example(n=3, seed=11, scheme=HETERODYNE, shots=13, block_values=30, cap_offset=0)
+@example(n=3, seed=11, scheme=HETERODYNE, shots=13, block_values=30, cap_offset=-1)
+@example(n=3, seed=11, scheme=HOMODYNE, shots=27, block_values=15, cap_offset=0)
+@example(n=3, seed=11, scheme=HOMODYNE, shots=27, block_values=15, cap_offset=-1)
+@example(n=1, seed=11, scheme=HETERODYNE, shots=9, block_values=4, cap_offset=0)
+@example(n=1, seed=11, scheme=HOMODYNE, shots=9, block_values=4, cap_offset=-1)
+def test_streamed_means_equal_unblocked_means(n, seed, scheme, shots, block_values, cap_offset):
+    # a block of a few rows makes every example cross several block boundaries,
+    # most ending in a short block; at N = 1 the means must still come from
+    # one block spanning every shot. The block sits just above the cap
+    # (cap_offset -1), at it (0) or just below it (1).
+    assume(scheme != HOMODYNE or shots >= 2)
     with mock.patch("gausstomo.device._BLOCK_VALUES", block_values):
-        _assert_streamed_means_match(n, seed, scheme, shots)
+        _assert_streamed_means_match(n, seed, scheme, shots, cap_offset)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
