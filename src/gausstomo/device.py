@@ -24,8 +24,8 @@ each setting propagates only its mean.
 
 A setting's shots come from ``default_rng(config.seed)``, and the tomography
 layer sets that seed to ``derive_seed(master, k)`` for setting k, which
-defines the stream. Inside an experiment sweep, both come from tables derived
-before its first probe (:mod:`gausstomo.randgen`), with the same bits.
+defines the stream. In an experiment sweep or a reconstruction of many settings,
+both come from tables derived before the first probe (:mod:`gausstomo.randgen`).
 
 Sample means are reduced as the shots are drawn, in blocks of about 256 KiB,
 to the same bits as the mean of the full (shots, N) outcome array: NumPy sums

@@ -282,10 +282,9 @@ def run_phase_error_study(
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
+    """A float, NumPy's too, as the repr of the Python float it equals; ``inf`` if infinite."""
+    if isinstance(value, (float, np.floating)):
+        return "inf" if math.isinf(value) else repr(float(value))
     return str(value)
 
 

@@ -4,8 +4,9 @@ All randomness in the package flows through ``numpy.random.default_rng``
 (PCG64), so a fixed seed reproduces bit-identical matrices across runs.
 Seed streams for independent settings or repetitions are derived with
 :func:`derive_seed`, which hashes an index tuple through ``SeedSequence``
-and defines every stream. Inside :func:`_sweep_streams`, an experiment sweep
-reads its settings' child seeds ``derive_seed(master, k)``, and their
+and defines every stream. An experiment sweep (:func:`_sweep_streams`), and a
+reconstruction of ``_TABLE_SETTINGS`` or more finite-shot settings from a master
+below 2**64, reads its settings' child seeds ``derive_seed(master, k)``, and their
 generators' start states, from tables derived in one vectorised pass; any
 other seed takes the ``derive_seed`` and ``default_rng`` path.
 """
@@ -21,6 +22,7 @@ import numpy as np
 from .core import embed_unitary
 
 DEFAULT_R_MAX = 0.5
+_TABLE_SETTINGS = 16  # settings from which one table pass beats native seeding (ROADMAP aim 1)
 
 
 def _check_seed(seed) -> int:
@@ -39,40 +41,40 @@ def derive_seed(master: int, *parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _hasher(h: int, mult: int):
-    """SeedSequence's running uint32 hash: xor the constant in, step it, multiply."""
-    def step(value):
-        nonlocal h
-        value = value ^ np.uint32(h)
-        h = h * mult & 0xFFFFFFFF
-        value = value * np.uint32(h)
-        return value ^ (value >> 16)
-    return step
+# SeedSequence's two running hash constants, h * mult**i mod 2**32 at step i, as uint32 columns
+_MIX, _OUT = (np.array([h * pow(mult, i, 2**32) % 2**32 for i in range(n)], np.uint32)[:, None]
+              for h, mult, n in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 9)))
+_MIX_L, _MIX_R = np.array(0xCA01F9DD, np.uint32), np.array(0x4973F715, np.uint32)
+_OTHERS, _CYCLE = [np.delete(np.arange(4), src) for src in range(4)], np.arange(8) % 4
+
+
+def _hash(rows: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of row i with constants i and i + 1 of ``chain``."""
+    rows = rows ^ chain[:-1]
+    rows *= chain[1:]
+    rows ^= rows >> 16
+    return rows
 
 
 def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for each row ``e`` of
-    an (S, 4) uint32 array, each row's words left-aligned and zero-padded: its
-    4-word pool hashes a missing word as 0. The constants are SeedSequence's."""
-    mix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [mix(entropy[:, i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * mix(pool[src])
-                pool[dst] = value ^ (value >> 16)
-    out = _hasher(0x8B51F9DD, 0x58F38DED)
-    words = np.stack([out(pool[i % 4]) for i in range(2 * n_words)], axis=1)
-    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for each column ``e`` of
+    a (4, S) uint32 array, each column's words first and zero-padded: its
+    4-word pool hashes a missing word as 0. Each word is a contiguous row."""
+    pool = _hash(entropy, _MIX[:5])
+    for src, dst in enumerate(_OTHERS):
+        value = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], _MIX[4 + 3 * src:8 + 3 * src])
+        pool[dst] = value ^ (value >> 16)
+    words = _hash(pool[_CYCLE[:2 * n_words]], _OUT[:2 * n_words + 1])
+    return np.ascontiguousarray(words.T, "<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 def _words32(values: np.ndarray) -> np.ndarray:
-    """Each uint64 value as its (low, high) uint32 words, as SeedSequence splits it."""
-    return values.astype("<u8").view("<u4").reshape(-1, 2)
+    """Each uint64 value as its (low, high) uint32 words, as SeedSequence splits it: two rows."""
+    return values.astype("<u8").view("<u4").reshape(-1, 2).T
 
 
 class _Streams(threading.local):
-    """Each thread's own sweep tables and reused generator."""
+    """Each thread's own stream tables and reused generator."""
 
     tables = None  # master -> (first row, settings); child seed, PCG64 words by row; generator
     last = (None, 0)  # the child seed and row last read from the tables
@@ -87,13 +89,13 @@ def _stream_tables(settings: dict[int, int]) -> tuple:
     Masters are below 2**64."""
     counts = np.fromiter(settings.values(), np.intp, len(settings))
     starts = np.cumsum(counts) - counts
-    entropy = np.zeros((counts.sum(), 4), dtype=np.uint32)
-    entropy[:, :2] = _words32(np.repeat(np.fromiter(settings, np.uint64, len(settings)), counts))
-    entropy[:, 2] = np.arange(len(entropy)) - np.repeat(starts, counts)
-    one_word = entropy[:, 1] == 0  # a master below 2**32 hashes as (m, k), not (m, 0, k)
-    entropy[one_word, 1], entropy[one_word, 2] = entropy[one_word, 2], 0
+    entropy = np.zeros((4, counts.sum()), dtype=np.uint32)
+    entropy[:2] = _words32(np.repeat(np.fromiter(settings, np.uint64, len(settings)), counts))
+    entropy[2] = np.arange(entropy.shape[1]) - np.repeat(starts, counts)
+    one_word = entropy[1] == 0  # a master below 2**32 hashes as (m, k), not (m, 0, k)
+    entropy[1, one_word], entropy[2, one_word] = entropy[2, one_word], 0
     children = _seed_words(entropy, 1)[:, 0]
-    entropy[:, :2], entropy[:, 2] = _words32(children), 0
+    entropy[:2], entropy[2] = _words32(children), 0
     return (dict(zip(settings, zip(starts.tolist(), counts.tolist()))), children,
             _seed_words(entropy, 4), np.random.Generator(np.random.PCG64(0)))
 
@@ -109,8 +111,17 @@ def _sweep_streams(settings: dict[int, int]):
         _streams.tables, _streams.last = saved
 
 
+def _setting_streams(master: int, count: int):
+    """A block in which ``_child_seed(master, k)``, ``k < count``, reads stream tables:
+    the thread's if they hold ``master``, else its own from ``_TABLE_SETTINGS`` on."""
+    tables = _streams.tables
+    if count < _TABLE_SETTINGS or master >= 2**64 or (tables and master in tables[0]):
+        return contextlib.nullcontext()
+    return _sweep_streams({master: count})
+
+
 def _child_seed(master: int, k: int) -> int:
-    """``derive_seed(master, k)``, read from the sweep's tables when they hold it."""
+    """``derive_seed(master, k)``, read from the thread's tables when they hold it."""
     tables = _streams.tables
     start, count = tables[0].get(master, (0, 0)) if tables else (0, 0)
     if not k < count:

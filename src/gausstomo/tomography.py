@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
 from .core import STRUCTURAL_TOL, NotPassiveError, _check_even_square, _check_index, matrix_to_json
 from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans
-from .randgen import _child_seed
+from .randgen import _child_seed, _setting_streams
 
 SQRT2 = math.sqrt(2.0)
 
@@ -108,15 +108,16 @@ def _probe_scale(amplitude: float) -> float:
     return SQRT2 * amplitude
 
 
-def _probe_settings(
-    device: ProbeableDevice, probes: list[ProbeSpec], config: MeasurementConfig
-) -> Iterator[QuadratureSampleMeans]:
-    """Issue the probe settings in order and yield their means; setting k gets
+def _probe_settings(device: ProbeableDevice, probes: list[ProbeSpec], config: MeasurementConfig,
+                    record: Callable[[int, QuadratureSampleMeans], None]) -> None:
+    """Issue the probe settings in order and ``record(k, means)`` each; setting k gets
     its own seed stream ``derive_seed(config.seed, k)``, so settings could
-    run concurrently. Each setting's config is the checked ``config`` reseeded."""
-    for k, probe in enumerate(probes):
-        setting = config if config.analytic else config._reseeded(_child_seed(config.seed, k))
-        yield device.probe_and_measure(probe, setting)
+    run concurrently. Each setting's config is the checked ``config`` reseeded.
+    Many finite-shot settings derive their streams in one table pass."""
+    with _setting_streams(config.seed, 0 if config.analytic else len(probes)):
+        for k, probe in enumerate(probes):
+            setting = config if config.analytic else config._reseeded(_child_seed(config.seed, k))
+            record(k, device.probe_and_measure(probe, setting))
 
 
 def _mean_stderr(config: MeasurementConfig) -> float:
@@ -149,10 +150,13 @@ def measure_attenuated_matrix(
         for phase in (0.0, math.pi / 2.0)
     ]
     s_tilde = np.zeros((2 * n, 2 * n))
-    for probe, means in zip(probes, _probe_settings(device, probes, config)):
-        col = probe.mode_j - 1 + (n if probe.phase else 0)
+
+    def record(k: int, means: QuadratureSampleMeans) -> None:
+        col = probes[k].mode_j - 1 + (n if probes[k].phase else 0)
         s_tilde[:n, col] = means.x_means
         s_tilde[n:, col] = means.p_means
+
+    _probe_settings(device, probes, config, record)
     s_tilde /= scale  # elementwise: the bits of dividing each mean
     return s_tilde
 
@@ -208,8 +212,11 @@ def reconstruct_unitary(
     n = device.n_modes
     probes = [ProbeSpec(mode_j=j, amplitude=amplitude, phase=0.0) for j in range(1, n + 1)]
     u_tilde = np.zeros((n, n), dtype=complex)
-    for col, means in enumerate(_probe_settings(device, probes, config)):
+
+    def record(col: int, means: QuadratureSampleMeans) -> None:
         u_tilde[:, col] = means.x_means / scale - 1j * means.p_means / scale
+
+    _probe_settings(device, probes, config, record)
 
     # a vanishing determinant has log -inf and recovers eta_hat = 0
     _, logabsdet = np.linalg.slogdet(u_tilde)
@@ -283,11 +290,14 @@ def probe_ratios(
     scales = [_probe_scale(amp) for amp in amplitudes]
     probes = [ProbeSpec(mode_j=1, amplitude=amp, phase=0.0) for amp in amplitudes]
     ratios = []
-    for amp, means, scale in zip(amplitudes, _probe_settings(device, probes, config), scales):
-        ratio = float(means.p_means[0] / scale)
+
+    def record(k: int, means: QuadratureSampleMeans) -> None:
+        ratio = float(means.p_means[0] / scales[k])
         if not math.isfinite(ratio):
-            raise ValueError(f"probe amplitude {amp} gives a non-finite ratio {ratio}")
+            raise ValueError(f"probe amplitude {amplitudes[k]} gives a non-finite ratio {ratio}")
         ratios.append(ratio)
+
+    _probe_settings(device, probes, config, record)
     return ratios
 
 

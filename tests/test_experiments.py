@@ -207,6 +207,20 @@ def test_records_csv_analytic_shots():
     assert ",inf," in line
 
 
+@pytest.mark.parametrize("amplitude", [2.0, np.float64(2.0), np.float32(2.0)],
+                         ids=["float", "float64", "float32"])
+def test_records_csv_float_cells_read_back(amplitude):
+    text = records_to_csv(run_phase_error_study(0.05, [1], repetitions=1, amplitude=amplitude))
+    row = dict(zip(CSV_HEADER.split(","), text.splitlines()[1].split(",")))
+    assert row["amplitude"] == "2.0"
+    for name in ("eta", "amplitude", "f_mean", "f_stderr"):
+        float(row[name])
+    if type(amplitude) is not np.float32:  # float32 arithmetic gives another f_mean
+        # a Python float row keeps its bytes, and a float64 equal to it writes the same
+        row = "phase-error,1,homodyne,1.0,2.0,inf,1,1,0.013034341116389393,nan,0,0"
+        assert text == f"{CSV_HEADER}\n{row}\n"
+
+
 def test_write_csv_round_trip(tmp_path):
     records = run_mode_scaling(
         [1], schemes=(HETERODYNE,), eta_list=(1.0,), shots=math.inf, repetitions=2, seed=15

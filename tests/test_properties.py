@@ -17,6 +17,7 @@ from gausstomo import (
     GaussianState,
     LossRecoveryError,
     MeasurementConfig,
+    NotPassiveError,
     ProbeSpec,
     SimulatedDevice,
     apply_symplectic,
@@ -32,11 +33,13 @@ from gausstomo import (
     measure_attenuated_matrix,
     random_symplectic,
     reconstruct_symplectic,
+    reconstruct_unitary,
     sample_quadratures,
     scaled_frobenius,
 )
 from gausstomo.device import _CACHED_VALUES, _block_factors, _sampling_factors
-from gausstomo.randgen import _sweep_streams
+from gausstomo import randgen
+from gausstomo.randgen import _TABLE_SETTINGS, _sweep_streams
 
 modes = st.integers(min_value=1, max_value=8)
 etas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -177,25 +180,83 @@ def _per_column_attenuated_matrix(model, amplitude, config):
     n, scale = model.n_modes, math.sqrt(2.0) * amplitude
     device, s_tilde = SimulatedDevice(model), np.zeros((2 * model.n_modes, 2 * model.n_modes))
     for k, (j, phase) in enumerate((j, phase) for j in range(1, n + 1) for phase in (0.0, math.pi / 2)):
-        setting = config if config.analytic else dataclasses.replace(
-            config, seed=derive_seed(config.seed, k))
-        means = device.probe_and_measure(ProbeSpec(j, amplitude, phase), setting)
+        means = device.probe_and_measure(ProbeSpec(j, amplitude, phase), _per_setting(config, k))
         col = j - 1 + (n if phase else 0)
         s_tilde[:n, col] = means.x_means / scale
         s_tilde[n:, col] = means.p_means / scale
     return s_tilde
 
 
-@settings(max_examples=80)
-@given(n=modes, eta=etas, seed=seeds, scheme=schemes, data=st.data(), in_sweep=st.booleans(),
-       amplitude=st.floats(min_value=1e-3, max_value=1e4))
-def test_attenuated_matrix_equals_per_column_reference(n, eta, seed, scheme, data, in_sweep,
-                                                       amplitude):
-    # in a sweep the settings' streams come from the vectorised tables
+def _per_setting(config, k):
+    """Setting k's config, rebuilt by ``dataclasses.replace``."""
+    if config.analytic:
+        return config
+    return dataclasses.replace(config, seed=derive_seed(config.seed, k))
+
+
+class _RecordingDevice:
+    """A simulated device that keeps every setting's probe and means."""
+
+    def __init__(self, model):
+        self.inner, self.settings = SimulatedDevice(model), []
+
+    @property
+    def n_modes(self):
+        return self.inner.n_modes
+
+    def probe_and_measure(self, probe, config):
+        self.settings.append((probe, self.inner.probe_and_measure(probe, config)))
+        return self.settings[-1][1]
+
+
+@settings(max_examples=150)
+@given(count=st.integers(1, 2 * _TABLE_SETTINGS), eta=etas, scheme=schemes, data=st.data(),
+       seed=st.one_of(seeds, st.integers(2**32, 2**64 - 1)), in_sweep=st.booleans(),
+       unitary=st.booleans(), amplitude=st.floats(min_value=1e-3, max_value=1e4))
+@example(count=_TABLE_SETTINGS, eta=0.5, scheme=HETERODYNE, data=None, seed=2**64 - 1,
+         in_sweep=False, unitary=False, amplitude=3.0)
+@example(count=_TABLE_SETTINGS, eta=0.5, scheme=HOMODYNE, data=None, seed=7, in_sweep=False,
+         unitary=True, amplitude=3.0)
+@example(count=2 * _TABLE_SETTINGS, eta=0.5, scheme=HETERODYNE, data=None, seed=2**40 + 3,
+         in_sweep=False, unitary=True, amplitude=3.0)
+@example(count=_TABLE_SETTINGS - 1, eta=0.5, scheme=HOMODYNE, data=None, seed=2**40 + 3,
+         in_sweep=False, unitary=True, amplitude=3.0)
+def test_attenuated_matrix_equals_per_column_reference(count, eta, seed, scheme, data, in_sweep,
+                                                       unitary, amplitude):
+    # about ``count`` settings, 2n (n for a unitary), on both sides of _TABLE_SETTINGS:
+    # from there on a direct reconstruction replays its streams from a table pass of
+    # its own; in a sweep they come from the sweep's tables. Masters take one and two words.
+    n = count if unitary else -(-count // 2)
     shots = data.draw(st.one_of(st.integers(2 if scheme == HOMODYNE else 1, 300),
-                                st.just(math.inf)), label="shots")
-    model = DeviceModel(random_symplectic(n, seed=seed), eta=eta)
-    config = MeasurementConfig(scheme, shots, seed=seed)
-    with _sweep_streams({seed: 2 * n}) if in_sweep else contextlib.nullcontext():
-        got = measure_attenuated_matrix(SimulatedDevice(model), amplitude, config)
-    assert np.array_equal(got, _per_column_attenuated_matrix(model, amplitude, config))
+                                st.just(math.inf)), label="shots") if data else 50
+    s = embed_unitary(haar_unitary(n, seed=seed)) if unitary else random_symplectic(n, seed=seed)
+    model, config = DeviceModel(s, eta=eta), MeasurementConfig(scheme, shots, seed=seed)
+    device = _RecordingDevice(model)
+    settings_count = (1 if unitary else 2) * n
+    with _sweep_streams({seed: settings_count}) if in_sweep else contextlib.nullcontext():
+        if unitary:
+            with contextlib.suppress(LossRecoveryError, NotPassiveError):
+                reconstruct_unitary(device, amplitude, config)
+        else:
+            got = measure_attenuated_matrix(device, amplitude, config)
+            assert np.array_equal(got, _per_column_attenuated_matrix(model, amplitude, config))
+    assert len(device.settings) == settings_count
+    reference = SimulatedDevice(model)
+    for k, (probe, means) in enumerate(device.settings):
+        want = reference.probe_and_measure(probe, _per_setting(config, k))
+        assert np.array_equal(means.x_means, want.x_means)
+        assert np.array_equal(means.p_means, want.p_means)
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, 2**64, 2**70], ids=["2^64-1", "2^64", "2^70"])
+def test_wide_reconstruction_at_large_seeds_equals_per_column_reference(monkeypatch, seed):
+    # a master from 2**64 on does not fit the table pass and takes the native path
+    tables = []
+    stream_tables = randgen._stream_tables
+    monkeypatch.setattr(randgen, "_stream_tables", lambda s: tables.append(s) or stream_tables(s))
+    n = -(-_TABLE_SETTINGS // 2)
+    model = DeviceModel(random_symplectic(n, seed=3), eta=0.7)
+    config = MeasurementConfig(HETERODYNE, 20, seed=seed)
+    got = reconstruct_symplectic(SimulatedDevice(model), 5.0, config).s_tilde
+    assert np.array_equal(got, _per_column_attenuated_matrix(model, 5.0, config))
+    assert tables == ([{seed: 2 * n}] if seed < 2**64 else [])

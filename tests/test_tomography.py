@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -28,6 +29,9 @@ from gausstomo import (
     scaled_frobenius,
     symplectic_form,
 )
+from gausstomo import randgen
+from gausstomo.experiments import run_mode_scaling
+from gausstomo.randgen import _TABLE_SETTINGS
 
 ANALYTIC_HET = MeasurementConfig(scheme=HETERODYNE, shots=math.inf)
 ANALYTIC_HOM = MeasurementConfig(scheme=HOMODYNE, shots=math.inf)
@@ -450,3 +454,53 @@ def test_analytic_settings_share_the_checked_config():
     device = _RecordingDevice(2)
     measure_attenuated_matrix(device, 10.0, ANALYTIC_HET)
     assert all(child is ANALYTIC_HET for child in device.configs)
+
+
+WIDE = -(-_TABLE_SETTINGS // 2)  # the fewest modes whose 2N settings take a table pass
+
+
+def _thread_streams():
+    return randgen._streams.tables, randgen._streams.last
+
+
+@pytest.mark.parametrize("in_sweep", [False, True], ids=["alone", "in-sweep"])
+def test_direct_reconstruction_restores_thread_streams(in_sweep):
+    config = MeasurementConfig(HETERODYNE, 10, seed=9)
+    with randgen._sweep_streams({4: 3}) if in_sweep else contextlib.nullcontext():
+        if in_sweep:
+            randgen._stream(randgen._child_seed(4, 1))  # a sweep setting half-way
+        before = _thread_streams()
+        device = _RecordingDevice(WIDE)
+        inner = device.inner.probe_and_measure
+        seen = []
+        device.inner.probe_and_measure = lambda *a: seen.append(_thread_streams()) or inner(*a)
+        reconstruct_symplectic(device, 10.0, config)
+        assert len(seen) == 2 * WIDE
+        assert all(tables[0] == {9: (0, 2 * WIDE)} for tables, _ in seen)  # its own table
+        assert _thread_streams()[0] is before[0] and _thread_streams()[1] == before[1]
+    assert _thread_streams() == (None, (None, 0))
+
+
+def test_thread_streams_restored_when_a_device_raises():
+    device = _RecordingDevice(WIDE)
+    inner = device.inner.probe_and_measure
+
+    def failing(probe, config):
+        if len(device.configs) > 3:
+            assert randgen._streams.tables is not None  # mid-way through a table pass
+            raise RuntimeError("injected")
+        return inner(probe, config)
+
+    device.inner.probe_and_measure = failing
+    with pytest.raises(RuntimeError, match="injected"):
+        measure_attenuated_matrix(device, 10.0, MeasurementConfig(HOMODYNE, 10, seed=9))
+    assert _thread_streams() == (None, (None, 0))
+
+
+def test_reconstruction_in_a_sweep_builds_no_second_table(monkeypatch):
+    built = []
+    stream_tables = randgen._stream_tables
+    monkeypatch.setattr(randgen, "_stream_tables", lambda s: built.append(s) or stream_tables(s))
+    run_mode_scaling([WIDE], schemes=(HETERODYNE,), eta_list=(1.0,), shots=10, repetitions=2)
+    assert len(built) == 1  # the sweep's own pass, which holds every reconstruction's master
+    assert len(built[0]) == 2 and set(built[0].values()) == {2 * WIDE}
