@@ -72,7 +72,7 @@ def symplectic_form(n: int) -> np.ndarray:
     Args:
         n: number of modes, >= 1.
     """
-    if n < 1:
+    if _check_index(n, "number of modes") < 1:
         raise ValueError("number of modes must be >= 1")
     eye = np.eye(n)
     zero = np.zeros((n, n))
@@ -117,7 +117,7 @@ def embed_unitary(u: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     residual = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if residual > tol:
+    if not residual <= tol:
         raise ValueError(f"matrix is not unitary: residual {residual:.3e} > {tol:.1e}")
     re, im = u.real, u.imag
     return np.block([[re, im], [-im, re]])
@@ -141,7 +141,7 @@ def extract_unitary(s: np.ndarray, tol: float = PASSIVE_BLOCK_TOL) -> np.ndarray
     a, b = s[:n, :n], s[:n, n:]
     c, d = s[n:, :n], s[n:, n:]
     asym = max(np.max(np.abs(a - d)), np.max(np.abs(b + c)))
-    if asym > tol:
+    if not asym <= tol:
         raise NotPassiveError(
             f"block asymmetry {asym:.3e} exceeds {tol:.1e}: matrix is not passive"
         )
@@ -150,7 +150,7 @@ def extract_unitary(s: np.ndarray, tol: float = PASSIVE_BLOCK_TOL) -> np.ndarray
 
 def vacuum_state(n: int) -> GaussianState:
     """The n-mode vacuum: zero mean, identity covariance."""
-    if n < 1:
+    if _check_index(n, "number of modes") < 1:
         raise ValueError("number of modes must be >= 1")
     return GaussianState(mean=np.zeros(2 * n), cov=np.eye(2 * n))
 
@@ -171,7 +171,7 @@ def coherent_probe_state(n: int, mode_j: int, amplitude: float, phase: float) ->
         ValueError: if ``mode_j`` is not an integer or out of range, or
             ``amplitude`` or ``phase`` is out of range or not finite.
     """
-    if n < 1:
+    if _check_index(n, "number of modes") < 1:
         raise ValueError("number of modes must be >= 1")
     if _check_index(mode_j, "mode index") < 1:
         raise ValueError(f"mode index {mode_j} out of range 1..{n}")

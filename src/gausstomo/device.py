@@ -25,7 +25,8 @@ each setting propagates only its mean.
 A setting's shots come from ``default_rng(config.seed)``, and the tomography
 layer sets that seed to ``derive_seed(master, k)`` for setting k, which
 defines the stream. In an experiment sweep or a reconstruction of many settings,
-both come from tables derived before the first probe (:mod:`gausstomo.randgen`).
+the config also carries the stream's start words from a table derived before the
+first probe, and the sampler replays them on a reused generator (:mod:`gausstomo.randgen`).
 
 Sample means are reduced as the shots are drawn, in blocks of about 256 KiB,
 to the same bits as the mean of the full (shots, N) outcome array: NumPy sums
@@ -122,10 +123,13 @@ class MeasurementConfig:
             return 0
         return self.shots // 2 if self.scheme == HOMODYNE else self.shots
 
-    def _reseeded(self, seed: int) -> MeasurementConfig:
-        """This config, unchecked, with ``seed``: an int in [0, 2**64) as ``derive_seed`` gives."""
+    _words = None  # the seed's PCG64 seeding words, when a stream table derived them
+
+    def _reseeded(self, seed: int, words: list[int] | None) -> MeasurementConfig:
+        """This config, unchecked, with ``seed`` (an int in [0, 2**64) as ``derive_seed``
+        gives) and its stream's ``words`` from :func:`gausstomo.randgen._setting_streams`."""
         child = object.__new__(type(self))
-        child.__dict__.update(self.__dict__, seed=seed)
+        child.__dict__.update(self.__dict__, seed=seed, _words=words)
         return child
 
 
@@ -265,7 +269,7 @@ def _draw_blocks(mean: np.ndarray, blocks: tuple, config: MeasurementConfig, m: 
     for homodyne is ``rng.normal(loc, scale)`` bit for bit.
     """
     n, rows = mean.size // 2, len(blocks[0])
-    rng = _stream(config.seed)
+    rng = _stream(config.seed, config._words)
     mx, mp = mean[:n], mean[n:]
     if config.scheme == HOMODYNE:
         for q, (loc, scale) in enumerate(zip((mx, mp), blocks)):

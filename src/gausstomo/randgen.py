@@ -4,11 +4,13 @@ All randomness in the package flows through ``numpy.random.default_rng``
 (PCG64), so a fixed seed reproduces bit-identical matrices across runs.
 Seed streams for independent settings or repetitions are derived with
 :func:`derive_seed`, which hashes an index tuple through ``SeedSequence``
-and defines every stream. An experiment sweep (:func:`_sweep_streams`), and a
-reconstruction of ``_TABLE_SETTINGS`` or more finite-shot settings from a master
-below 2**64, reads its settings' child seeds ``derive_seed(master, k)``, and their
-generators' start states, from tables derived in one vectorised pass; any
-other seed takes the ``derive_seed`` and ``default_rng`` path.
+and defines every stream. :func:`_setting_streams` gives each setting k of a
+reconstruction its child seed ``derive_seed(master, k)`` and, when a table
+derived them in one vectorised pass, its generator's start words: an experiment
+sweep holds one table for all its masters (:func:`_sweep_streams`), and a
+reconstruction of ``_TABLE_SETTINGS`` or more settings from a master below 2**64
+derives its own. The words travel with the setting's config and are replayed on
+the thread's one reused generator; any other seed takes ``default_rng``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import threading
 
 import numpy as np
 
-from .core import embed_unitary
+from .core import _check_index, embed_unitary
 
 DEFAULT_R_MAX = 0.5
 _TABLE_SETTINGS = 16  # settings from which one table pass beats native seeding (ROADMAP aim 1)
@@ -74,10 +76,10 @@ def _words32(values: np.ndarray) -> np.ndarray:
 
 
 class _Streams(threading.local):
-    """Each thread's own stream tables and reused generator."""
+    """Each thread's stream tables, held by an experiment sweep, and its reused generator."""
 
-    tables = None  # master -> (first row, settings); child seed, PCG64 words by row; generator
-    last = (None, 0)  # the child seed and row last read from the tables
+    tables = None  # master -> (first row, settings); child seed and PCG64 words by row
+    generator = None  # made at the thread's first replay
 
 
 _streams = _Streams()
@@ -96,54 +98,49 @@ def _stream_tables(settings: dict[int, int]) -> tuple:
     entropy[1, one_word], entropy[2, one_word] = entropy[2, one_word], 0
     children = _seed_words(entropy, 1)[:, 0]
     entropy[:2], entropy[2] = _words32(children), 0
-    return (dict(zip(settings, zip(starts.tolist(), counts.tolist()))), children,
-            _seed_words(entropy, 4), np.random.Generator(np.random.PCG64(0)))
+    index = dict(zip(settings, zip(starts.tolist(), counts.tolist())))
+    return index, children, _seed_words(entropy, 4)
 
 
 @contextlib.contextmanager
 def _sweep_streams(settings: dict[int, int]):
-    """Serve the streams of :func:`_stream_tables` until the block exits."""
-    saved = _streams.tables, _streams.last
+    """Hold the tables of :func:`_stream_tables` in this thread until the block exits."""
+    saved = _streams.tables
     _streams.tables = _stream_tables(settings)
     try:
         yield
     finally:
-        _streams.tables, _streams.last = saved
+        _streams.tables = saved
 
 
-def _setting_streams(master: int, count: int):
-    """A block in which ``_child_seed(master, k)``, ``k < count``, reads stream tables:
-    the thread's if they hold ``master``, else its own from ``_TABLE_SETTINGS`` on."""
+def _setting_streams(master: int, count: int) -> list[tuple[int, list[int] | None]]:
+    """``(derive_seed(master, k), its PCG64 seeding words or None)`` for each ``k < count``:
+    read from the thread's tables if they hold ``master``, else from a table pass of
+    its own from ``_TABLE_SETTINGS`` settings on with a master below 2**64; any other
+    setting's words are None."""
     tables = _streams.tables
-    if count < _TABLE_SETTINGS or master >= 2**64 or (tables and master in tables[0]):
-        return contextlib.nullcontext()
-    return _sweep_streams({master: count})
+    if not (tables and master in tables[0]) and count >= _TABLE_SETTINGS and master < 2**64:
+        tables = _stream_tables({master: count})
+    start, held = tables[0].get(master, (0, 0)) if tables else (0, 0)
+    rows = slice(start, start + min(held, count))
+    streams = list(zip(tables[1][rows].tolist(), tables[2][rows].tolist())) if held else []
+    return streams + [(derive_seed(master, k), None) for k in range(len(streams), count)]
 
 
-def _child_seed(master: int, k: int) -> int:
-    """``derive_seed(master, k)``, read from the thread's tables when they hold it."""
-    tables = _streams.tables
-    start, count = tables[0].get(master, (0, 0)) if tables else (0, 0)
-    if not k < count:
-        return derive_seed(master, k)
-    _streams.last = (int(tables[1][start + k]), start + k)
-    return _streams.last[0]
-
-
-def _stream(seed: int) -> np.random.Generator:
-    """``default_rng(seed)``. For the child last read by :func:`_child_seed` it is
-    the thread's reused generator, set to the child's start state as PCG64's
-    ``srandom`` seeds it; so draw each such stream out before reading the next."""
-    child, row = _streams.last
-    if seed != child:
+def _stream(seed: int, words: list[int] | None) -> np.random.Generator:
+    """``default_rng(seed)``. Given ``seed``'s PCG64 seeding ``words`` it is the thread's
+    reused generator, set to the start state PCG64's ``srandom`` seeds from them; so
+    draw it out before the next call."""
+    if words is None:
         return np.random.default_rng(seed)
-    w0, w1, w2, w3 = _streams.tables[2][row].tolist()
+    w0, w1, w2, w3 = words
     inc = (w2 << 65 | w3 << 1 | 1) % 2**128
     state = ((inc + (w0 << 64 | w1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
-    generator = _streams.tables[3]
-    generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                     "state": {"state": state, "inc": inc}}
-    return generator
+    if _streams.generator is None:
+        _streams.generator = np.random.Generator(np.random.PCG64(0))
+    _streams.generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                              "uinteger": 0, "state": {"state": state, "inc": inc}}
+    return _streams.generator
 
 
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,7 +162,7 @@ def haar_unitary(n: int, seed: int | np.random.Generator | None = None) -> np.nd
     Returns:
         Complex n x n array, unitary to double precision.
     """
-    if n < 1:
+    if _check_index(n, "number of modes") < 1:
         raise ValueError("dimension must be >= 1")
     return _haar_unitary(n, np.random.default_rng(seed))
 
@@ -188,7 +185,7 @@ def random_symplectic(
         r_max: maximum squeezing magnitude, finite and >= 0.
         seed: integer seed or an existing ``numpy.random.Generator``.
     """
-    if n < 1:
+    if _check_index(n, "number of modes") < 1:
         raise ValueError("number of modes must be >= 1")
     if not 0 <= r_max < np.inf:
         raise ValueError(f"r_max must be finite and >= 0, got {r_max}")

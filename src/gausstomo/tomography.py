@@ -11,20 +11,23 @@ Passive (linear-optical) devices need only the real-amplitude probes: the
 upper and lower halves of each measured column are the real and (negated)
 imaginary parts of one unitary column, halving the number of settings.
 
-A phase-error scan checks its inputs once, then issues one setting per phase.
+A reconstruction issues its settings in order; setting k's config carries its
+own seed stream ``derive_seed(master, k)`` (:func:`gausstomo.randgen._setting_streams`),
+so no setting depends on another's draws. A phase-error scan checks its inputs
+once, then issues one setting per phase.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
 from .core import STRUCTURAL_TOL, NotPassiveError, _check_even_square, _check_index, matrix_to_json
 from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans
-from .randgen import _child_seed, _setting_streams
+from .randgen import _setting_streams
 
 SQRT2 = math.sqrt(2.0)
 
@@ -108,16 +111,15 @@ def _probe_scale(amplitude: float) -> float:
     return SQRT2 * amplitude
 
 
-def _probe_settings(device: ProbeableDevice, probes: list[ProbeSpec], config: MeasurementConfig,
-                    record: Callable[[int, QuadratureSampleMeans], None]) -> None:
-    """Issue the probe settings in order and ``record(k, means)`` each; setting k gets
-    its own seed stream ``derive_seed(config.seed, k)``, so settings could
-    run concurrently. Each setting's config is the checked ``config`` reseeded.
-    Many finite-shot settings derive their streams in one table pass."""
-    with _setting_streams(config.seed, 0 if config.analytic else len(probes)):
-        for k, probe in enumerate(probes):
-            setting = config if config.analytic else config._reseeded(_child_seed(config.seed, k))
-            record(k, device.probe_and_measure(probe, setting))
+def _probe_settings(device: ProbeableDevice, probes: list[ProbeSpec],
+                    config: MeasurementConfig) -> Iterator[QuadratureSampleMeans]:
+    """Issue the probe settings in order and yield each one's means; setting k gets
+    its own seed stream ``derive_seed(config.seed, k)``, carried in its config (the
+    checked ``config`` reseeded), so settings could run concurrently."""
+    settings = [config] * len(probes) if config.analytic else [
+        config._reseeded(*stream) for stream in _setting_streams(config.seed, len(probes))]
+    for probe, setting in zip(probes, settings):
+        yield device.probe_and_measure(probe, setting)
 
 
 def _mean_stderr(config: MeasurementConfig) -> float:
@@ -150,13 +152,10 @@ def measure_attenuated_matrix(
         for phase in (0.0, math.pi / 2.0)
     ]
     s_tilde = np.zeros((2 * n, 2 * n))
-
-    def record(k: int, means: QuadratureSampleMeans) -> None:
-        col = probes[k].mode_j - 1 + (n if probes[k].phase else 0)
+    for probe, means in zip(probes, _probe_settings(device, probes, config)):
+        col = probe.mode_j - 1 + (n if probe.phase else 0)
         s_tilde[:n, col] = means.x_means
         s_tilde[n:, col] = means.p_means
-
-    _probe_settings(device, probes, config, record)
     s_tilde /= scale  # elementwise: the bits of dividing each mean
     return s_tilde
 
@@ -212,11 +211,8 @@ def reconstruct_unitary(
     n = device.n_modes
     probes = [ProbeSpec(mode_j=j, amplitude=amplitude, phase=0.0) for j in range(1, n + 1)]
     u_tilde = np.zeros((n, n), dtype=complex)
-
-    def record(col: int, means: QuadratureSampleMeans) -> None:
+    for col, means in enumerate(_probe_settings(device, probes, config)):
         u_tilde[:, col] = means.x_means / scale - 1j * means.p_means / scale
-
-    _probe_settings(device, probes, config, record)
 
     # a vanishing determinant has log -inf and recovers eta_hat = 0
     _, logabsdet = np.linalg.slogdet(u_tilde)
@@ -290,14 +286,11 @@ def probe_ratios(
     scales = [_probe_scale(amp) for amp in amplitudes]
     probes = [ProbeSpec(mode_j=1, amplitude=amp, phase=0.0) for amp in amplitudes]
     ratios = []
-
-    def record(k: int, means: QuadratureSampleMeans) -> None:
-        ratio = float(means.p_means[0] / scales[k])
+    for amp, scale, means in zip(amplitudes, scales, _probe_settings(device, probes, config)):
+        ratio = float(means.p_means[0] / scale)
         if not math.isfinite(ratio):
-            raise ValueError(f"probe amplitude {amplitudes[k]} gives a non-finite ratio {ratio}")
+            raise ValueError(f"probe amplitude {amp} gives a non-finite ratio {ratio}")
         ratios.append(ratio)
-
-    _probe_settings(device, probes, config, record)
     return ratios
 
 

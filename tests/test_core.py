@@ -353,3 +353,28 @@ def test_coherent_probe_non_integer_mode_rejected(mode_j):
 def test_coherent_probe_accepts_numpy_integer_mode():
     got = coherent_probe_state(3, np.int64(2), 1.5, 0.3)
     assert np.array_equal(got.mean, coherent_probe_state(3, 2, 1.5, 0.3).mean)
+
+
+def test_embed_unitary_rejects_nan():
+    with pytest.raises(ValueError, match="not unitary"):
+        embed_unitary(np.array([[math.nan]]))
+
+
+def test_extract_unitary_rejects_nan():
+    with pytest.raises(NotPassiveError):
+        extract_unitary(np.full((2, 2), math.nan))
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: random_symplectic(n, seed=0),
+    lambda n: haar_unitary(n, seed=0),
+    symplectic_form,
+    vacuum_state,
+    lambda n: coherent_probe_state(n, 1, 1.0, 0.0),
+], ids=["random_symplectic", "haar_unitary", "symplectic_form", "vacuum_state",
+        "coherent_probe_state"])
+@pytest.mark.parametrize("n", [1.5, 2.0, "2", None])
+def test_mode_count_must_be_an_integer(build, n):
+    with pytest.raises(ValueError, match="number of modes must be an integer"):
+        build(n)
+    build(np.int64(2))  # a NumPy integer is a count

@@ -417,7 +417,7 @@ def test_sweep_streams_give_the_bytes_of_derive_seed_and_default_rng(
     monkeypatch.setattr(randgen, "derive_seed", lambda *a: derived.append(a) or derive_seed(*a))
     cached = records_to_csv(sweep())
     assert derived == []  # no setting's seed was derived natively
-    monkeypatch.setattr(randgen, "_stream_tables", lambda settings: ({}, None, None, None))
+    monkeypatch.setattr(randgen, "_stream_tables", lambda settings: ({}, None, None))
     assert records_to_csv(sweep()) == cached
     assert len(derived) == drawing
 
@@ -439,7 +439,7 @@ def test_sweep_issues_one_probe_per_setting(monkeypatch, sweep, settings, drawin
 
 def test_sweep_clears_its_streams_on_return_and_on_raise(monkeypatch):
     run_mode_scaling([2], schemes=(HETERODYNE,), eta_list=(1.0,), shots=10, repetitions=2)
-    assert randgen._streams.tables is None and randgen._streams.last == (None, 0)
+    assert randgen._streams.tables is None
     seen = []
 
     def failing(device, amplitude, config):
@@ -450,7 +450,7 @@ def test_sweep_clears_its_streams_on_return_and_on_raise(monkeypatch):
     with pytest.raises(RuntimeError, match="injected"):
         run_mode_scaling([2], schemes=(HETERODYNE,), eta_list=(1.0,), shots=10, repetitions=2)
     assert seen[0] is not None
-    assert randgen._streams.tables is None and randgen._streams.last == (None, 0)
+    assert randgen._streams.tables is None
 
 
 @pytest.mark.parametrize("seed", [1.5, "7", -2])

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -109,9 +111,12 @@ def test_pinned_streams(master, k, child, state, inc):
     pcg = {"state": state, "inc": inc}
     assert np.random.default_rng(child).bit_generator.state["state"] == pcg
     with randgen._sweep_streams({master: k + 1}):
-        assert randgen._child_seed(master, k) == child
-        replayed = randgen._stream(child)
-        assert replayed is randgen._streams.tables[3]
+        from_sweep = randgen._setting_streams(master, k + 1)[k]
+    own_table = randgen._setting_streams(master, max(k + 1, randgen._TABLE_SETTINGS))[k]
+    for seed, words in (from_sweep, own_table):
+        assert seed == child and words is not None
+        replayed = randgen._stream(seed, words)
+        assert replayed is randgen._streams.generator  # served by the reused generator
         assert replayed.bit_generator.state["state"] == pcg
 
 
@@ -122,21 +127,24 @@ def test_sweep_streams_match_derive_seed_and_default_rng(settings_per_master):
     """The one-pass tables replay SeedSequence bit for bit, for one- and two-word masters."""
     with randgen._sweep_streams(settings_per_master):
         for master, count in settings_per_master.items():
-            for k in range(count):
-                child = randgen._child_seed(master, k)
+            streams = randgen._setting_streams(master, count + 1)
+            for k, (child, words) in enumerate(streams[:count]):
                 assert child == derive_seed(master, k)
-                replayed = randgen._stream(child)
-                assert replayed is randgen._streams.tables[3]  # the reused generator
+                replayed = randgen._stream(child, words)
+                assert replayed is randgen._streams.generator  # the reused generator
                 native = np.random.default_rng(child)
                 assert replayed.bit_generator.state == native.bit_generator.state
             # past the table: the native derivation
-            assert randgen._child_seed(master, count) == derive_seed(master, count)
+            assert streams[count] == (derive_seed(master, count), None)
 
 
 def test_stream_outside_a_sweep_is_a_fresh_generator():
     assert randgen._streams.tables is None
-    assert randgen._child_seed(7, 2) == derive_seed(7, 2)
-    np.testing.assert_array_equal(randgen._stream(5).standard_normal(4),
+    few = randgen._TABLE_SETTINGS - 1
+    assert randgen._setting_streams(7, few) == [(derive_seed(7, k), None) for k in range(few)]
+    fresh = randgen._stream(5, None)
+    assert fresh is not randgen._streams.generator
+    np.testing.assert_array_equal(fresh.standard_normal(4),
                                   np.random.default_rng(5).standard_normal(4))
 
 
@@ -144,7 +152,26 @@ def test_replayed_stream_restarts_at_every_read():
     child = derive_seed(11, 0)
     expected = np.random.default_rng(child).standard_normal(8)
     with randgen._sweep_streams({11: 1}):
-        assert randgen._child_seed(11, 0) == child
-        for _ in range(2):
-            np.testing.assert_array_equal(randgen._stream(child).standard_normal(8), expected)
-    assert randgen._streams.tables is None and randgen._streams.last == (None, 0)
+        [(seed, words)] = randgen._setting_streams(11, 1)
+    assert seed == child and words is not None
+    for _ in range(2):
+        np.testing.assert_array_equal(randgen._stream(seed, words).standard_normal(8), expected)
+    assert randgen._streams.tables is None
+
+
+def test_each_thread_makes_its_generator_at_its_first_replay():
+    [(seed, words)] = randgen._setting_streams(3, randgen._TABLE_SETTINGS)[:1]
+    seen = []
+
+    def replay():
+        seen.append(randgen._streams.generator)
+        seen.append(randgen._stream(seed, words))
+        seen.append(randgen._stream(seed, words))
+
+    thread = threading.Thread(target=replay)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive() and len(seen) == 3
+    assert seen[0] is None  # none before the thread's first replay
+    assert seen[1] is seen[2] and seen[1] is not randgen._streams.generator
+    assert seen[1].bit_generator.state == np.random.default_rng(seed).bit_generator.state

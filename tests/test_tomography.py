@@ -12,13 +12,17 @@ from gausstomo import (
     LossRecoveryError,
     MeasurementConfig,
     NotPassiveError,
+    ProbeSpec,
+    QuadratureSampleMeans,
     SimulatedDevice,
     default_detection_tol,
     derive_seed,
     detect_non_gaussian,
     embed_unitary,
     estimate_eta,
+    evolve,
     haar_unitary,
+    measure,
     measure_attenuated_matrix,
     probe_ratios,
     random_symplectic,
@@ -459,42 +463,63 @@ def test_analytic_settings_share_the_checked_config():
 WIDE = -(-_TABLE_SETTINGS // 2)  # the fewest modes whose 2N settings take a table pass
 
 
-def _thread_streams():
-    return randgen._streams.tables, randgen._streams.last
-
-
+@pytest.mark.parametrize("outcome", ["return", "raise"])
 @pytest.mark.parametrize("in_sweep", [False, True], ids=["alone", "in-sweep"])
-def test_direct_reconstruction_restores_thread_streams(in_sweep):
-    config = MeasurementConfig(HETERODYNE, 10, seed=9)
-    with randgen._sweep_streams({4: 3}) if in_sweep else contextlib.nullcontext():
-        if in_sweep:
-            randgen._stream(randgen._child_seed(4, 1))  # a sweep setting half-way
-        before = _thread_streams()
-        device = _RecordingDevice(WIDE)
-        inner = device.inner.probe_and_measure
-        seen = []
-        device.inner.probe_and_measure = lambda *a: seen.append(_thread_streams()) or inner(*a)
-        reconstruct_symplectic(device, 10.0, config)
-        assert len(seen) == 2 * WIDE
-        assert all(tables[0] == {9: (0, 2 * WIDE)} for tables, _ in seen)  # its own table
-        assert _thread_streams()[0] is before[0] and _thread_streams()[1] == before[1]
-    assert _thread_streams() == (None, (None, 0))
+def test_direct_reconstruction_never_writes_thread_streams(monkeypatch, in_sweep, outcome):
+    writes = []
 
+    class Watched(randgen._Streams):
+        def __setattr__(self, name, value):
+            if name == "tables":
+                writes.append(value)
+            super().__setattr__(name, value)
 
-def test_thread_streams_restored_when_a_device_raises():
+    monkeypatch.setattr(randgen, "_streams", Watched())
     device = _RecordingDevice(WIDE)
     inner = device.inner.probe_and_measure
 
-    def failing(probe, config):
-        if len(device.configs) > 3:
-            assert randgen._streams.tables is not None  # mid-way through a table pass
+    def probe_and_measure(probe, config):
+        if outcome == "raise" and len(device.configs) > 3:
             raise RuntimeError("injected")
         return inner(probe, config)
 
-    device.inner.probe_and_measure = failing
-    with pytest.raises(RuntimeError, match="injected"):
-        measure_attenuated_matrix(device, 10.0, MeasurementConfig(HOMODYNE, 10, seed=9))
-    assert _thread_streams() == (None, (None, 0))
+    device.inner.probe_and_measure = probe_and_measure
+    with randgen._sweep_streams({4: 3}) if in_sweep else contextlib.nullcontext():
+        held = randgen._streams.tables
+        raising = pytest.raises(RuntimeError, match="injected")
+        with raising if outcome == "raise" else contextlib.nullcontext():
+            reconstruct_symplectic(device, 10.0, MeasurementConfig(HETERODYNE, 10, seed=9))
+        assert randgen._streams.tables is held
+        assert len(writes) == in_sweep  # the sweep's own entry only
+    assert len(writes) == 2 * in_sweep and randgen._streams.tables is None
+    assert len(device.configs) == (4 if outcome == "raise" else 2 * WIDE)
+    assert all(config._words is not None for config in device.configs)  # its own table pass
+
+
+class _ZeroDevice(_RecordingDevice):
+    """Records every setting's config and returns zero means without drawing."""
+
+    def probe_and_measure(self, probe, config):
+        self.configs.append(config)
+        zeros = np.zeros(self.n_modes)
+        return QuadratureSampleMeans(zeros, zeros, config.shots_per_quadrature)
+
+
+@pytest.mark.parametrize("in_sweep", [False, True], ids=["own-table", "sweep-table"])
+@pytest.mark.parametrize("scheme, shots", [(HOMODYNE, 10), (HETERODYNE, 7)])
+def test_wide_setting_configs_draw_their_own_streams_in_any_order(scheme, shots, in_sweep):
+    config = MeasurementConfig(scheme, shots, seed=2**40 + 9)
+    device = _ZeroDevice(WIDE)
+    with randgen._sweep_streams({config.seed: 2 * WIDE}) if in_sweep else contextlib.nullcontext():
+        measure_attenuated_matrix(device, 10.0, config)  # reads every config, draws none
+    assert len(device.configs) == 2 * WIDE
+    state = evolve(device.inner.model, ProbeSpec(1, 3.0))
+    for k, child in reversed(list(enumerate(device.configs))):
+        assert child._words is not None  # replayed on the thread's reused generator
+        want = measure(state, MeasurementConfig(scheme, shots, seed=derive_seed(config.seed, k)))
+        got = measure(state, child)
+        assert np.array_equal(got.x_means, want.x_means)
+        assert np.array_equal(got.p_means, want.p_means)
 
 
 def test_reconstruction_in_a_sweep_builds_no_second_table(monkeypatch):
