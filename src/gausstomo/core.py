@@ -24,6 +24,7 @@ import numpy as np
 # Absolute entrywise tolerance for structural checks (symplectic, unitary).
 STRUCTURAL_TOL = 1e-9
 _SQRT2 = np.sqrt(2.0)  # of a coherent mean; a NumPy float, so its products keep NumPy types
+_BOOLS = (bool, np.bool_)  # no count, index, seed, shot budget or transmissivity is a bool
 
 # Block asymmetry admitted when reading a unitary out of a reconstructed
 # (hence noisy) passive symplectic matrix.
@@ -118,7 +119,7 @@ def embed_unitary(u: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     residual = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if not residual <= tol:
-        raise ValueError(f"matrix is not unitary: residual {residual:.3e} > {tol:.1e}")
+        raise ValueError(f"matrix is not unitary: residual {residual:.3e}, tolerance {tol:.1e}")
     re, im = u.real, u.imag
     return np.block([[re, im], [-im, re]])
 
@@ -143,7 +144,7 @@ def extract_unitary(s: np.ndarray, tol: float = PASSIVE_BLOCK_TOL) -> np.ndarray
     asym = max(np.max(np.abs(a - d)), np.max(np.abs(b + c)))
     if not asym <= tol:
         raise NotPassiveError(
-            f"block asymmetry {asym:.3e} exceeds {tol:.1e}: matrix is not passive"
+            f"matrix is not passive: block asymmetry {asym:.3e}, tolerance {tol:.1e}"
         )
     return (a + d) / 2 + 1j * (b - c) / 2
 
@@ -188,9 +189,9 @@ def _check_probe(amplitude: float, phase: float) -> None:
 
 
 def _check_index(index, name: str) -> int:
-    """Return an index as an int; it must be an integer (``operator.index``)."""
+    """Return an index as an int; it must be an integer (``operator.index``), not a bool."""
     try:
-        return operator.index(index)
+        return operator.index(None if isinstance(index, _BOOLS) else index)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {index!r}") from None
 
@@ -226,7 +227,7 @@ def apply_uniform_loss(eta: float, state: GaussianState) -> GaussianState:
     Args:
         eta: power transmissivity, 0 < eta <= 1.
     """
-    if not 0 < eta <= 1:
+    if isinstance(eta, _BOOLS) or not 0 < eta <= 1:
         raise ValueError(f"transmissivity must be in (0, 1], got {eta}")
     dim = state.mean.size
     return GaussianState(

@@ -26,7 +26,8 @@ A setting's shots come from ``default_rng(config.seed)``, and the tomography
 layer sets that seed to ``derive_seed(master, k)`` for setting k, which
 defines the stream. In an experiment sweep or a reconstruction of many settings,
 the config also carries the stream's start words from a table derived before the
-first probe, and the sampler replays them on a reused generator (:mod:`gausstomo.randgen`).
+first probe (a sweep's, whose rows each reconstruction's config carries), and the
+sampler replays them on a reused generator (:mod:`gausstomo.randgen`).
 
 Sample means are reduced as the shots are drawn, in blocks of about 256 KiB,
 to the same bits as the mean of the full (shots, N) outcome array: NumPy sums
@@ -51,6 +52,7 @@ import numpy as np
 from .core import (
     GaussianState,
     STRUCTURAL_TOL,
+    _BOOLS,
     _check_index,
     _check_probe,
     _coherent_mean,
@@ -105,7 +107,8 @@ class MeasurementConfig:
         _check_scheme(self.scheme)
         object.__setattr__(self, "seed", _check_seed(self.seed))
         if not self.analytic:
-            if not 1 <= self.shots < math.inf or self.shots != int(self.shots):
+            shots = self.shots  # neither inf (analytic) nor NaN passes 1 <= shots
+            if isinstance(shots, _BOOLS) or not 1 <= shots or shots != int(shots):
                 raise ValueError("shots must be a positive integer or math.inf")
             object.__setattr__(self, "shots", int(self.shots))
             if self.scheme == HOMODYNE and self.shots < 2:
@@ -124,12 +127,13 @@ class MeasurementConfig:
         return self.shots // 2 if self.scheme == HOMODYNE else self.shots
 
     _words = None  # the seed's PCG64 seeding words, when a stream table derived them
+    _table = None  # a master seed's rows of a sweep's stream table, for its settings
 
-    def _reseeded(self, seed: int, words: list[int] | None) -> MeasurementConfig:
+    def _reseeded(self, seed: int, words=None, table=None) -> MeasurementConfig:
         """This config, unchecked, with ``seed`` (an int in [0, 2**64) as ``derive_seed``
-        gives) and its stream's ``words`` from :func:`gausstomo.randgen._setting_streams`."""
+        gives) and a setting's stream ``words`` or a master's ``table`` rows (see randgen)."""
         child = object.__new__(type(self))
-        child.__dict__.update(self.__dict__, seed=seed, _words=words)
+        child.__dict__.update(self.__dict__, seed=seed, _words=words, _table=table)
         return child
 
 

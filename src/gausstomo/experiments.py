@@ -6,9 +6,9 @@ repetitions run outermost, and each row is keyed by its cell's grid index, so
 a repeated grid value gets its own row. Seeds are derived per repetition and
 cell, so a run is bit-reproducible from its master seed, and the scaling
 runners share each repetition's random device across every scheme and loss
-to sharpen comparisons. Before its first probe, the sweep derives every
-reconstruction's master seed and, in one pass, the random stream of each of
-its finite-shot settings (see :mod:`gausstomo.randgen`).
+to sharpen comparisons. Before its first probe, the sweep checks each cell's config and
+derives every reconstruction's master seed and, in one table pass, its finite-shot
+settings' streams, whose rows its config carries (see :mod:`gausstomo.randgen`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .core import NotPassiveError, _check_index, embed_unitary, scaled_frobenius
 from .device import HETERODYNE, HOMODYNE, DeviceModel, MeasurementConfig, SCHEMES, SimulatedDevice
 from .device import _check_scheme
 from .randgen import (
-    DEFAULT_R_MAX, _check_seed, _sweep_streams, derive_seed, haar_unitary, random_symplectic,
+    DEFAULT_R_MAX, _check_seed, _stream_tables, derive_seed, haar_unitary, random_symplectic,
 )
 from .tomography import (
     LossRecoveryError,
@@ -89,31 +89,36 @@ def _check_inputs(seed: int, amplitudes, schemes, **counts: Iterable[int]) -> No
 
 def _sweep(
     experiment_id: str, axes: dict[str, Sequence], repetitions: int,
+    config: Callable[[tuple[int, ...]], MeasurementConfig],
     seeds: Callable[[tuple[int, ...], int], list[int]], settings: Callable[[tuple[int, ...]], int],
-    error: Callable[[tuple[int, ...], int, list[int]], float],
+    error: Callable[[tuple[int, ...], int, list[MeasurementConfig]], float],
     drop_on: tuple[type[Exception], ...] = (), **fixed,
 ) -> list[ExperimentRecord]:
     """One row per cell of the grid ``axes`` (row field -> swept values).
 
-    Cells are index tuples into the axes, in row-major order. ``seeds(idx,
-    rep)`` lists a cell's master seeds in one repetition, one per
-    reconstruction, each issuing ``settings(idx)`` finite-shot settings; all
-    are derived, with every setting's stream, before the first probe.
-    Repetitions run outermost: for every ``rep``, every cell's ``error(idx,
-    rep, seeds)`` is called in turn, and a ``drop_on`` exception counts one
-    drop for that cell. A row pools only its own cell's repetitions.
+    Cells are index tuples into the axes, in row-major order. ``config(idx)`` is
+    a cell's config and ``seeds(idx, rep)`` its master seeds in one repetition,
+    one per reconstruction of ``settings(idx)`` settings; all are built, and
+    every finite-shot setting's stream derived in one table pass, before the
+    first probe. Repetitions run outermost: for every ``rep``, every cell's
+    ``error(idx, rep, configs)`` is called in turn with the cell's config
+    reseeded to each master, carrying its rows, and a ``drop_on`` exception
+    counts one drop for that cell. A row pools only its own cell's repetitions.
     """
     cells = list(itertools.product(*(range(len(values)) for values in axes.values())))
+    configs = {idx: config(idx) for idx in cells}
+    masters = {(idx, rep): seeds(idx, rep) for rep in range(repetitions) for idx in cells}
+    table = _stream_tables({m: settings(idx) for (idx, _), ms in masters.items() for m in ms
+                            if not configs[idx].analytic})  # analytic settings draw nothing
     errors: dict[tuple[int, ...], list[float]] = {idx: [] for idx in cells}
     dropped = dict.fromkeys(cells, 0)
-    masters = {(idx, rep): seeds(idx, rep) for rep in range(repetitions) for idx in cells}
-    with _sweep_streams({m: settings(idx) for (idx, _), ms in masters.items() for m in ms}):
-        for rep in range(repetitions):
-            for idx in cells:
-                try:
-                    errors[idx].append(error(idx, rep, masters[idx, rep]))
-                except drop_on:
-                    dropped[idx] += 1
+    for rep in range(repetitions):
+        for idx in cells:
+            reseeded = [configs[idx]._reseeded(m, table=table.get(m)) for m in masters[idx, rep]]
+            try:
+                errors[idx].append(error(idx, rep, reseeded))
+            except drop_on:
+                dropped[idx] += 1
     return [
         _record(
             experiment_id, errors[idx], dropped[idx], repetitions=repetitions, **fixed,
@@ -147,17 +152,16 @@ def run_mode_scaling(
         s_true = random_symplectic(n, r_max=r_max, seed=derive_seed(seed, _DEV, n, rep))
         return s_true, [DeviceModel(s_true, eta=eta) for eta in eta_list]
 
-    def error(idx, rep, meas_seeds):
-        n, scheme_idx, eta_idx = n_list[idx[0]], idx[1], idx[2]
-        s_true, models = draw(n, rep)
-        config = MeasurementConfig(scheme=schemes[scheme_idx], shots=shots, seed=meas_seeds[0])
-        result = reconstruct_symplectic(SimulatedDevice(models[eta_idx]), amplitude, config)
+    def error(idx, rep, configs):
+        s_true, models = draw(n_list[idx[0]], rep)
+        result = reconstruct_symplectic(SimulatedDevice(models[idx[2]]), amplitude, configs[0])
         return scaled_frobenius(s_true, result.s_recon)
 
     return _sweep(
         "mode-scaling", dict(n_modes=n_list, scheme=schemes, eta=eta_list), repetitions,
+        lambda idx: MeasurementConfig(schemes[idx[1]], shots),
         lambda idx, rep: [derive_seed(seed, _MEAS, n_list[idx[0]], rep, idx[2], idx[1])],
-        lambda idx: 2 * n_list[idx[0]] if shots < math.inf else 0,
+        lambda idx: 2 * n_list[idx[0]],
         error, (LossRecoveryError,), amplitude=amplitude, shots=shots, trials=1, seed=seed,
     )
 
@@ -185,17 +189,17 @@ def run_unitary_scaling(
         u_true = haar_unitary(n, seed=derive_seed(seed, _DEV, n, rep))
         return u_true, [DeviceModel(embed_unitary(u_true), eta=eta) for eta in eta_list]
 
-    def error(idx, rep, meas_seeds):
-        n, scheme_idx, eta_idx = n_list[idx[0]], idx[1], idx[2]
+    def error(idx, rep, configs):
+        n = n_list[idx[0]]
         u_true, models = draw(n, rep)
-        config = MeasurementConfig(scheme=schemes[scheme_idx], shots=shots, seed=meas_seeds[0])
-        u_hat = reconstruct_unitary(SimulatedDevice(models[eta_idx]), amplitude, config).u_hat
+        u_hat = reconstruct_unitary(SimulatedDevice(models[idx[2]]), amplitude, configs[0]).u_hat
         return scaled_frobenius(u_true, u_hat, n_modes=n)
 
     return _sweep(
         "unitary-scaling", dict(n_modes=n_list, scheme=schemes, eta=eta_list), repetitions,
+        lambda idx: MeasurementConfig(schemes[idx[1]], shots),
         lambda idx, rep: [derive_seed(seed, _MEAS, n_list[idx[0]], rep, idx[2], idx[1])],
-        lambda idx: n_list[idx[0]] if shots < math.inf else 0,
+        lambda idx: n_list[idx[0]],
         error, (LossRecoveryError, NotPassiveError),
         amplitude=amplitude, shots=shots, trials=1, seed=seed,
     )
@@ -222,23 +226,23 @@ def run_intensity_scaling(
     """
     _check_inputs(seed, amplitude_list, [scheme], n_modes=[n_modes], trials_list=trials_list,
                   repetitions=[repetitions])
+    config = MeasurementConfig(scheme, shots)
     s_true = random_symplectic(n_modes, r_max=r_max, seed=derive_seed(seed, _DEV))
     model = DeviceModel(s_true, eta=eta)
 
     def seeds(idx, rep):
         return [derive_seed(seed, _MEAS, *idx, rep, trial) for trial in range(trials_list[idx[1]])]
 
-    def error(idx, rep, meas_seeds):
+    def error(idx, rep, configs):
         amplitude, tilde_sum = amplitude_list[idx[0]], np.zeros((2 * n_modes, 2 * n_modes))
-        for meas_seed in meas_seeds:
-            config = MeasurementConfig(scheme=scheme, shots=shots, seed=meas_seed)
+        for config in configs:
             tilde_sum += measure_attenuated_matrix(SimulatedDevice(model), amplitude, config)
-        tilde_avg = tilde_sum / len(meas_seeds)
+        tilde_avg = tilde_sum / len(configs)
         return scaled_frobenius(s_true, tilde_avg / math.sqrt(estimate_eta(tilde_avg)))
 
     return _sweep(
-        "intensity", dict(amplitude=amplitude_list, trials=trials_list), repetitions, seeds,
-        lambda idx: 2 * n_modes if shots < math.inf else 0, error,
+        "intensity", dict(amplitude=amplitude_list, trials=trials_list), repetitions,
+        lambda idx: config, seeds, lambda idx: 2 * n_modes, error,
         (LossRecoveryError,), n_modes=n_modes, scheme=scheme, eta=eta, shots=shots, seed=seed,
     )
 
@@ -269,15 +273,16 @@ def run_phase_error_study(
     target = s_true[0, 0]
     norm = math.hypot(s_true[0, 0], s_true[0, 1])
 
-    def error(idx, rep, phi_seeds):
-        phis = np.random.default_rng(phi_seeds[0]).uniform(-phi_max, phi_max, trials_list[idx[0]])
-        estimates = _phase_error_elements(device, 1, 1, amplitude, phis, config)
+    def error(idx, rep, configs):  # exact means: the config's seed serves only the phases
+        rng = np.random.default_rng(configs[0].seed)
+        phis = rng.uniform(-phi_max, phi_max, trials_list[idx[0]])
+        estimates = _phase_error_elements(device, 1, 1, amplitude, phis, configs[0])
         return abs(float(np.mean(estimates)) - target) / norm
 
     return _sweep(
-        "phase-error", dict(trials=trials_list), repetitions,
-        lambda idx, rep: [derive_seed(seed, _MEAS, *idx, rep)], lambda idx: 0, error, n_modes=1,
-        scheme=config.scheme, eta=1.0, amplitude=amplitude, shots=config.shots, seed=seed,
+        "phase-error", dict(trials=trials_list), repetitions, lambda idx: config,
+        lambda idx, rep: [derive_seed(seed, _MEAS, *idx, rep)], lambda idx: trials_list[idx[0]],
+        error, n_modes=1, scheme=HOMODYNE, eta=1.0, amplitude=amplitude, shots=math.inf, seed=seed,
     )
 
 

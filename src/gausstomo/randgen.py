@@ -6,8 +6,9 @@ Seed streams for independent settings or repetitions are derived with
 :func:`derive_seed`, which hashes an index tuple through ``SeedSequence``
 and defines every stream. :func:`_setting_streams` gives each setting k of a
 reconstruction its child seed ``derive_seed(master, k)`` and, when a table
-derived them in one vectorised pass, its generator's start words: an experiment
-sweep holds one table for all its masters (:func:`_sweep_streams`), and a
+derived them in one vectorised pass, its generator's start words. The table's
+rows for a master come from an experiment sweep, which derives one table for
+all its masters and hands each reconstruction its rows in its config; else a
 reconstruction of ``_TABLE_SETTINGS`` or more settings from a master below 2**64
 derives its own. The words travel with the setting's config and are replayed on
 the thread's one reused generator; any other seed takes ``default_rng``.
@@ -15,7 +16,6 @@ the thread's one reused generator; any other seed takes ``default_rng``.
 
 from __future__ import annotations
 
-import contextlib
 import operator
 import threading
 
@@ -28,11 +28,11 @@ _TABLE_SETTINGS = 16  # settings from which one table pass beats native seeding 
 
 
 def _check_seed(seed) -> int:
-    """Return a master seed as an int; it must be a non-negative integer."""
+    """Return a master seed as an int; it must be a non-negative integer, not a bool."""
     try:
-        if operator.index(seed) >= 0:
+        if _check_index(seed, "seed") >= 0:
             return operator.index(seed)
-    except TypeError:
+    except ValueError:
         pass
     raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
@@ -76,19 +76,18 @@ def _words32(values: np.ndarray) -> np.ndarray:
 
 
 class _Streams(threading.local):
-    """Each thread's stream tables, held by an experiment sweep, and its reused generator."""
+    """Each thread's reused generator, made at the thread's first replay."""
 
-    tables = None  # master -> (first row, settings); child seed and PCG64 words by row
-    generator = None  # made at the thread's first replay
+    generator = None
 
 
 _streams = _Streams()
 
 
-def _stream_tables(settings: dict[int, int]) -> tuple:
-    """``derive_seed(master, k)`` for each ``k < settings[master]``, and each such
-    child's PCG64 seeding words ``generate_state(4, np.uint64)``, in one pass.
-    Masters are below 2**64."""
+def _stream_tables(settings: dict[int, int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """``{master: (children, words)}``: ``children[k] = derive_seed(master, k)`` for each
+    ``k < settings[master]``, and ``words[k]`` that child's PCG64 seeding words
+    ``generate_state(4, np.uint64)``, as row views of one pass. Masters are below 2**64."""
     counts = np.fromiter(settings.values(), np.intp, len(settings))
     starts = np.cumsum(counts) - counts
     entropy = np.zeros((4, counts.sum()), dtype=np.uint32)
@@ -98,32 +97,21 @@ def _stream_tables(settings: dict[int, int]) -> tuple:
     entropy[1, one_word], entropy[2, one_word] = entropy[2, one_word], 0
     children = _seed_words(entropy, 1)[:, 0]
     entropy[:2], entropy[2] = _words32(children), 0
-    index = dict(zip(settings, zip(starts.tolist(), counts.tolist())))
-    return index, children, _seed_words(entropy, 4)
+    words = _seed_words(entropy, 4)
+    return {master: (children[start:end], words[start:end]) for master, start, end
+            in zip(settings, starts.tolist(), (starts + counts).tolist())}
 
 
-@contextlib.contextmanager
-def _sweep_streams(settings: dict[int, int]):
-    """Hold the tables of :func:`_stream_tables` in this thread until the block exits."""
-    saved = _streams.tables
-    _streams.tables = _stream_tables(settings)
-    try:
-        yield
-    finally:
-        _streams.tables = saved
-
-
-def _setting_streams(master: int, count: int) -> list[tuple[int, list[int] | None]]:
+def _setting_streams(master: int, count: int, table: tuple | None = None
+                     ) -> list[tuple[int, list[int] | None]]:
     """``(derive_seed(master, k), its PCG64 seeding words or None)`` for each ``k < count``:
-    read from the thread's tables if they hold ``master``, else from a table pass of
-    its own from ``_TABLE_SETTINGS`` settings on with a master below 2**64; any other
-    setting's words are None."""
-    tables = _streams.tables
-    if not (tables and master in tables[0]) and count >= _TABLE_SETTINGS and master < 2**64:
-        tables = _stream_tables({master: count})
-    start, held = tables[0].get(master, (0, 0)) if tables else (0, 0)
-    rows = slice(start, start + min(held, count))
-    streams = list(zip(tables[1][rows].tolist(), tables[2][rows].tolist())) if held else []
+    read from ``table``, ``master``'s rows of :func:`_stream_tables`, when it is given,
+    else from a table pass of its own from ``_TABLE_SETTINGS`` settings on with a
+    master below 2**64; any other setting's words are None."""
+    if table is None and count >= _TABLE_SETTINGS and master < 2**64:
+        table = _stream_tables({master: count})[master]
+    rows = (column[:count].tolist() for column in table) if table is not None else ([], [])
+    streams = list(zip(*rows))
     return streams + [(derive_seed(master, k), None) for k in range(len(streams), count)]
 
 

@@ -12,9 +12,10 @@ upper and lower halves of each measured column are the real and (negated)
 imaginary parts of one unitary column, halving the number of settings.
 
 A reconstruction issues its settings in order; setting k's config carries its
-own seed stream ``derive_seed(master, k)`` (:func:`gausstomo.randgen._setting_streams`),
-so no setting depends on another's draws. A phase-error scan checks its inputs
-once, then issues one setting per phase.
+own seed stream ``derive_seed(master, k)``, read from the table rows a sweep's config
+carries if any (:func:`gausstomo.randgen._setting_streams`), so no setting depends on
+another's draws. A phase-error scan checks its inputs once, then issues one setting
+per phase.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ def _probe_settings(device: ProbeableDevice, probes: list[ProbeSpec],
                     config: MeasurementConfig) -> Iterator[QuadratureSampleMeans]:
     """Issue the probe settings in order and yield each one's means; setting k gets
     its own seed stream ``derive_seed(config.seed, k)``, carried in its config (the
-    checked ``config`` reseeded), so settings could run concurrently."""
-    settings = [config] * len(probes) if config.analytic else [
-        config._reseeded(*stream) for stream in _setting_streams(config.seed, len(probes))]
+    checked ``config`` reseeded, from its table rows if any): they could run concurrently."""
+    settings = [config] * len(probes) if config.analytic else [config._reseeded(*stream)
+        for stream in _setting_streams(config.seed, len(probes), config._table)]
     for probe, setting in zip(probes, settings):
         yield device.probe_and_measure(probe, setting)
 

@@ -20,6 +20,8 @@ from gausstomo import (
     unitary_to_json,
     vacuum_state,
 )
+from gausstomo.device import HETERODYNE, DeviceModel, MeasurementConfig, ProbeSpec
+from gausstomo.experiments import run_phase_error_study
 from gausstomo.randgen import haar_unitary, random_symplectic
 
 SQRT2 = math.sqrt(2.0)
@@ -356,12 +358,15 @@ def test_coherent_probe_accepts_numpy_integer_mode():
 
 
 def test_embed_unitary_rejects_nan():
-    with pytest.raises(ValueError, match="not unitary"):
+    # the message states no comparison, which NaN would make false
+    message = r"^matrix is not unitary: residual nan, tolerance 1\.0e-09$"
+    with pytest.raises(ValueError, match=message):
         embed_unitary(np.array([[math.nan]]))
 
 
 def test_extract_unitary_rejects_nan():
-    with pytest.raises(NotPassiveError):
+    message = r"^matrix is not passive: block asymmetry nan, tolerance 1\.0e-06$"
+    with pytest.raises(NotPassiveError, match=message):
         extract_unitary(np.full((2, 2), math.nan))
 
 
@@ -378,3 +383,18 @@ def test_mode_count_must_be_an_integer(build, n):
     with pytest.raises(ValueError, match="number of modes must be an integer"):
         build(n)
     build(np.int64(2))  # a NumPy integer is a count
+
+
+@pytest.mark.parametrize("build, message", [
+    (random_symplectic, "number of modes must be an integer"),
+    (lambda flag: ProbeSpec(flag, 1.0), "mode index must be an integer"),
+    (lambda flag: run_phase_error_study(repetitions=flag), "repetitions must be an integer"),
+    (lambda flag: MeasurementConfig(HETERODYNE, flag), "shots must be a positive integer"),
+    (lambda flag: MeasurementConfig(HETERODYNE, 10, seed=flag), "seed must be a non-negative"),
+    (lambda flag: DeviceModel(np.eye(2), eta=flag), r"transmissivity must be in \(0, 1\]"),
+    (lambda flag: apply_uniform_loss(flag, vacuum_state(1)), r"transmissivity must be in"),
+], ids=["modes", "mode-index", "repetitions", "shots", "seed", "device-eta", "loss-eta"])
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_bool_is_not_a_number(build, message, flag):
+    with pytest.raises(ValueError, match=message):
+        build(flag)

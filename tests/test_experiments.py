@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -417,7 +419,12 @@ def test_sweep_streams_give_the_bytes_of_derive_seed_and_default_rng(
     monkeypatch.setattr(randgen, "derive_seed", lambda *a: derived.append(a) or derive_seed(*a))
     cached = records_to_csv(sweep())
     assert derived == []  # no setting's seed was derived natively
-    monkeypatch.setattr(randgen, "_stream_tables", lambda settings: ({}, None, None))
+
+    def no_rows(settings):
+        return {m: (np.empty(0, np.uint64), np.empty((0, 4), np.uint64)) for m in settings}
+
+    monkeypatch.setattr(experiments, "_stream_tables", no_rows)
+    monkeypatch.setattr(randgen, "_stream_tables", no_rows)
     assert records_to_csv(sweep()) == cached
     assert len(derived) == drawing
 
@@ -438,19 +445,71 @@ def test_sweep_issues_one_probe_per_setting(monkeypatch, sweep, settings, drawin
 
 
 def test_sweep_clears_its_streams_on_return_and_on_raise(monkeypatch):
+    writes = []
+
+    class Watched(randgen._Streams):
+        def __setattr__(self, name, value):
+            writes.append(name)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(randgen, "_streams", Watched())
     run_mode_scaling([2], schemes=(HETERODYNE,), eta_list=(1.0,), shots=10, repetitions=2)
-    assert randgen._streams.tables is None
+    assert writes == ["generator"]  # the thread's reused generator, and no table
     seen = []
 
     def failing(device, amplitude, config):
-        seen.append(randgen._streams.tables)
+        seen.append(config)
         raise RuntimeError("injected")
 
     monkeypatch.setattr(experiments, "reconstruct_symplectic", failing)
     with pytest.raises(RuntimeError, match="injected"):
         run_mode_scaling([2], schemes=(HETERODYNE,), eta_list=(1.0,), shots=10, repetitions=2)
-    assert seen[0] is not None
-    assert randgen._streams.tables is None
+    assert seen[0]._table is not None  # the sweep's rows travel in the config
+    assert writes == ["generator"] and list(vars(randgen._streams)) == ["generator"]
+
+
+def test_sweep_built_config_draws_the_same_means_on_another_thread(monkeypatch):
+    calls = []
+
+    def recording(device, amplitude, config):
+        result = reconstruct_symplectic(device, amplitude, config)
+        calls.append((device.model, amplitude, config, result.s_tilde))
+        return result
+
+    monkeypatch.setattr(experiments, "reconstruct_symplectic", recording)
+    run_mode_scaling([2, 9], eta_list=(0.8,), shots=7, repetitions=2, seed=23)
+    assert len(calls) == 2 * 2 * 2 and all(config._table is not None for _, _, config, _ in calls)
+
+    def redraw(out):
+        for model, amplitude, config, _ in calls:
+            out.append(experiments.measure_attenuated_matrix(SimulatedDevice(model), amplitude,
+                                                             config))
+
+    here, there = [], []
+    thread = threading.Thread(target=redraw, args=(there,))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(there) == len(calls)
+    redraw(here)
+    for (model, amplitude, config, s_tilde), a, b in zip(calls, here, there):
+        assert np.array_equal(a, s_tilde) and np.array_equal(b, s_tilde)
+        native = dataclasses.replace(config)  # the same seed, carrying no rows
+        assert native._table is None
+        assert np.array_equal(
+            experiments.measure_attenuated_matrix(SimulatedDevice(model), amplitude, native),
+            s_tilde)
+
+
+@pytest.mark.parametrize("runner", [run_mode_scaling, run_unitary_scaling],
+                         ids=["mode", "unitary"])
+def test_runner_rejects_shot_budget_before_the_first_probe(monkeypatch, runner):
+    calls = []
+    original = SimulatedDevice.probe_and_measure
+    monkeypatch.setattr(SimulatedDevice, "probe_and_measure",
+                        lambda self, *args: calls.append(args) or original(self, *args))
+    with pytest.raises(ValueError, match="at least 2 shots"):
+        runner([2], schemes=[HETERODYNE, HOMODYNE], shots=1, repetitions=1)
+    assert calls == []  # the heterodyne cell's settings were not issued first
 
 
 @pytest.mark.parametrize("seed", [1.5, "7", -2])

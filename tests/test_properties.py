@@ -39,7 +39,7 @@ from gausstomo import (
 )
 from gausstomo.device import _CACHED_VALUES, _block_factors, _sampling_factors
 from gausstomo import randgen
-from gausstomo.randgen import _TABLE_SETTINGS, _sweep_streams
+from gausstomo.randgen import _TABLE_SETTINGS
 
 modes = st.integers(min_value=1, max_value=8)
 etas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -225,7 +225,8 @@ def test_attenuated_matrix_equals_per_column_reference(count, eta, seed, scheme,
                                                        unitary, amplitude):
     # about ``count`` settings, 2n (n for a unitary), on both sides of _TABLE_SETTINGS:
     # from there on a direct reconstruction replays its streams from a table pass of
-    # its own; in a sweep they come from the sweep's tables. Masters take one and two words.
+    # its own; in a sweep they come from the table rows the sweep hands over in the master's
+    # config. Masters take one and two words.
     n = count if unitary else -(-count // 2)
     shots = data.draw(st.one_of(st.integers(2 if scheme == HOMODYNE else 1, 300),
                                 st.just(math.inf)), label="shots") if data else 50
@@ -233,13 +234,15 @@ def test_attenuated_matrix_equals_per_column_reference(count, eta, seed, scheme,
     model, config = DeviceModel(s, eta=eta), MeasurementConfig(scheme, shots, seed=seed)
     device = _RecordingDevice(model)
     settings_count = (1 if unitary else 2) * n
-    with _sweep_streams({seed: settings_count}) if in_sweep else contextlib.nullcontext():
-        if unitary:
-            with contextlib.suppress(LossRecoveryError, NotPassiveError):
-                reconstruct_unitary(device, amplitude, config)
-        else:
-            got = measure_attenuated_matrix(device, amplitude, config)
-            assert np.array_equal(got, _per_column_attenuated_matrix(model, amplitude, config))
+    if in_sweep and not config.analytic:  # as a sweep reseeds it: carrying the master's rows
+        table = randgen._stream_tables({seed: settings_count})[seed]
+        config = config._reseeded(seed, table=table)
+    if unitary:
+        with contextlib.suppress(LossRecoveryError, NotPassiveError):
+            reconstruct_unitary(device, amplitude, config)
+    else:
+        got = measure_attenuated_matrix(device, amplitude, config)
+        assert np.array_equal(got, _per_column_attenuated_matrix(model, amplitude, config))
     assert len(device.settings) == settings_count
     reference = SimulatedDevice(model)
     for k, (probe, means) in enumerate(device.settings):

@@ -110,8 +110,8 @@ def test_pinned_streams(master, k, child, state, inc):
     assert derive_seed(master, k) == child
     pcg = {"state": state, "inc": inc}
     assert np.random.default_rng(child).bit_generator.state["state"] == pcg
-    with randgen._sweep_streams({master: k + 1}):
-        from_sweep = randgen._setting_streams(master, k + 1)[k]
+    table = randgen._stream_tables({master: k + 1})[master]
+    from_sweep = randgen._setting_streams(master, k + 1, table)[k]
     own_table = randgen._setting_streams(master, max(k + 1, randgen._TABLE_SETTINGS))[k]
     for seed, words in (from_sweep, own_table):
         assert seed == child and words is not None
@@ -125,21 +125,26 @@ def test_pinned_streams(master, k, child, state, inc):
 @example({0: 3, 2**32 - 1: 128, 2**32: 1, 2**64 - 1: 17})
 def test_sweep_streams_match_derive_seed_and_default_rng(settings_per_master):
     """The one-pass tables replay SeedSequence bit for bit, for one- and two-word masters."""
-    with randgen._sweep_streams(settings_per_master):
-        for master, count in settings_per_master.items():
-            streams = randgen._setting_streams(master, count + 1)
-            for k, (child, words) in enumerate(streams[:count]):
-                assert child == derive_seed(master, k)
-                replayed = randgen._stream(child, words)
-                assert replayed is randgen._streams.generator  # the reused generator
-                native = np.random.default_rng(child)
-                assert replayed.bit_generator.state == native.bit_generator.state
-            # past the table: the native derivation
-            assert streams[count] == (derive_seed(master, count), None)
+    tables = randgen._stream_tables(settings_per_master)
+    assert list(tables) == list(settings_per_master)
+    for master, count in settings_per_master.items():
+        children, word_rows = tables[master]  # row views of the one pass, not Python lists
+        assert children.shape == (count,) and word_rows.shape == (count, 4)
+        assert children.base is not None and word_rows.base is not None
+        streams = randgen._setting_streams(master, count + 1, tables[master])
+        for k, (child, words) in enumerate(streams[:count]):
+            assert child == derive_seed(master, k)
+            replayed = randgen._stream(child, words)
+            assert replayed is randgen._streams.generator  # the reused generator
+            native = np.random.default_rng(child)
+            assert replayed.bit_generator.state == native.bit_generator.state
+        # past the table: the native derivation
+        assert streams[count] == (derive_seed(master, count), None)
 
 
 def test_stream_outside_a_sweep_is_a_fresh_generator():
-    assert randgen._streams.tables is None
+    # the thread state holds the reused generator only: no stream table travels in it
+    assert [name for name in vars(randgen._Streams) if not name.startswith("__")] == ["generator"]
     few = randgen._TABLE_SETTINGS - 1
     assert randgen._setting_streams(7, few) == [(derive_seed(7, k), None) for k in range(few)]
     fresh = randgen._stream(5, None)
@@ -151,12 +156,10 @@ def test_stream_outside_a_sweep_is_a_fresh_generator():
 def test_replayed_stream_restarts_at_every_read():
     child = derive_seed(11, 0)
     expected = np.random.default_rng(child).standard_normal(8)
-    with randgen._sweep_streams({11: 1}):
-        [(seed, words)] = randgen._setting_streams(11, 1)
+    [(seed, words)] = randgen._setting_streams(11, 1, randgen._stream_tables({11: 1})[11])
     assert seed == child and words is not None
     for _ in range(2):
         np.testing.assert_array_equal(randgen._stream(seed, words).standard_normal(8), expected)
-    assert randgen._streams.tables is None
 
 
 def test_each_thread_makes_its_generator_at_its_first_replay():

@@ -33,7 +33,7 @@ from gausstomo import (
     scaled_frobenius,
     symplectic_form,
 )
-from gausstomo import randgen
+from gausstomo import experiments, randgen
 from gausstomo.experiments import run_mode_scaling
 from gausstomo.randgen import _TABLE_SETTINGS
 
@@ -463,6 +463,19 @@ def test_analytic_settings_share_the_checked_config():
 WIDE = -(-_TABLE_SETTINGS // 2)  # the fewest modes whose 2N settings take a table pass
 
 
+def _count_table_passes(monkeypatch):
+    """Record the settings of every stream-table pass, a sweep's or a reconstruction's own."""
+    built, stream_tables = [], randgen._stream_tables
+
+    def counting(settings):
+        built.append(dict(settings))
+        return stream_tables(settings)
+
+    monkeypatch.setattr(randgen, "_stream_tables", counting)
+    monkeypatch.setattr(experiments, "_stream_tables", counting)
+    return built
+
+
 @pytest.mark.parametrize("outcome", ["return", "raise"])
 @pytest.mark.parametrize("in_sweep", [False, True], ids=["alone", "in-sweep"])
 def test_direct_reconstruction_never_writes_thread_streams(monkeypatch, in_sweep, outcome):
@@ -470,11 +483,15 @@ def test_direct_reconstruction_never_writes_thread_streams(monkeypatch, in_sweep
 
     class Watched(randgen._Streams):
         def __setattr__(self, name, value):
-            if name == "tables":
-                writes.append(value)
+            writes.append(name)
             super().__setattr__(name, value)
 
     monkeypatch.setattr(randgen, "_streams", Watched())
+    config = MeasurementConfig(HETERODYNE, 10, seed=9)
+    table = randgen._stream_tables({4: 3, 9: 2 * WIDE})[9]
+    if in_sweep:  # as a sweep hands it over: its master's rows of the sweep's one table
+        config = config._reseeded(config.seed, table=table)
+    built = _count_table_passes(monkeypatch)
     device = _RecordingDevice(WIDE)
     inner = device.inner.probe_and_measure
 
@@ -484,16 +501,14 @@ def test_direct_reconstruction_never_writes_thread_streams(monkeypatch, in_sweep
         return inner(probe, config)
 
     device.inner.probe_and_measure = probe_and_measure
-    with randgen._sweep_streams({4: 3}) if in_sweep else contextlib.nullcontext():
-        held = randgen._streams.tables
-        raising = pytest.raises(RuntimeError, match="injected")
-        with raising if outcome == "raise" else contextlib.nullcontext():
-            reconstruct_symplectic(device, 10.0, MeasurementConfig(HETERODYNE, 10, seed=9))
-        assert randgen._streams.tables is held
-        assert len(writes) == in_sweep  # the sweep's own entry only
-    assert len(writes) == 2 * in_sweep and randgen._streams.tables is None
+    raising = pytest.raises(RuntimeError, match="injected")
+    with raising if outcome == "raise" else contextlib.nullcontext():
+        reconstruct_symplectic(device, 10.0, config)
+    assert writes == ["generator"]  # made at the thread's first replay; no table is held
+    assert built == ([] if in_sweep else [{9: 2 * WIDE}])  # the carried rows, else its own pass
     assert len(device.configs) == (4 if outcome == "raise" else 2 * WIDE)
-    assert all(config._words is not None for config in device.configs)  # its own table pass
+    words = [config._words for config in device.configs]
+    assert words == table[1][: len(words)].tolist()  # either table has the same rows
 
 
 class _ZeroDevice(_RecordingDevice):
@@ -509,9 +524,11 @@ class _ZeroDevice(_RecordingDevice):
 @pytest.mark.parametrize("scheme, shots", [(HOMODYNE, 10), (HETERODYNE, 7)])
 def test_wide_setting_configs_draw_their_own_streams_in_any_order(scheme, shots, in_sweep):
     config = MeasurementConfig(scheme, shots, seed=2**40 + 9)
+    if in_sweep:  # its master's rows of a sweep's table
+        table = randgen._stream_tables({config.seed: 2 * WIDE})[config.seed]
+        config = config._reseeded(config.seed, table=table)
     device = _ZeroDevice(WIDE)
-    with randgen._sweep_streams({config.seed: 2 * WIDE}) if in_sweep else contextlib.nullcontext():
-        measure_attenuated_matrix(device, 10.0, config)  # reads every config, draws none
+    measure_attenuated_matrix(device, 10.0, config)  # reads every config, draws none
     assert len(device.configs) == 2 * WIDE
     state = evolve(device.inner.model, ProbeSpec(1, 3.0))
     for k, child in reversed(list(enumerate(device.configs))):
@@ -523,9 +540,7 @@ def test_wide_setting_configs_draw_their_own_streams_in_any_order(scheme, shots,
 
 
 def test_reconstruction_in_a_sweep_builds_no_second_table(monkeypatch):
-    built = []
-    stream_tables = randgen._stream_tables
-    monkeypatch.setattr(randgen, "_stream_tables", lambda s: built.append(s) or stream_tables(s))
+    built = _count_table_passes(monkeypatch)
     run_mode_scaling([WIDE], schemes=(HETERODYNE,), eta_list=(1.0,), shots=10, repetitions=2)
     assert len(built) == 1  # the sweep's own pass, which holds every reconstruction's master
     assert len(built[0]) == 2 and set(built[0].values()) == {2 * WIDE}
