@@ -16,6 +16,7 @@ symplectic and of determinant +1; on covariances as ``sigma -> S sigma S^T``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -227,8 +228,8 @@ def apply_uniform_loss(eta: float, state: GaussianState) -> GaussianState:
     Args:
         eta: power transmissivity, 0 < eta <= 1.
     """
-    if isinstance(eta, _BOOLS) or not 0 < eta <= 1:
-        raise ValueError(f"transmissivity must be in (0, 1], got {eta}")
+    if isinstance(eta, _BOOLS) or not isinstance(eta, numbers.Real) or not 0 < eta <= 1:
+        raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
     dim = state.mean.size
     return GaussianState(
         mean=np.sqrt(eta) * state.mean,
@@ -244,7 +245,7 @@ def scaled_frobenius(a: np.ndarray, b: np.ndarray, n_modes: int | None = None) -
     N x N complex matrix difference.
 
     Raises:
-        ValueError: on shape mismatch, or odd dimension with ``n_modes`` unset.
+        ValueError: on shape mismatch, odd dimension with ``n_modes`` unset, or bad ``n_modes``.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -256,7 +257,7 @@ def scaled_frobenius(a: np.ndarray, b: np.ndarray, n_modes: int | None = None) -
                 "n_modes must be given explicitly for matrices that are not 2N x 2N"
             )
         n_modes = a.shape[0] // 2
-    if n_modes < 1:
+    if _check_index(n_modes, "n_modes") < 1:
         raise ValueError("n_modes must be >= 1")
     return float(np.linalg.norm(a - b) / n_modes)
 

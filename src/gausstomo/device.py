@@ -25,9 +25,9 @@ each setting propagates only its mean.
 A setting's shots come from ``default_rng(config.seed)``, and the tomography
 layer sets that seed to ``derive_seed(master, k)`` for setting k, which
 defines the stream. In an experiment sweep or a reconstruction of many settings,
-the config also carries the stream's start words from a table derived before the
+the config also carries the stream's seeding words from a table derived before the
 first probe (a sweep's, whose rows each reconstruction's config carries), and the
-sampler replays them on a reused generator (:mod:`gausstomo.randgen`).
+sampler seeds a fresh generator from them (:mod:`gausstomo.randgen`).
 
 Sample means are reduced as the shots are drawn, in blocks of about 256 KiB,
 to the same bits as the mean of the full (shots, N) outcome array: NumPy sums
@@ -45,6 +45,7 @@ to 4096 values (32 KiB), zero-copy views above.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +109,9 @@ class MeasurementConfig:
         object.__setattr__(self, "seed", _check_seed(self.seed))
         if not self.analytic:
             shots = self.shots  # neither inf (analytic) nor NaN passes 1 <= shots
-            if isinstance(shots, _BOOLS) or not 1 <= shots or shots != int(shots):
-                raise ValueError("shots must be a positive integer or math.inf")
+            if (isinstance(shots, _BOOLS) or not isinstance(shots, numbers.Real)
+                    or not 1 <= shots or shots != int(shots)):
+                raise ValueError(f"shots must be a positive integer or math.inf, got {shots!r}")
             object.__setattr__(self, "shots", int(self.shots))
             if self.scheme == HOMODYNE and self.shots < 2:
                 raise ValueError("homodyne needs at least 2 shots to cover both quadratures")

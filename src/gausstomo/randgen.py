@@ -6,18 +6,18 @@ Seed streams for independent settings or repetitions are derived with
 :func:`derive_seed`, which hashes an index tuple through ``SeedSequence``
 and defines every stream. :func:`_setting_streams` gives each setting k of a
 reconstruction its child seed ``derive_seed(master, k)`` and, when a table
-derived them in one vectorised pass, its generator's start words. The table's
+derived them in one vectorised pass, its PCG64 seeding words. The table's
 rows for a master come from an experiment sweep, which derives one table for
 all its masters and hands each reconstruction its rows in its config; else a
 reconstruction of ``_TABLE_SETTINGS`` or more settings from a master below 2**64
-derives its own. The words travel with the setting's config and are replayed on
-the thread's one reused generator; any other seed takes ``default_rng``.
+derives its own. The words travel with the setting's config, and NumPy seeds a
+fresh PCG64 from them; any other seed takes ``default_rng``.
 """
 
 from __future__ import annotations
 
-import operator
-import threading
+import contextlib
+import functools
 
 import numpy as np
 
@@ -29,11 +29,9 @@ _TABLE_SETTINGS = 16  # settings from which one table pass beats native seeding 
 
 def _check_seed(seed) -> int:
     """Return a master seed as an int; it must be a non-negative integer, not a bool."""
-    try:
-        if _check_index(seed, "seed") >= 0:
-            return operator.index(seed)
-    except ValueError:
-        pass
+    with contextlib.suppress(ValueError):
+        if (index := _check_index(seed, "seed")) >= 0:
+            return index
     raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -75,15 +73,6 @@ def _words32(values: np.ndarray) -> np.ndarray:
     return values.astype("<u8").view("<u4").reshape(-1, 2).T
 
 
-class _Streams(threading.local):
-    """Each thread's reused generator, made at the thread's first replay."""
-
-    generator = None
-
-
-_streams = _Streams()
-
-
 def _stream_tables(settings: dict[int, int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """``{master: (children, words)}``: ``children[k] = derive_seed(master, k)`` for each
     ``k < settings[master]``, and ``words[k]`` that child's PCG64 seeding words
@@ -103,32 +92,38 @@ def _stream_tables(settings: dict[int, int]) -> dict[int, tuple[np.ndarray, np.n
 
 
 def _setting_streams(master: int, count: int, table: tuple | None = None
-                     ) -> list[tuple[int, list[int] | None]]:
+                     ) -> list[tuple[int, np.ndarray | None]]:
     """``(derive_seed(master, k), its PCG64 seeding words or None)`` for each ``k < count``:
     read from ``table``, ``master``'s rows of :func:`_stream_tables`, when it is given,
     else from a table pass of its own from ``_TABLE_SETTINGS`` settings on with a
     master below 2**64; any other setting's words are None."""
     if table is None and count >= _TABLE_SETTINGS and master < 2**64:
         table = _stream_tables({master: count})[master]
-    rows = (column[:count].tolist() for column in table) if table is not None else ([], [])
-    streams = list(zip(*rows))
+    streams = list(zip(table[0][:count].tolist(), table[1][:count])) if table is not None else []
     return streams + [(derive_seed(master, k), None) for k in range(len(streams), count)]
 
 
-def _stream(seed: int, words: list[int] | None) -> np.random.Generator:
-    """``default_rng(seed)``. Given ``seed``'s PCG64 seeding ``words`` it is the thread's
-    reused generator, set to the start state PCG64's ``srandom`` seeds from them; so
-    draw it out before the next call."""
+@functools.cache
+def _table_seed() -> type:
+    """An ``ISeedSequence`` whose ``generate_state(4, np.uint64)`` is a contiguous table row,
+    which PCG64 reads in place; made at first use, so import does not load ``numpy.random``."""
+
+    class TableSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return TableSeed
+
+
+def _stream(seed: int, words: np.ndarray | None) -> np.random.Generator:
+    """``default_rng(seed)``; given ``seed``'s PCG64 seeding ``words``, the same fresh
+    generator seeded from them, without deriving them again."""
     if words is None:
         return np.random.default_rng(seed)
-    w0, w1, w2, w3 = words
-    inc = (w2 << 65 | w3 << 1 | 1) % 2**128
-    state = ((inc + (w0 << 64 | w1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
-    if _streams.generator is None:
-        _streams.generator = np.random.Generator(np.random.PCG64(0))
-    _streams.generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                              "uinteger": 0, "state": {"state": state, "inc": inc}}
-    return _streams.generator
+    return np.random.Generator(np.random.PCG64(_table_seed()(words)))
 
 
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

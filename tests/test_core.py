@@ -282,6 +282,14 @@ def test_scaled_frobenius_needs_explicit_modes_for_odd_dim():
     )
 
 
+@pytest.mark.parametrize("n_modes", [True, np.True_, 1.5, 2.0, "2", 0])
+def test_scaled_frobenius_mode_count_is_an_integer_at_least_one(n_modes):
+    with pytest.raises(ValueError, match="n_modes must be"):
+        scaled_frobenius(np.eye(2), np.eye(2), n_modes=n_modes)
+    assert scaled_frobenius(np.eye(2), np.zeros((2, 2)), n_modes=np.int64(2)) == pytest.approx(
+        math.sqrt(2) / 2)
+
+
 def test_gaussian_state_validation():
     with pytest.raises(ValueError):
         GaussianState(mean=np.zeros(3), cov=np.eye(3))
@@ -398,3 +406,15 @@ def test_mode_count_must_be_an_integer(build, n):
 def test_a_bool_is_not_a_number(build, message, flag):
     with pytest.raises(ValueError, match=message):
         build(flag)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda value: MeasurementConfig(HETERODYNE, value), "shots must be a positive integer"),
+    (lambda value: DeviceModel(np.eye(2), eta=value), r"transmissivity must be in \(0, 1\]"),
+    (lambda value: apply_uniform_loss(value, vacuum_state(1)), "transmissivity must be in"),
+], ids=["shots", "device-eta", "loss-eta"])
+@pytest.mark.parametrize("value", ["3", "0.5", None, 1j], ids=["str", "str-float", "none",
+                                                              "complex"])
+def test_a_non_number_is_rejected_by_name(build, message, value):
+    with pytest.raises(ValueError, match=message):
+        build(value)

@@ -444,17 +444,10 @@ def test_sweep_issues_one_probe_per_setting(monkeypatch, sweep, settings, drawin
     assert len(calls) == settings
 
 
-def test_sweep_clears_its_streams_on_return_and_on_raise(monkeypatch):
-    writes = []
-
-    class Watched(randgen._Streams):
-        def __setattr__(self, name, value):
-            writes.append(name)
-            super().__setattr__(name, value)
-
-    monkeypatch.setattr(randgen, "_streams", Watched())
+def test_sweep_leaves_randgen_unchanged_on_return_and_on_raise(monkeypatch):
+    namespace = dict(vars(randgen))
     run_mode_scaling([2], schemes=(HETERODYNE,), eta_list=(1.0,), shots=10, repetitions=2)
-    assert writes == ["generator"]  # the thread's reused generator, and no table
+    assert vars(randgen) == namespace  # no name rebound or added
     seen = []
 
     def failing(device, amplitude, config):
@@ -465,7 +458,7 @@ def test_sweep_clears_its_streams_on_return_and_on_raise(monkeypatch):
     with pytest.raises(RuntimeError, match="injected"):
         run_mode_scaling([2], schemes=(HETERODYNE,), eta_list=(1.0,), shots=10, repetitions=2)
     assert seen[0]._table is not None  # the sweep's rows travel in the config
-    assert writes == ["generator"] and list(vars(randgen._streams)) == ["generator"]
+    assert vars(randgen) == namespace
 
 
 def test_sweep_built_config_draws_the_same_means_on_another_thread(monkeypatch):

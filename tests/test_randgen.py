@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gausstomo
 from gausstomo import DEFAULT_R_MAX, derive_seed, haar_unitary, is_symplectic, random_symplectic
 from gausstomo import randgen
 
@@ -116,7 +120,7 @@ def test_pinned_streams(master, k, child, state, inc):
     for seed, words in (from_sweep, own_table):
         assert seed == child and words is not None
         replayed = randgen._stream(seed, words)
-        assert replayed is randgen._streams.generator  # served by the reused generator
+        assert replayed is not randgen._stream(seed, words)  # a new generator at every call
         assert replayed.bit_generator.state["state"] == pcg
 
 
@@ -134,8 +138,9 @@ def test_sweep_streams_match_derive_seed_and_default_rng(settings_per_master):
         streams = randgen._setting_streams(master, count + 1, tables[master])
         for k, (child, words) in enumerate(streams[:count]):
             assert child == derive_seed(master, k)
+            assert words.shape == (4,) and np.shares_memory(words, word_rows)  # a row view
             replayed = randgen._stream(child, words)
-            assert replayed is randgen._streams.generator  # the reused generator
+            assert replayed is not randgen._stream(child, words)  # a new generator at every call
             native = np.random.default_rng(child)
             assert replayed.bit_generator.state == native.bit_generator.state
         # past the table: the native derivation
@@ -143,12 +148,10 @@ def test_sweep_streams_match_derive_seed_and_default_rng(settings_per_master):
 
 
 def test_stream_outside_a_sweep_is_a_fresh_generator():
-    # the thread state holds the reused generator only: no stream table travels in it
-    assert [name for name in vars(randgen._Streams) if not name.startswith("__")] == ["generator"]
     few = randgen._TABLE_SETTINGS - 1
     assert randgen._setting_streams(7, few) == [(derive_seed(7, k), None) for k in range(few)]
     fresh = randgen._stream(5, None)
-    assert fresh is not randgen._streams.generator
+    assert fresh is not randgen._stream(5, None)
     np.testing.assert_array_equal(fresh.standard_normal(4),
                                   np.random.default_rng(5).standard_normal(4))
 
@@ -158,23 +161,42 @@ def test_replayed_stream_restarts_at_every_read():
     expected = np.random.default_rng(child).standard_normal(8)
     [(seed, words)] = randgen._setting_streams(11, 1, randgen._stream_tables({11: 1})[11])
     assert seed == child and words is not None
-    for _ in range(2):
-        np.testing.assert_array_equal(randgen._stream(seed, words).standard_normal(8), expected)
+    replays = [randgen._stream(seed, words) for _ in range(2)]
+    assert replays[0] is not replays[1]
+    for replayed in replays:
+        np.testing.assert_array_equal(replayed.standard_normal(8), expected)
 
 
-def test_each_thread_makes_its_generator_at_its_first_replay():
+def test_table_streams_held_at_once_do_not_alias():
+    streams = randgen._setting_streams(3, randgen._TABLE_SETTINGS)
+    (s0, w0), (s1, w1) = streams[:2]
+    a, b = randgen._stream(s0, w0), randgen._stream(s1, w1)
+    assert a is not b
+    for held, seed in ((a, s0), (b, s1)):  # each draws its own seed's numbers
+        np.testing.assert_array_equal(held.standard_normal(8),
+                                      np.random.default_rng(seed).standard_normal(8))
+
+
+def test_package_keeps_no_thread_state():
+    modules = [module for name, module in sys.modules.items()
+               if name == "gausstomo" or name.startswith("gausstomo.")]
+    assert randgen in modules
+    for module in modules:
+        assert not any(isinstance(value, threading.local) for value in vars(module).values())
+    namespace = dict(vars(randgen))
     [(seed, words)] = randgen._setting_streams(3, randgen._TABLE_SETTINGS)[:1]
     seen = []
-
-    def replay():
-        seen.append(randgen._streams.generator)
-        seen.append(randgen._stream(seed, words))
-        seen.append(randgen._stream(seed, words))
-
-    thread = threading.Thread(target=replay)
+    thread = threading.Thread(target=lambda: seen.append(randgen._stream(seed, words)))
     thread.start()
     thread.join(timeout=30)
-    assert not thread.is_alive() and len(seen) == 3
-    assert seen[0] is None  # none before the thread's first replay
-    assert seen[1] is seen[2] and seen[1] is not randgen._streams.generator
-    assert seen[1].bit_generator.state == np.random.default_rng(seed).bit_generator.state
+    assert not thread.is_alive() and len(seen) == 1
+    assert seen[0].bit_generator.state == np.random.default_rng(seed).bit_generator.state
+    assert vars(randgen) == namespace  # no name rebound or added
+
+
+def test_import_does_not_load_numpy_random():
+    code = "import sys, gausstomo; print('numpy.random' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(gausstomo.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -479,19 +479,12 @@ def _count_table_passes(monkeypatch):
 @pytest.mark.parametrize("outcome", ["return", "raise"])
 @pytest.mark.parametrize("in_sweep", [False, True], ids=["alone", "in-sweep"])
 def test_direct_reconstruction_never_writes_thread_streams(monkeypatch, in_sweep, outcome):
-    writes = []
-
-    class Watched(randgen._Streams):
-        def __setattr__(self, name, value):
-            writes.append(name)
-            super().__setattr__(name, value)
-
-    monkeypatch.setattr(randgen, "_streams", Watched())
     config = MeasurementConfig(HETERODYNE, 10, seed=9)
     table = randgen._stream_tables({4: 3, 9: 2 * WIDE})[9]
     if in_sweep:  # as a sweep hands it over: its master's rows of the sweep's one table
         config = config._reseeded(config.seed, table=table)
     built = _count_table_passes(monkeypatch)
+    namespace = dict(vars(randgen))
     device = _RecordingDevice(WIDE)
     inner = device.inner.probe_and_measure
 
@@ -504,11 +497,13 @@ def test_direct_reconstruction_never_writes_thread_streams(monkeypatch, in_sweep
     raising = pytest.raises(RuntimeError, match="injected")
     with raising if outcome == "raise" else contextlib.nullcontext():
         reconstruct_symplectic(device, 10.0, config)
-    assert writes == ["generator"]  # made at the thread's first replay; no table is held
+    assert vars(randgen) == namespace  # no name rebound or added
     assert built == ([] if in_sweep else [{9: 2 * WIDE}])  # the carried rows, else its own pass
     assert len(device.configs) == (4 if outcome == "raise" else 2 * WIDE)
     words = [config._words for config in device.configs]
-    assert words == table[1][: len(words)].tolist()  # either table has the same rows
+    assert np.array_equal(words, table[1][: len(words)])  # either table has the same rows
+    if in_sweep:  # row views of the carried table, not copies
+        assert all(np.shares_memory(row, table[1]) for row in words)
 
 
 class _ZeroDevice(_RecordingDevice):
@@ -532,7 +527,7 @@ def test_wide_setting_configs_draw_their_own_streams_in_any_order(scheme, shots,
     assert len(device.configs) == 2 * WIDE
     state = evolve(device.inner.model, ProbeSpec(1, 3.0))
     for k, child in reversed(list(enumerate(device.configs))):
-        assert child._words is not None  # replayed on the thread's reused generator
+        assert child._words is not None  # a fresh generator seeded from the table's row
         want = measure(state, MeasurementConfig(scheme, shots, seed=derive_seed(config.seed, k)))
         got = measure(state, child)
         assert np.array_equal(got.x_means, want.x_means)
