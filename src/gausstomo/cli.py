@@ -22,6 +22,8 @@ import sys
 from . import __version__
 from .core import (
     NotPassiveError,
+    _check_fields,
+    _check_index,
     matrix_from_json,
     matrix_to_json,
     scaled_frobenius,
@@ -38,7 +40,7 @@ from .device import (
 )
 from . import experiments
 from .experiments import _write_atomic, write_csv
-from .randgen import DEFAULT_R_MAX, _check_seed, haar_unitary, random_symplectic
+from .randgen import DEFAULT_R_MAX, haar_unitary, random_symplectic
 from .tomography import (
     LossRecoveryError,
     detect_non_gaussian,
@@ -205,7 +207,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    seed = _check_seed(args.seed)
+    seed = _check_index(args.seed, "seed", 0)
     if args.kind == "symplectic":
         obj = matrix_to_json(
             random_symplectic(args.modes, r_max=args.r_max, seed=seed), "symplectic"
@@ -219,8 +221,7 @@ def _cmd_generate(args) -> int:
 def _load_device(path: str, loss: float | None) -> DeviceModel:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("device file must hold a JSON object")
+    _check_fields(obj, (), "device file")
     if "S" in obj:
         model = device_from_json(obj)
     else:

@@ -25,7 +25,7 @@ import numpy as np
 # Absolute entrywise tolerance for structural checks (symplectic, unitary).
 STRUCTURAL_TOL = 1e-9
 _SQRT2 = np.sqrt(2.0)  # of a coherent mean; a NumPy float, so its products keep NumPy types
-_BOOLS = (bool, np.bool_)  # no count, index, seed, shot budget or transmissivity is a bool
+_BOOLS = (bool, np.bool_)  # no count, index, seed or real input is a bool
 
 # Block asymmetry admitted when reading a unitary out of a reconstructed
 # (hence noisy) passive symplectic matrix.
@@ -74,8 +74,7 @@ def symplectic_form(n: int) -> np.ndarray:
     Args:
         n: number of modes, >= 1.
     """
-    if _check_index(n, "number of modes") < 1:
-        raise ValueError("number of modes must be >= 1")
+    _check_index(n, "number of modes", 1)
     eye = np.eye(n)
     zero = np.zeros((n, n))
     return np.block([[zero, eye], [-eye, zero]])
@@ -152,8 +151,7 @@ def extract_unitary(s: np.ndarray, tol: float = PASSIVE_BLOCK_TOL) -> np.ndarray
 
 def vacuum_state(n: int) -> GaussianState:
     """The n-mode vacuum: zero mean, identity covariance."""
-    if _check_index(n, "number of modes") < 1:
-        raise ValueError("number of modes must be >= 1")
+    _check_index(n, "number of modes", 1)
     return GaussianState(mean=np.zeros(2 * n), cov=np.eye(2 * n))
 
 
@@ -173,28 +171,44 @@ def coherent_probe_state(n: int, mode_j: int, amplitude: float, phase: float) ->
         ValueError: if ``mode_j`` is not an integer or out of range, or
             ``amplitude`` or ``phase`` is out of range or not finite.
     """
-    if _check_index(n, "number of modes") < 1:
-        raise ValueError("number of modes must be >= 1")
-    if _check_index(mode_j, "mode index") < 1:
-        raise ValueError(f"mode index {mode_j} out of range 1..{n}")
+    _check_index(n, "number of modes", 1)
+    _check_index(mode_j, "mode index", 1)
     _check_probe(amplitude, phase)
     return GaussianState(mean=_coherent_mean(n, mode_j, amplitude, phase), cov=np.eye(2 * n))
 
 
 def _check_probe(amplitude: float, phase: float) -> None:
     """A coherent probe's amplitude must be finite and >= 0, its phase finite."""
-    if not 0 <= amplitude < math.inf:
-        raise ValueError(f"probe amplitude must be finite and >= 0, got {amplitude}")
-    if not math.isfinite(phase):
-        raise ValueError(f"probe phase must be finite, got {phase}")
+    if not 0 <= _real(amplitude) < math.inf:
+        raise ValueError(f"probe amplitude must be finite and >= 0, got {amplitude!r}")
+    if not math.isfinite(_real(phase)):
+        raise ValueError(f"probe phase must be finite, got {phase!r}")
 
 
-def _check_index(index, name: str) -> int:
-    """Return an index as an int; it must be an integer (``operator.index``), not a bool."""
-    try:
-        return operator.index(None if isinstance(index, _BOOLS) else index)
+def _check_index(value, name: str, low: int) -> int:
+    """``value`` as an int: an integer (``operator.index``), not a bool, and >= ``low``."""
+    try:  # not contextlib.suppress: per probe, its object would cost several times the check
+        if (index := operator.index(None if isinstance(value, _BOOLS) else value)) >= low:
+            return index
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {index!r}") from None
+        pass
+    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _real(value):
+    """``value`` if it is a real number and not a bool, else NaN, which fails every range check."""
+    if isinstance(value, float):  # float and np.float64, before the slower ABC check
+        return value
+    return value if isinstance(value, numbers.Real) and not isinstance(value, _BOOLS) else math.nan
+
+
+def _check_fields(obj, fields: tuple[str, ...], what: str) -> None:
+    """A decoded JSON ``what`` must be an object holding every one of ``fields``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    for field in fields:
+        if field not in obj:
+            raise ValueError(f"{what} is missing field {field!r}")
 
 
 def _coherent_mean(n: int, mode_j: int, amplitude: float, phase: float, gain=1.0) -> np.ndarray:
@@ -228,7 +242,7 @@ def apply_uniform_loss(eta: float, state: GaussianState) -> GaussianState:
     Args:
         eta: power transmissivity, 0 < eta <= 1.
     """
-    if isinstance(eta, _BOOLS) or not isinstance(eta, numbers.Real) or not 0 < eta <= 1:
+    if not 0 < _real(eta) <= 1:
         raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
     dim = state.mean.size
     return GaussianState(
@@ -257,8 +271,7 @@ def scaled_frobenius(a: np.ndarray, b: np.ndarray, n_modes: int | None = None) -
                 "n_modes must be given explicitly for matrices that are not 2N x 2N"
             )
         n_modes = a.shape[0] // 2
-    if _check_index(n_modes, "n_modes") < 1:
-        raise ValueError("n_modes must be >= 1")
+    _check_index(n_modes, "n_modes", 1)
     return float(np.linalg.norm(a - b) / n_modes)
 
 
@@ -290,9 +303,7 @@ def matrix_to_json(a: np.ndarray, kind: str) -> dict:
 
 def matrix_from_json(obj: dict, expect_kind: str | None = None) -> np.ndarray:
     """Decode a dict produced by :func:`matrix_to_json`, checking its tags."""
-    for field in ("kind", "n_modes", "ordering", "data"):
-        if field not in obj:
-            raise ValueError(f"matrix JSON is missing field {field!r}")
+    _check_fields(obj, ("kind", "n_modes", "ordering", "data"), "matrix JSON")
     kind = obj["kind"]
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
@@ -301,7 +312,7 @@ def matrix_from_json(obj: dict, expect_kind: str | None = None) -> np.ndarray:
     if obj["ordering"] != ORDERING:
         raise ValueError(f"unsupported quadrature ordering {obj['ordering']!r}")
     a = np.asarray(obj["data"], dtype=float)
-    n = int(obj["n_modes"])
+    n = _check_index(obj["n_modes"], "n_modes", 1)
     if kind == "mean":
         expected = (2 * n,)
     elif kind in ("unitary-real", "unitary-imag"):
@@ -324,9 +335,7 @@ def unitary_to_json(u: np.ndarray) -> dict:
 
 def unitary_from_json(obj: dict) -> np.ndarray:
     """Decode a dict produced by :func:`unitary_to_json`."""
-    for field in ("real", "imag"):
-        if field not in obj:
-            raise ValueError(f"unitary JSON is missing field {field!r}")
+    _check_fields(obj, ("real", "imag"), "unitary JSON")
     re = matrix_from_json(obj["real"], expect_kind="unitary-real")
     im = matrix_from_json(obj["imag"], expect_kind="unitary-imag")
     if re.shape != im.shape:

@@ -45,7 +45,6 @@ to 4096 values (32 KiB), zero-copy views above.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +52,11 @@ import numpy as np
 from .core import (
     GaussianState,
     STRUCTURAL_TOL,
-    _BOOLS,
+    _check_fields,
     _check_index,
     _check_probe,
     _coherent_mean,
+    _real,
     apply_symplectic,
     apply_uniform_loss,
     is_symplectic,
@@ -64,7 +64,7 @@ from .core import (
     matrix_to_json,
     vacuum_state,
 )
-from .randgen import _check_seed, _stream
+from .randgen import _stream
 
 HOMODYNE = "homodyne"
 HETERODYNE = "heterodyne"
@@ -86,8 +86,7 @@ class ProbeSpec:
     phase: float = 0.0
 
     def __post_init__(self):
-        if _check_index(self.mode_j, "mode index") < 1:
-            raise ValueError("mode index must be >= 1")
+        _check_index(self.mode_j, "mode index", 1)
         _check_probe(self.amplitude, self.phase)
 
 
@@ -106,11 +105,10 @@ class MeasurementConfig:
 
     def __post_init__(self):
         _check_scheme(self.scheme)
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", _check_index(self.seed, "seed", 0))
         if not self.analytic:
             shots = self.shots  # neither inf (analytic) nor NaN passes 1 <= shots
-            if (isinstance(shots, _BOOLS) or not isinstance(shots, numbers.Real)
-                    or not 1 <= shots or shots != int(shots)):
+            if not 1 <= _real(shots) or shots != int(shots):
                 raise ValueError(f"shots must be a positive integer or math.inf, got {shots!r}")
             object.__setattr__(self, "shots", int(self.shots))
             if self.scheme == HOMODYNE and self.shots < 2:
@@ -173,8 +171,8 @@ class DeviceModel:
         if not is_symplectic(s, STRUCTURAL_TOL):
             raise ValueError("device matrix is not symplectic")
         if self.cubic_gamma is not None:
-            if not math.isfinite(self.cubic_gamma):
-                raise ValueError(f"cubic_gamma must be finite, got {self.cubic_gamma}")
+            if not math.isfinite(_real(self.cubic_gamma)):
+                raise ValueError(f"cubic_gamma must be finite, got {self.cubic_gamma!r}")
             if s.shape != (2, 2):
                 raise ValueError("cubic gate is only supported for single-mode devices")
         s.flags.writeable = False
@@ -258,11 +256,12 @@ def _block_factors(factors: tuple, m: int, scheme: str, kept: dict) -> tuple:
     contiguous copies while a block holds at most ``_CACHED_VALUES`` values,
     else zero-copy views."""
     rows = m if len(factors[0]) == 1 else min(m, max(1, _BLOCK_VALUES // factors[-1].size))
-    if kept.get(scheme, (0,))[0] != rows:
+    if (entry := kept.get(scheme, (0,)))[0] != rows:  # read once: other threads may write
         small = rows * factors[-1].size <= _CACHED_VALUES
-        kept[scheme] = (rows, tuple(np.repeat(f[None], rows, 0) if small
-                                    else np.broadcast_to(f, (rows, *f.shape)) for f in factors))
-    return kept[scheme][1]
+        entry = kept[scheme] = (rows, tuple(np.repeat(f[None], rows, 0) if small
+                                            else np.broadcast_to(f, (rows, *f.shape))
+                                            for f in factors))
+    return entry[1]
 
 
 def _draw_blocks(mean: np.ndarray, blocks: tuple, config: MeasurementConfig, m: int):
@@ -357,7 +356,8 @@ class SimulatedDevice:
 
     Tracks the number of settings issued and probes (shots) consumed, which
     lets experiments assert that competing schemes got equal budgets. The
-    counters are the only mutable state; use one instance per thread.
+    counters are not thread-safe, so use one instance per thread; the model may
+    be shared, as its block cache hands each lookup the entry it checked or built.
     """
 
     model: DeviceModel
@@ -393,12 +393,9 @@ def device_to_json(model: DeviceModel) -> dict:
 
 def device_from_json(obj: dict) -> DeviceModel:
     """Decode a dict produced by :func:`device_to_json`."""
-    for field in ("S", "eta"):
-        if field not in obj:
-            raise ValueError(f"device JSON is missing field {field!r}")
-    gamma = obj.get("cubic_gamma")
+    _check_fields(obj, ("S", "eta"), "device JSON")
     return DeviceModel(
         s=matrix_from_json(obj["S"], expect_kind="symplectic"),
-        eta=float(obj["eta"]),
-        cubic_gamma=None if gamma is None else float(gamma),
+        eta=obj["eta"],
+        cubic_gamma=obj.get("cubic_gamma"),
     )

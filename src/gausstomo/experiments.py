@@ -24,12 +24,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import NotPassiveError, _check_index, embed_unitary, scaled_frobenius
+from .core import NotPassiveError, _check_index, _real, embed_unitary, scaled_frobenius
 from .device import HETERODYNE, HOMODYNE, DeviceModel, MeasurementConfig, SCHEMES, SimulatedDevice
 from .device import _check_scheme
-from .randgen import (
-    DEFAULT_R_MAX, _check_seed, _stream_tables, derive_seed, haar_unitary, random_symplectic,
-)
+from .randgen import DEFAULT_R_MAX, _stream_tables, derive_seed, haar_unitary, random_symplectic
 from .tomography import (
     LossRecoveryError,
     _phase_error_elements,
@@ -74,17 +72,16 @@ def _record(experiment_id: str, errors: Sequence[float], dropped: int, **cell) -
 
 
 def _check_inputs(seed: int, amplitudes, schemes, **counts: Iterable[int]) -> None:
-    """Before the first probe, reject a seed that is not a non-negative integer,
-    an amplitude not finite and > 0, an unknown scheme and a count below 1."""
-    _check_seed(seed)
+    """Before the first probe, reject a seed that is not an integer >= 0, an
+    amplitude not finite and > 0, an unknown scheme and a count not an integer >= 1."""
+    _check_index(seed, "seed", 0)
     for amplitude in amplitudes:
         _probe_scale(amplitude)
     for scheme in schemes:
         _check_scheme(scheme)
     for name, values in counts.items():
         for value in values:
-            if _check_index(value, name) < 1:
-                raise ValueError(f"{name} must hold counts >= 1, got {value}")
+            _check_index(value, name, 1)
 
 
 def _sweep(
@@ -264,7 +261,7 @@ def run_phase_error_study(
     default grid is phi_max = 0.05 x 1, 10, 100, 1000, 10000 trials, 200
     repetitions each.
     """
-    if not 0 <= phi_max < math.pi / 4:
+    if not 0 <= _real(phi_max) < math.pi / 4:
         raise ValueError("phi_max must lie in [0, pi/4)")
     _check_inputs(seed, [amplitude], [], trials_list=trials_list, repetitions=[repetitions])
     s_true = random_symplectic(1, r_max=r_max, seed=derive_seed(seed, _DEV))

@@ -16,23 +16,14 @@ fresh PCG64 from them; any other seed takes ``default_rng``.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 
 import numpy as np
 
-from .core import _check_index, embed_unitary
+from .core import _check_index, _real, embed_unitary
 
 DEFAULT_R_MAX = 0.5
 _TABLE_SETTINGS = 16  # settings from which one table pass beats native seeding (ROADMAP aim 1)
-
-
-def _check_seed(seed) -> int:
-    """Return a master seed as an int; it must be a non-negative integer, not a bool."""
-    with contextlib.suppress(ValueError):
-        if (index := _check_index(seed, "seed")) >= 0:
-            return index
-    raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -145,8 +136,7 @@ def haar_unitary(n: int, seed: int | np.random.Generator | None = None) -> np.nd
     Returns:
         Complex n x n array, unitary to double precision.
     """
-    if _check_index(n, "number of modes") < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_index(n, "number of modes", 1)
     return _haar_unitary(n, np.random.default_rng(seed))
 
 
@@ -168,10 +158,9 @@ def random_symplectic(
         r_max: maximum squeezing magnitude, finite and >= 0.
         seed: integer seed or an existing ``numpy.random.Generator``.
     """
-    if _check_index(n, "number of modes") < 1:
-        raise ValueError("number of modes must be >= 1")
-    if not 0 <= r_max < np.inf:
-        raise ValueError(f"r_max must be finite and >= 0, got {r_max}")
+    _check_index(n, "number of modes", 1)
+    if not 0 <= _real(r_max) < np.inf:
+        raise ValueError(f"r_max must be finite and >= 0, got {r_max!r}")
     rng = np.random.default_rng(seed)
     k1 = embed_unitary(_haar_unitary(n, rng))
     r = rng.uniform(-r_max, r_max, size=n)

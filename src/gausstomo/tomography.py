@@ -26,7 +26,8 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from .core import STRUCTURAL_TOL, NotPassiveError, _check_even_square, _check_index, matrix_to_json
+from .core import (STRUCTURAL_TOL, NotPassiveError, _check_even_square, _check_index, _real,
+                   matrix_to_json)
 from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans
 from .randgen import _setting_streams
 
@@ -107,8 +108,8 @@ def estimate_eta(s_tilde: np.ndarray) -> float:
 
 def _probe_scale(amplitude: float) -> float:
     """``sqrt(2) * amplitude``: a measured mean over this is a matrix element."""
-    if not 0 < amplitude < math.inf:
-        raise ValueError(f"probe amplitude must be finite and > 0, got {amplitude}")
+    if not 0 < _real(amplitude) < math.inf:
+        raise ValueError(f"probe amplitude must be finite and > 0, got {amplitude!r}")
     return SQRT2 * amplitude
 
 
@@ -241,8 +242,8 @@ def _phase_error_elements(device: ProbeableDevice, i: int, j: int, amplitude: fl
     if not np.all(np.abs(np.asarray(phis, dtype=float)) < math.pi / 4):
         raise ValueError("phase error must satisfy |phi| < pi/4")
     n = device.n_modes
-    i, j = _check_index(i, "element index i"), _check_index(j, "element index j")
-    if not 1 <= i <= n or not 1 <= j <= n:
+    i, j = _check_index(i, "element index i", 1), _check_index(j, "element index j", 1)
+    if i > n or j > n:
         raise ValueError(f"element indices ({i}, {j}) out of range 1..{n}")
     probes = (ProbeSpec(j, amplitude, phi) for phi in phis)
     return [float(device.probe_and_measure(p, config).x_means[i - 1] / scale) for p in probes]
@@ -268,7 +269,7 @@ def reconstruct_element_with_phase_error(
         amplitude: coherent probe amplitude, finite and > 0.
         phi: phase-modulation error in radians, |phi| < pi/4.
     """
-    return _phase_error_elements(device, i, j, amplitude, [phi], config)[0]
+    return _phase_error_elements(device, i, j, amplitude, [_real(phi)], config)[0]
 
 
 def probe_ratios(
@@ -331,8 +332,8 @@ def detect_non_gaussian(
         raise ValueError("probe amplitudes must be distinct")
     if tol is None:
         tol = default_detection_tol(amplitudes, config)
-    elif not 0 <= tol < math.inf:
-        raise ValueError(f"detection tolerance must be finite and >= 0, got {tol}")
+    elif not 0 <= _real(tol) < math.inf:
+        raise ValueError(f"detection tolerance must be finite and >= 0, got {tol!r}")
     ratios = probe_ratios(device, amplitudes, config)
     spread = max(ratios) - min(ratios)
     return spread > tol, ratios

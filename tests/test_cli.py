@@ -137,6 +137,31 @@ def test_reconstruct_malformed_json(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: {**obj, "eta": None}, r"transmissivity must be in \(0, 1\], got None"),
+    (lambda obj: {**obj, "eta": True}, r"transmissivity must be in \(0, 1\], got True"),
+    (lambda obj: {**obj, "eta": "0.5"}, r"transmissivity must be in \(0, 1\], got '0\.5'"),
+    (lambda obj: {"S": obj["S"]}, "device JSON is missing field 'eta'"),
+    (lambda obj: {**obj, "cubic_gamma": "0.1"}, r"cubic_gamma must be finite, got '0\.1'"),
+    (lambda obj: {**obj, "S": 5}, "matrix JSON must be a JSON object, got int"),
+    (lambda obj: {**obj, "S": {**obj["S"], "n_modes": None}},
+     "n_modes must be an integer >= 1, got None"),
+    (lambda obj: {**obj, "S": {**obj["S"], "n_modes": 1.0}},
+     r"n_modes must be an integer >= 1, got 1\.0"),
+    (lambda obj: {**obj, "S": {"kind": "symplectic"}}, "matrix JSON is missing field 'n_modes'"),
+    (lambda obj: [obj], "device file must be a JSON object, got list"),
+], ids=["eta-null", "eta-bool", "eta-str", "eta-missing", "gamma-str", "S-number",
+        "n-modes-null", "n-modes-float", "S-fields-missing", "array"])
+def test_reconstruct_malformed_device_is_usage_error(tmp_path, capsys, edit, message):
+    dev, _ = write_device(tmp_path, n=1, seed=0)
+    dev.write_text(json.dumps(edit(json.loads(dev.read_text()))))
+    out = tmp_path / "recon.json"
+    code, stdout, err = run(["reconstruct", "--device", str(dev), "--out", str(out)], capsys)
+    assert code == 1 and stdout == "" and "Traceback" not in err
+    assert re.fullmatch(f"gausstomo: error: {message}\n", err)
+    assert list(tmp_path.iterdir()) == [dev]
+
+
 def test_reconstruct_missing_file(tmp_path, capsys):
     code, _, _ = run(["reconstruct", "--device", str(tmp_path / "nope.json")], capsys)
     assert code == 1
@@ -150,7 +175,7 @@ def test_reconstruct_numerical_failure_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed, message", [("1.5", "argument --seed: invalid int value"),
-                                           ("-2", "seed must be a non-negative integer")],
+                                           ("-2", "seed must be an integer >= 0, got -2")],
                          ids=["float", "negative"])
 @pytest.mark.parametrize("command", [
     "generate --kind unitary --modes 2 --out OUT",

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +21,15 @@ from gausstomo import (
     unitary_to_json,
     vacuum_state,
 )
-from gausstomo.device import HETERODYNE, DeviceModel, MeasurementConfig, ProbeSpec
-from gausstomo.experiments import run_phase_error_study
+from gausstomo.core import _real
+from gausstomo.device import HETERODYNE, DeviceModel, MeasurementConfig, ProbeSpec, SimulatedDevice
+from gausstomo.experiments import run_mode_scaling, run_phase_error_study
 from gausstomo.randgen import haar_unitary, random_symplectic
+from gausstomo.tomography import (
+    detect_non_gaussian,
+    reconstruct_element_with_phase_error,
+    reconstruct_symplectic,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -157,9 +164,10 @@ def test_coherent_probe_mode_placement():
     np.testing.assert_allclose(state.mean, [0.0, 3.0 * SQRT2, 0.0, 0.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("j", [0, 3])
-def test_coherent_probe_mode_out_of_range(j):
-    with pytest.raises(ValueError, match=f"mode index {j} out of range 1..2"):
+@pytest.mark.parametrize("j, message", [(0, "mode index must be an integer >= 1, got 0"),
+                                        (3, "mode index 3 out of range 1..2")], ids=["0", "3"])
+def test_coherent_probe_mode_out_of_range(j, message):
+    with pytest.raises(ValueError, match=message):
         coherent_probe_state(2, j, 1.0, 0.0)
 
 
@@ -393,28 +401,77 @@ def test_mode_count_must_be_an_integer(build, n):
     build(np.int64(2))  # a NumPy integer is a count
 
 
+def _device():
+    return SimulatedDevice(DeviceModel(np.eye(2)))
+
+
+def _runner_amplitude(value):
+    """A sweep with probe amplitude ``value``; issuing a probe fails the test."""
+    with mock.patch.object(SimulatedDevice, "probe_and_measure", side_effect=AssertionError):
+        run_mode_scaling([2], amplitude=value, shots=10, repetitions=1)
+
+
+# every site that takes a real number: a call with the value there, and its message
+_REAL_SITES = {
+    "probe-amplitude": (lambda v: ProbeSpec(1, v), "probe amplitude must be finite and >= 0"),
+    "probe-phase": (lambda v: ProbeSpec(1, 1.0, v), "probe phase must be finite"),
+    "state-amplitude": (lambda v: coherent_probe_state(1, 1, v, 0.0), "probe amplitude must be"),
+    "state-phase": (lambda v: coherent_probe_state(1, 1, 1.0, v), "probe phase must be finite"),
+    "r-max": (lambda v: random_symplectic(2, r_max=v), "r_max must be finite and >= 0"),
+    "reconstruction-amplitude": (
+        lambda v: reconstruct_symplectic(_device(), v, MeasurementConfig(HETERODYNE, 10)),
+        "probe amplitude must be finite and > 0"),
+    "cubic-gamma": (lambda v: DeviceModel(np.eye(2), cubic_gamma=v), "cubic_gamma must be finite"),
+    "tol": (lambda v: detect_non_gaussian(_device(), [1.0, 2.0], MeasurementConfig(HETERODYNE, 10),
+                                          tol=v), "detection tolerance must be finite and >= 0"),
+    "phi-max": (lambda v: run_phase_error_study(phi_max=v), r"phi_max must lie in \[0, pi/4\)"),
+    "phase-error-phi": (
+        lambda v: reconstruct_element_with_phase_error(
+            _device(), 1, 1, 1.0, v, MeasurementConfig(HETERODYNE, math.inf)),
+        r"phase error must satisfy \|phi\| < pi/4"),
+    "runner-amplitude": (_runner_amplitude, "probe amplitude must be finite and > 0"),
+}
+
+
 @pytest.mark.parametrize("build, message", [
     (random_symplectic, "number of modes must be an integer"),
     (lambda flag: ProbeSpec(flag, 1.0), "mode index must be an integer"),
     (lambda flag: run_phase_error_study(repetitions=flag), "repetitions must be an integer"),
     (lambda flag: MeasurementConfig(HETERODYNE, flag), "shots must be a positive integer"),
-    (lambda flag: MeasurementConfig(HETERODYNE, 10, seed=flag), "seed must be a non-negative"),
+    (lambda flag: MeasurementConfig(HETERODYNE, 10, seed=flag), "seed must be an integer >= 0"),
     (lambda flag: DeviceModel(np.eye(2), eta=flag), r"transmissivity must be in \(0, 1\]"),
     (lambda flag: apply_uniform_loss(flag, vacuum_state(1)), r"transmissivity must be in"),
-], ids=["modes", "mode-index", "repetitions", "shots", "seed", "device-eta", "loss-eta"])
+    *_REAL_SITES.values(),
+], ids=["modes", "mode-index", "repetitions", "shots", "seed", "device-eta", "loss-eta",
+        *_REAL_SITES])
 @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
 def test_a_bool_is_not_a_number(build, message, flag):
     with pytest.raises(ValueError, match=message):
         build(flag)
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda value: MeasurementConfig(HETERODYNE, value), "shots must be a positive integer"),
-    (lambda value: DeviceModel(np.eye(2), eta=value), r"transmissivity must be in \(0, 1\]"),
-    (lambda value: apply_uniform_loss(value, vacuum_state(1)), "transmissivity must be in"),
-], ids=["shots", "device-eta", "loss-eta"])
-@pytest.mark.parametrize("value", ["3", "0.5", None, 1j], ids=["str", "str-float", "none",
-                                                              "complex"])
+@pytest.mark.parametrize("build, message, value", [
+    pytest.param(build, message, value, id=f"{value_id}-{site}")
+    for site, (build, message) in {
+        "shots": (lambda value: MeasurementConfig(HETERODYNE, value),
+                  "shots must be a positive integer"),
+        "device-eta": (lambda value: DeviceModel(np.eye(2), eta=value),
+                       r"transmissivity must be in \(0, 1\]"),
+        "loss-eta": (lambda value: apply_uniform_loss(value, vacuum_state(1)),
+                     "transmissivity must be in"),
+        **_REAL_SITES,
+    }.items()
+    for value_id, value in {"str": "3", "str-float": "0.5", "none": None, "complex": 1j}.items()
+    if not (value is None and site in ("cubic-gamma", "tol"))  # None: no gate, default tol
+])
 def test_a_non_number_is_rejected_by_name(build, message, value):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as raised:
         build(value)
+    assert "got nan" not in str(raised.value)  # a message shows the value it was given
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(1), 1, 0.5])
+def test_numpy_and_python_reals_are_numbers(value):
+    assert _real(value) is value
+    ProbeSpec(1, value, value)
+    assert is_symplectic(random_symplectic(2, r_max=value, seed=0))

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 from unittest import mock
@@ -57,7 +58,7 @@ def test_probe_mode_above_device_rejected():
 
 @pytest.mark.parametrize("seed", [1.5, "7", -2])
 def test_measurement_config_rejects_bad_seed(seed):
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
         MeasurementConfig(scheme=HOMODYNE, shots=10, seed=seed)
 
 
@@ -383,6 +384,30 @@ def test_block_factors_die_with_their_model():
     # and no module-level container could hold another copy
     assert not [name for name, value in vars(device_module).items() if not name.startswith("__")
                 and (isinstance(value, (dict, list, set, np.ndarray)) or hasattr(value, "cache_info"))]
+
+
+def test_a_shared_model_hands_each_lookup_the_blocks_it_checked():
+    # another thread, drawing 4 shots, replaces the cached entry between this
+    # lookup's check and its use; at N = 1 heterodyne, blocks of 4 rows for 10
+    # shots would keep only the last block's sum, a wrong mean and no error
+    other = DeviceModel(np.eye(2))
+    SimulatedDevice(other).probe_and_measure(ProbeSpec(1, 1.0), MeasurementConfig(HETERODYNE, 4))
+
+    class Racing(dict):
+        """Every read returns the other thread's entry."""
+
+        def get(self, key, default=None):
+            return other._blocks[key]
+
+        __getitem__ = get
+
+    raced = DeviceModel(np.eye(2))
+    object.__setattr__(raced, "_blocks", Racing())
+    config = MeasurementConfig(HETERODYNE, 10, seed=5)
+    got = SimulatedDevice(raced).probe_and_measure(ProbeSpec(1, 1.0), config)
+    want = SimulatedDevice(DeviceModel(np.eye(2))).probe_and_measure(ProbeSpec(1, 1.0), config)
+    np.testing.assert_array_equal(got.x_means, want.x_means)
+    np.testing.assert_array_equal(got.p_means, want.p_means)
 
 
 def test_wide_model_keeps_no_block_data():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import threading
 
 import numpy as np
@@ -517,6 +518,6 @@ def test_runner_rejects_shot_budget_before_the_first_probe(monkeypatch, runner):
     ids=["mode", "unitary", "intensity", "phase"],
 )
 def test_runners_reject_bad_seed_before_any_probe(runner, seed, probe_count):
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
         runner(seed)
     assert probe_count == []
