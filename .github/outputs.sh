@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Write the CLI outputs whose bytes a change that keeps every answer must not
+# change, 24 files, into the directory OUTDIR:
+#   - 2 device files (generate, N = 3 and 16)
+#   - 12 reconstructions: N = 3 and 16 x both schemes x shots 3, 100 and inf
+#   - the four README experiments at reduced --reps: 4 CSV and 4 .meta.json files
+#   - 2 detect verdicts, analytic and at 100 shots
+# The package is imported from PYTHONPATH, which must be absolute, so that one
+# script can run against two trees and their outputs be compared with diff -r:
+#   PYTHONPATH="$PWD/src" .github/outputs.sh OUTDIR
+set -euo pipefail
+mkdir -p "$1"
+cd "$1"  # relative paths: each .meta.json records its invocation
+gt() { python -m gausstomo.cli "$@"; }
+
+for n in 3 16; do
+  gt generate --kind symplectic --modes "$n" --r-max 0.5 --seed 7 --out "s$n.json"
+  for scheme in homodyne heterodyne; do
+    for shots in 3 100 inf; do
+      gt reconstruct --device "s$n.json" --scheme "$scheme" --shots "$shots" \
+        --loss 0.5 --seed 0 --out "recon-$n-$scheme-$shots.json"
+    done
+  done
+done
+gt experiment mode-scaling --modes 2,4,8,12 --schemes homodyne,heterodyne \
+  --losses 0,0.5 --shots 100 --reps 3 --seed 41 --out modes.csv
+gt experiment unitary-scaling --modes 2,4,8 --schemes homodyne,heterodyne \
+  --shots 100 --reps 3 --seed 3 --out unitary.csv
+gt experiment intensity --amplitudes 10,31.62,100 --trials 1,10,100 \
+  --shots 100 --reps 2 --seed 1 --out intensity.csv
+gt experiment phase-error --phi-max 0.05 --trials 1,10,100,1000 \
+  --reps 3 --seed 2 --out phase.csv
+gt detect --gamma 0.1 --amplitudes 1,2 --shots inf > detect-inf.txt
+gt detect --gamma 0.1 --amplitudes 1,2,3 --shots 100 --seed 5 > detect-100.txt

@@ -29,17 +29,21 @@ the config also carries the stream's seeding words from a table derived before t
 first probe (a sweep's, whose rows each reconstruction's config carries), and the
 sampler seeds a fresh generator from them (:mod:`gausstomo.randgen`).
 
-Sample means are reduced as the shots are drawn, in blocks of about 256 KiB,
-to the same bits as the mean of the full (shots, N) outcome array: NumPy sums
-that array row by row, which a running sum carried across blocks continues,
-but a single column (N = 1) pairwise, so there one block spans every shot and
-each column is summed alone. A heterodyne block is one (shots, N, 2) array of
-joint shots, X and P on the last axis. A block is formed by two passes over its
-full width, ``z *= scale`` and ``z += loc``: ``scale`` holds the sampling factors
-broadcast to the block, ``loc`` the mean plus, in heterodyne P, ``l21 z0``. IEEE
-addition commutes, so ``l22 z1 + (l21 z0 + mp)`` is the unblocked ``(mp + l21 z0)
-+ l22 z1`` bit for bit. A model keeps each scheme's broadcast factors: copies up
-to 4096 values (32 KiB), zero-copy views above.
+:func:`sample_quadratures` draws a setting's raw outcomes in closed form: one
+``rng.normal`` call per homodyne quadrature, X first; for heterodyne one
+(shots, N, 2) standard-normal draw, mapped by each mode's Cholesky factor.
+:func:`measure` and :meth:`SimulatedDevice.probe_and_measure` both return the
+means of those outcomes through one sampler that never holds them: it draws the
+same normals in blocks of about 256 KiB and reduces each block as it is drawn,
+to the same bits. NumPy sums a (shots, N) array row by row, which a running sum
+carried across blocks continues, but a single column (N = 1) pairwise, so there
+one block spans every shot and each column is summed alone. A block is formed
+by two passes over its full width, ``z *= scale`` and ``z += loc``: ``scale``
+holds the factors broadcast to the block, ``loc`` the mean plus, in heterodyne
+P, ``l21 z0``. IEEE addition commutes, so ``l22 z1 + (l21 z0 + mp)`` is the
+closed form's ``(mp + l21 z0) + l22 z1`` bit for bit. A model keeps each
+scheme's broadcast factors: copies up to 4096 values (32 KiB), zero-copy views
+above.
 """
 
 from __future__ import annotations
@@ -94,9 +98,9 @@ class ProbeSpec:
 class MeasurementConfig:
     """Measurement scheme, shot budget and RNG seed.
 
-    ``shots`` is a positive integer, or ``math.inf`` for the analytic
-    (exact-mean) backend. Homodyne splits the budget between X and P, so it
-    needs at least 2 shots.
+    ``shots`` is a positive integer up to 2**53, or ``math.inf`` for the
+    analytic (exact-mean) backend. Homodyne splits the budget between X and P,
+    so it needs at least 2 shots.
     """
 
     scheme: str
@@ -108,8 +112,10 @@ class MeasurementConfig:
         object.__setattr__(self, "seed", _check_index(self.seed, "seed", 0))
         if not self.analytic:
             shots = self.shots  # neither inf (analytic) nor NaN passes 1 <= shots
-            if not 1 <= _real(shots) or shots != int(shots):
-                raise ValueError(f"shots must be a positive integer or math.inf, got {shots!r}")
+            # up to 2**53 shots a mean's divisor ``sums / m`` is exact in float64
+            if not 1 <= _real(shots) <= 2**53 or shots != int(shots):
+                raise ValueError(
+                    f"shots must be a positive integer <= 2**53 or math.inf, got {shots!r}")
             object.__setattr__(self, "shots", int(self.shots))
             if self.scheme == HOMODYNE and self.shots < 2:
                 raise ValueError("homodyne needs at least 2 shots to cover both quadratures")
@@ -179,7 +185,8 @@ class DeviceModel:
         object.__setattr__(self, "s", s)
         cov = apply_symplectic(s, apply_uniform_loss(self.eta, vacuum_state(self.n_modes))).cov
         object.__setattr__(self, "_cov", cov)
-        object.__setattr__(self, "_factors", _draw_factors(cov))
+        factors = {scheme: _draw_factors(cov, scheme) for scheme in SCHEMES}
+        object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_sqrt_eta", np.sqrt(self.eta))
 
     @property
@@ -219,9 +226,10 @@ def evolve(model: DeviceModel, probe: ProbeSpec) -> GaussianState:
     return GaussianState(mean=_output_mean(model, probe), cov=model._cov)
 
 
-def _sampling_factors(cov: np.ndarray, scheme: str) -> tuple[np.ndarray, ...]:
-    """Per-mode homodyne X and P standard deviations, or heterodyne Cholesky
-    factors (l11, l21, l22) of each mode's (block + I)/2."""
+def _draw_factors(cov: np.ndarray, scheme: str) -> tuple[np.ndarray, ...]:
+    """Per-mode factors of a scheme's draws: homodyne X and P standard deviations;
+    heterodyne ``l21`` and the (N, 2) stack of ``l11, l22``, the Cholesky factors
+    (l11, l21, l22) of each mode's (block + I)/2."""
     n = cov.shape[0] // 2
     xx = np.diagonal(cov[:n, :n])
     pp = np.diagonal(cov[n:, n:])
@@ -234,14 +242,7 @@ def _sampling_factors(cov: np.ndarray, scheme: str) -> tuple[np.ndarray, ...]:
     b = xp / 2.0
     d = (pp + 1.0) / 2.0
     l11 = np.sqrt(a)
-    return l11, b / l11, np.sqrt(d - b * b / a)
-
-
-def _draw_factors(cov: np.ndarray) -> dict:
-    """Each scheme's factors for :func:`_draw_blocks`: homodyne X and P standard
-    deviations; heterodyne ``l21`` and the (N, 2) stack of ``l11, l22``."""
-    l11, l21, l22 = _sampling_factors(cov, HETERODYNE)
-    return {HOMODYNE: _sampling_factors(cov, HOMODYNE), HETERODYNE: (l21, np.stack((l11, l22), 1))}
+    return b / l11, np.stack((l11, np.sqrt(d - b * b / a)), 1)
 
 
 # float64 outcomes per block of the mean reduction: 256 KiB stay in cache from draw to sum
@@ -264,54 +265,44 @@ def _block_factors(factors: tuple, m: int, scheme: str, kept: dict) -> tuple:
     return entry[1]
 
 
-def _draw_blocks(mean: np.ndarray, blocks: tuple, config: MeasurementConfig, m: int):
-    """Draw ``m`` outcomes per quadrature in blocks shaped like ``blocks``, in stream order.
-
-    Yields ``(q, buf)``: ``buf[1:]`` holds a block's outcomes, row 0 is scratch
-    for the caller. Homodyne yields (k, N) blocks of X (q = 0), all before
-    those of P (q = 1); heterodyne yields (k, N, 2) blocks of joint shots
-    (q = 0), X and P on the last axis. Each block is ``z * scale + loc``, which
-    for homodyne is ``rng.normal(loc, scale)`` bit for bit.
-    """
-    n, rows = mean.size // 2, len(blocks[0])
-    rng = _stream(config.seed, config._words)
-    mx, mp = mean[:n], mean[n:]
-    if config.scheme == HOMODYNE:
-        for q, (loc, scale) in enumerate(zip((mx, mp), blocks)):
-            buf = np.empty((rows + 1, n))
-            for start in range(0, m, rows):
-                z = rng.standard_normal(out=buf[1 : min(rows, m - start) + 1])
-                z *= scale[: len(z)]
-                z += loc
-                yield q, buf[: len(z) + 1]
-        return
-    l21, scale = blocks
-    buf, loc, tmp = np.empty((rows + 1, n, 2)), np.empty((rows, n, 2)), np.empty((rows, n))
-    loc[:, :, 0] = mx
-    for start in range(0, m, rows):
-        k = min(rows, m - start)
-        z = rng.standard_normal(out=buf[1 : k + 1])
-        t = np.multiply(z[:, :, 0], l21[:k], out=tmp[:k])
-        t += mp
-        loc[:k, :, 1] = t
-        z *= scale[:k]
-        z += loc[:k]  # l22 z1 + (l21 z0 + mp): the unblocked (mp + l21 z0) + l22 z1, commuted
-        yield 0, buf[: k + 1]
-
-
-def _sample_means(mean: np.ndarray, blocks: tuple, config: MeasurementConfig, m: int):
-    """The means of ``m`` shots per quadrature, drawn with the block factors ``blocks``."""
+def _measure(mean: np.ndarray, m: int, config: MeasurementConfig, factors: dict,
+             kept: dict) -> QuadratureSampleMeans:
+    """The X and P means of ``m`` shots per quadrature around the output ``mean``,
+    drawn with ``factors[config.scheme]`` broadcast to blocks kept in ``kept``
+    (:func:`_block_factors`); views of ``mean`` itself when ``m`` is 0 (analytic)."""
     n = mean.size // 2
-    sums = [None, None]
-    for q, buf in _draw_blocks(mean, blocks, config, m):
-        if n == 1 and config.scheme == HETERODYNE:  # one block; each column is summed pairwise
-            sums[q] = np.array([[buf[1:, 0, 0].sum(), buf[1:, 0, 1].sum()]])
-        elif sums[q] is None:
-            sums[q] = np.add.reduce(buf[1:], axis=0)
-        else:
-            buf[0] = sums[q]  # the running sum goes in row 0 of the next block
-            sums[q] = np.add.reduce(buf, axis=0)
-    x, p = (sums[0] / m, sums[1] / m) if config.scheme == HOMODYNE else (sums[0] / m).T
+    if not m:
+        return QuadratureSampleMeans(mean[:n], mean[n:], m)
+    scheme, mx, mp = config.scheme, mean[:n], mean[n:]
+    blocks = _block_factors(factors[scheme], m, scheme, kept)
+    rows, rng = len(blocks[0]), _stream(config.seed, config._words)
+    if scheme == HOMODYNE:  # all X blocks, then all P; a (1, N) loc stays whole in loc[:k]
+        passes = zip((mx[None], mp[None]), blocks)
+    else:  # one pass of joint shots; P's loc is filled per block
+        (l21, scale), tmp, loc = blocks, np.empty((rows, n)), np.empty((rows, n, 2))
+        loc[:, :, 0] = mx
+        passes = [(loc, scale)]
+    sums = []
+    for loc, scale in passes:
+        buf, total = np.empty((rows + 1, *scale.shape[1:])), None
+        for start in range(0, m, rows):
+            k = min(rows, m - start)
+            z = rng.standard_normal(out=buf[1 : k + 1])
+            if scheme == HETERODYNE:
+                t = np.multiply(z[:, :, 0], l21[:k], out=tmp[:k])
+                t += mp
+                loc[:k, :, 1] = t
+            z *= scale[:k]
+            z += loc[:k]  # heterodyne P: l22 z1 + (l21 z0 + mp), the closed form commuted
+            if n == 1 and scheme == HETERODYNE:  # one block; each column is summed pairwise
+                total = np.array([[z[:, 0, 0].sum(), z[:, 0, 1].sum()]])
+            elif total is None:
+                total = np.add.reduce(z, axis=0)
+            else:
+                buf[0] = total  # the running sum goes in row 0, ahead of the block's shots
+                total = np.add.reduce(buf[: k + 1], axis=0)
+        sums.append(total / m)
+    x, p = sums if scheme == HOMODYNE else sums[0].T
     return QuadratureSampleMeans(x, p, m)
 
 
@@ -321,20 +312,26 @@ def sample_quadratures(
     """Draw raw quadrature outcomes; arrays of shape (shots_used_per_quadrature, N).
 
     Homodyne outcomes for X and P come from disjoint halves of the shot
-    budget, with variance ``sigma_ii / 2``; heterodyne X and P columns belong
-    to the same joint shots, sampled from each mode's ``(block + I) / 2``.
+    budget, with variance ``sigma_ii / 2``: one ``rng.normal`` call each, X
+    first. Heterodyne X and P columns belong to the same joint shots, sampled
+    from each mode's ``(block + I) / 2``: one (shots, N, 2) standard-normal
+    draw and each mode's Cholesky map. :func:`measure` returns these
+    outcomes' means, bit for bit, without holding them.
 
     Raises:
         ValueError: for the analytic backend (no outcomes to draw).
     """
     if config.analytic:
         raise ValueError("analytic backend has no sample outcomes; use measure()")
-    m = config.shots_per_quadrature
-    factors = _draw_factors(state.cov)[config.scheme]
-    blocks = tuple(np.broadcast_to(f, (m, *f.shape)) for f in factors)  # one block of every shot
-    outcomes = [buf[1:] for _, buf in _draw_blocks(state.mean, blocks, config, m)]
-    x, p = outcomes if config.scheme == HOMODYNE else np.moveaxis(outcomes[0], -1, 0)
-    return x, p
+    n, m = state.mean.size // 2, config.shots_per_quadrature
+    mx, mp = state.mean[:n], state.mean[n:]
+    rng = _stream(config.seed, config._words)
+    if config.scheme == HOMODYNE:
+        sx, sp = _draw_factors(state.cov, HOMODYNE)
+        return rng.normal(mx, sx, (m, n)), rng.normal(mp, sp, (m, n))
+    l21, scale = _draw_factors(state.cov, HETERODYNE)
+    z = rng.standard_normal((m, n, 2))
+    return mx + scale[:, 0] * z[:, :, 0], (mp + l21 * z[:, :, 0]) + scale[:, 1] * z[:, :, 1]
 
 
 def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSampleMeans:
@@ -343,11 +340,9 @@ def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSample
     Returns exact means for the analytic backend, otherwise the sample means
     of :func:`sample_quadratures`.
     """
-    m, scheme = config.shots_per_quadrature, config.scheme
-    if not m:
-        return QuadratureSampleMeans(*np.split(state.mean.copy(), 2), m)
-    blocks = _block_factors(_draw_factors(state.cov)[scheme], m, scheme, {})
-    return _sample_means(state.mean, blocks, config, m)
+    scheme = config.scheme
+    return _measure(state.mean.copy(), config.shots_per_quadrature, config,
+                    {scheme: _draw_factors(state.cov, scheme)}, {})
 
 
 @dataclass
@@ -371,15 +366,12 @@ class SimulatedDevice:
     def probe_and_measure(
         self, probe: ProbeSpec, config: MeasurementConfig
     ) -> QuadratureSampleMeans:
-        mean = _output_mean(self.model, probe)
-        m, n, scheme = config.shots_per_quadrature, self.model.n_modes, config.scheme
+        mean = _output_mean(self.model, probe)  # fresh: the analytic means are views of it
+        m = config.shots_per_quadrature
         self.settings_used += 1
-        if not m:  # analytic: views of this setting's own fresh mean
-            return QuadratureSampleMeans(mean[:n], mean[n:], m)
-        # one probe per homodyne single-quadrature outcome or heterodyne shot
-        self.probes_used += m * (2 if scheme == HOMODYNE else 1)
-        blocks = _block_factors(self.model._factors[scheme], m, scheme, self.model._blocks)
-        return _sample_means(mean, blocks, config, m)
+        # one probe per homodyne single-quadrature outcome or heterodyne shot, none analytic
+        self.probes_used += m * (2 if config.scheme == HOMODYNE else 1)
+        return _measure(mean, m, config, self.model._factors, self.model._blocks)
 
 
 def device_to_json(model: DeviceModel) -> dict:

@@ -11,7 +11,9 @@ Passive (linear-optical) devices need only the real-amplitude probes: the
 upper and lower halves of each measured column are the real and (negated)
 imaginary parts of one unitary column, halving the number of settings.
 
-A reconstruction issues its settings in order; setting k's config carries its
+A reconstruction issues its settings in order and gathers their means in one
+(2N, K) array: column k holds setting k's X means over its P means, and each
+reconstruction reads its matrix off that array. Setting k's config carries its
 own seed stream ``derive_seed(master, k)``, read from the table rows a sweep's config
 carries if any (:func:`gausstomo.randgen._setting_streams`), so no setting depends on
 another's draws. A phase-error scan checks its inputs once, then issues one setting
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -114,14 +116,19 @@ def _probe_scale(amplitude: float) -> float:
 
 
 def _probe_settings(device: ProbeableDevice, probes: list[ProbeSpec],
-                    config: MeasurementConfig) -> Iterator[QuadratureSampleMeans]:
-    """Issue the probe settings in order and yield each one's means; setting k gets
-    its own seed stream ``derive_seed(config.seed, k)``, carried in its config (the
-    checked ``config`` reseeded, from its table rows if any): they could run concurrently."""
+                    config: MeasurementConfig) -> np.ndarray:
+    """Issue the probe settings in order; returns the (2N, K) array whose column k
+    holds setting k's X means over its P means. Setting k gets its own seed stream
+    ``derive_seed(config.seed, k)``, carried in its config (the checked ``config``
+    reseeded, from its table rows if any): the settings could run concurrently."""
     settings = [config] * len(probes) if config.analytic else [config._reseeded(*stream)
         for stream in _setting_streams(config.seed, len(probes), config._table)]
-    for probe, setting in zip(probes, settings):
-        yield device.probe_and_measure(probe, setting)
+    n = device.n_modes
+    means = np.empty((2 * n, len(probes)))
+    for k, (probe, setting) in enumerate(zip(probes, settings)):
+        got = device.probe_and_measure(probe, setting)
+        means[:n, k], means[n:, k] = got.x_means, got.p_means
+    return means
 
 
 def _mean_stderr(config: MeasurementConfig) -> float:
@@ -147,17 +154,13 @@ def measure_attenuated_matrix(
         ValueError: amplitude not finite and > 0.
     """
     scale = _probe_scale(amplitude)
-    n = device.n_modes
     probes = [
         ProbeSpec(mode_j=j, amplitude=amplitude, phase=phase)
-        for j in range(1, n + 1)
+        for j in range(1, device.n_modes + 1)
         for phase in (0.0, math.pi / 2.0)
     ]
-    s_tilde = np.zeros((2 * n, 2 * n))
-    for probe, means in zip(probes, _probe_settings(device, probes, config)):
-        col = probe.mode_j - 1 + (n if probe.phase else 0)
-        s_tilde[:n, col] = means.x_means
-        s_tilde[n:, col] = means.p_means
+    means = _probe_settings(device, probes, config)
+    s_tilde = np.hstack((means[:, 0::2], means[:, 1::2]))  # phase 0 columns, then pi/2
     s_tilde /= scale  # elementwise: the bits of dividing each mean
     return s_tilde
 
@@ -212,9 +215,8 @@ def reconstruct_unitary(
     scale = _probe_scale(amplitude)
     n = device.n_modes
     probes = [ProbeSpec(mode_j=j, amplitude=amplitude, phase=0.0) for j in range(1, n + 1)]
-    u_tilde = np.zeros((n, n), dtype=complex)
-    for col, means in enumerate(_probe_settings(device, probes, config)):
-        u_tilde[:, col] = means.x_means / scale - 1j * means.p_means / scale
+    means = _probe_settings(device, probes, config)
+    u_tilde = means[:n] / scale - 1j * means[n:] / scale
 
     # a vanishing determinant has log -inf and recovers eta_hat = 0
     _, logabsdet = np.linalg.slogdet(u_tilde)
@@ -282,17 +284,16 @@ def probe_ratios(
     dynamics beyond the Gaussian regime.
 
     Raises:
-        ValueError: an amplitude not finite and > 0, or one whose ratio is
-            not finite (the output mean overflowed).
+        ValueError: an amplitude not finite and > 0, before any probe; or,
+            once every amplitude has been probed, the first amplitude whose
+            ratio is not finite (the output mean overflowed).
     """
     scales = [_probe_scale(amp) for amp in amplitudes]
     probes = [ProbeSpec(mode_j=1, amplitude=amp, phase=0.0) for amp in amplitudes]
-    ratios = []
-    for amp, scale, means in zip(amplitudes, scales, _probe_settings(device, probes, config)):
-        ratio = float(means.p_means[0] / scale)
+    ratios = (_probe_settings(device, probes, config)[device.n_modes] / scales).tolist()
+    for amp, ratio in zip(amplitudes, ratios):
         if not math.isfinite(ratio):
             raise ValueError(f"probe amplitude {amp} gives a non-finite ratio {ratio}")
-        ratios.append(ratio)
     return ratios
 
 
@@ -328,6 +329,8 @@ def detect_non_gaussian(
     """
     if len(amplitudes) < 2:
         raise ValueError("need at least two probe amplitudes")
+    for amplitude in amplitudes:  # each is a number before it is compared
+        _probe_scale(amplitude)
     if len(set(float(a) for a in amplitudes)) != len(amplitudes):
         raise ValueError("probe amplitudes must be distinct")
     if tol is None:

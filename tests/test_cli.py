@@ -2,12 +2,14 @@ import json
 import math
 import re
 import shlex
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gausstomo import (
+    SimulatedDevice,
     extract_unitary,
     is_symplectic,
     matrix_from_json,
@@ -199,6 +201,24 @@ def test_bad_shots_value(tmp_path, capsys):
     dev, _ = write_device(tmp_path, n=1, seed=0)
     code, _, _ = run(["reconstruct", "--device", str(dev), "--shots", "zero"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("command", [
+    "reconstruct --device DEV --scheme homodyne --shots SHOTS --out OUT",
+    "experiment mode-scaling --modes 2 --reps 1 --shots SHOTS --out OUT",
+], ids=["reconstruct", "mode-scaling"])
+def test_shot_budget_above_2_to_the_53_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    # a probe would draw for ever: issuing one fails the test
+    monkeypatch.setattr(SimulatedDevice, "probe_and_measure", mock.Mock(side_effect=AssertionError))
+    dev, _ = write_device(tmp_path, n=1, seed=0)
+    shots = "100000000000000000000000"
+    argv = [str({"DEV": dev, "OUT": tmp_path / "out.csv", "SHOTS": shots}.get(word, word))
+            for word in command.split()]
+    code, stdout, err = run(argv, capsys)
+    assert code == 1 and stdout == ""
+    assert err == f"gausstomo: error: shots must be a positive integer <= 2**53 or math.inf, " \
+                  f"got {shots}\n"
+    assert list(tmp_path.iterdir()) == [dev]
 
 
 def test_bad_loss_value(tmp_path, capsys):

@@ -430,6 +430,9 @@ _REAL_SITES = {
             _device(), 1, 1, 1.0, v, MeasurementConfig(HETERODYNE, math.inf)),
         r"phase error must satisfy \|phi\| < pi/4"),
     "runner-amplitude": (_runner_amplitude, "probe amplitude must be finite and > 0"),
+    "detect-amplitude": (
+        lambda v: detect_non_gaussian(_device(), [v, 1.0], MeasurementConfig(HETERODYNE, 10)),
+        "probe amplitude must be finite and > 0"),
 }
 
 

@@ -259,6 +259,18 @@ def test_measurement_config_rejects_bad_shots(shots):
         MeasurementConfig(scheme=HETERODYNE, shots=shots)
 
 
+@pytest.mark.parametrize("scheme", [HOMODYNE, HETERODYNE])
+def test_shot_budget_is_at_most_2_to_the_53(scheme):
+    # up to 2**53 shots a mean's divisor is exact in float64; a larger budget
+    # would keep a setting drawing for ever instead of being rejected
+    assert MeasurementConfig(scheme, 2**53).shots == 2**53
+    assert MeasurementConfig(scheme, 2.0**53).shots == 2**53
+    for shots in (2**53 + 1, 1e300, 10**400):
+        with pytest.raises(ValueError, match=re.escape(
+                f"shots must be a positive integer <= 2**53 or math.inf, got {shots!r}")):
+            MeasurementConfig(scheme, shots)
+
+
 def test_measurement_config_homodyne_budget_checked_at_construction():
     with pytest.raises(ValueError):
         MeasurementConfig(scheme=HOMODYNE, shots=1)

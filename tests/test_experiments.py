@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -504,6 +505,19 @@ def test_runner_rejects_shot_budget_before_the_first_probe(monkeypatch, runner):
     with pytest.raises(ValueError, match="at least 2 shots"):
         runner([2], schemes=[HETERODYNE, HOMODYNE], shots=1, repetitions=1)
     assert calls == []  # the heterodyne cell's settings were not issued first
+
+
+@pytest.mark.parametrize("shots", [2**53 + 1, 1e300], ids=["2^53+1", "1e300"])
+@pytest.mark.parametrize("runner", [run_mode_scaling, run_unitary_scaling],
+                         ids=["mode", "unitary"])
+def test_runner_rejects_a_shot_budget_above_2_to_the_53_before_any_probe(monkeypatch, runner,
+                                                                         shots):
+    # a probe would draw for ever: issuing one fails the test
+    monkeypatch.setattr(SimulatedDevice, "probe_and_measure", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValueError, match="shots must be a positive integer <= 2"):
+        runner([2], shots=shots, repetitions=1)
+    with pytest.raises(ValueError, match="shots must be a positive integer <= 2"):
+        run_intensity_scaling([10.0], [1], shots=shots, repetitions=1)
 
 
 @pytest.mark.parametrize("seed", [1.5, "7", -2])

@@ -31,13 +31,14 @@ from gausstomo import (
     haar_unitary,
     measure,
     measure_attenuated_matrix,
+    probe_ratios,
     random_symplectic,
     reconstruct_symplectic,
     reconstruct_unitary,
     sample_quadratures,
     scaled_frobenius,
 )
-from gausstomo.device import _CACHED_VALUES, _block_factors, _sampling_factors
+from gausstomo.device import _CACHED_VALUES, _block_factors, _draw_factors
 from gausstomo import randgen
 from gausstomo.randgen import _TABLE_SETTINGS
 
@@ -112,12 +113,12 @@ def _unblocked_outcomes(state, config):
     affine map of each mode's Cholesky factor, P summed left to right."""
     n, m = state.mean.size // 2, config.shots_per_quadrature
     mx, mp = state.mean[:n], state.mean[n:]
-    factors = _sampling_factors(state.cov, config.scheme)
+    factors = _draw_factors(state.cov, config.scheme)
     rng = np.random.default_rng(config.seed)
     if config.scheme == HOMODYNE:
         sx, sp = factors
         return rng.normal(mx, sx, size=(m, n)), rng.normal(mp, sp, size=(m, n))
-    l11, l21, l22 = factors
+    l21, (l11, l22) = factors[0], factors[1].T
     z = rng.standard_normal((m, n, 2))
     return mx + l11 * z[:, :, 0], (mp + l21 * z[:, :, 0]) + l22 * z[:, :, 1]
 
@@ -194,6 +195,17 @@ def _per_setting(config, k):
     return dataclasses.replace(config, seed=derive_seed(config.seed, k))
 
 
+def _per_column_unitary(settings, amplitude):
+    """u_hat and eta_hat the per-column way from recorded settings: column k of
+    u_tilde is setting k's ``x_means / scale - 1j * p_means / scale``."""
+    n, scale = len(settings), math.sqrt(2.0) * amplitude
+    u_tilde = np.zeros((n, n), dtype=complex)
+    for col, (_, means) in enumerate(settings):
+        u_tilde[:, col] = means.x_means / scale - 1j * means.p_means / scale
+    eta_hat = float(np.exp(2.0 * np.linalg.slogdet(u_tilde)[1] / n))
+    return u_tilde / math.sqrt(eta_hat), eta_hat
+
+
 class _RecordingDevice:
     """A simulated device that keeps every setting's probe and means."""
 
@@ -212,34 +224,46 @@ class _RecordingDevice:
 @settings(max_examples=150)
 @given(count=st.integers(1, 2 * _TABLE_SETTINGS), eta=etas, scheme=schemes, data=st.data(),
        seed=st.one_of(seeds, st.integers(2**32, 2**64 - 1)), in_sweep=st.booleans(),
-       unitary=st.booleans(), amplitude=st.floats(min_value=1e-3, max_value=1e4))
+       kind=st.sampled_from(["symplectic", "unitary", "ratios"]),
+       amplitude=st.floats(min_value=1e-3, max_value=1e4))
 @example(count=_TABLE_SETTINGS, eta=0.5, scheme=HETERODYNE, data=None, seed=2**64 - 1,
-         in_sweep=False, unitary=False, amplitude=3.0)
+         in_sweep=False, kind="symplectic", amplitude=3.0)
 @example(count=_TABLE_SETTINGS, eta=0.5, scheme=HOMODYNE, data=None, seed=7, in_sweep=False,
-         unitary=True, amplitude=3.0)
+         kind="unitary", amplitude=3.0)
 @example(count=2 * _TABLE_SETTINGS, eta=0.5, scheme=HETERODYNE, data=None, seed=2**40 + 3,
-         in_sweep=False, unitary=True, amplitude=3.0)
+         in_sweep=False, kind="unitary", amplitude=3.0)
 @example(count=_TABLE_SETTINGS - 1, eta=0.5, scheme=HOMODYNE, data=None, seed=2**40 + 3,
-         in_sweep=False, unitary=True, amplitude=3.0)
+         in_sweep=False, kind="unitary", amplitude=3.0)
+@example(count=_TABLE_SETTINGS, eta=0.5, scheme=HOMODYNE, data=None, seed=5, in_sweep=True,
+         kind="ratios", amplitude=3.0)
 def test_attenuated_matrix_equals_per_column_reference(count, eta, seed, scheme, data, in_sweep,
-                                                       unitary, amplitude):
-    # about ``count`` settings, 2n (n for a unitary), on both sides of _TABLE_SETTINGS:
-    # from there on a direct reconstruction replays its streams from a table pass of
-    # its own; in a sweep they come from the table rows the sweep hands over in the master's
-    # config. Masters take one and two words.
-    n = count if unitary else -(-count // 2)
+                                                       kind, amplitude):
+    # about ``count`` settings, 2n (n for a unitary, one per amplitude for the ratios), on
+    # both sides of _TABLE_SETTINGS: from there on a direct reconstruction replays its
+    # streams from a table pass of its own; in a sweep they come from the table rows the
+    # sweep hands over in the master's config. Masters take one and two words.
+    n = count if kind != "symplectic" else -(-count // 2)
     shots = data.draw(st.one_of(st.integers(2 if scheme == HOMODYNE else 1, 300),
                                 st.just(math.inf)), label="shots") if data else 50
+    unitary = kind == "unitary"
     s = embed_unitary(haar_unitary(n, seed=seed)) if unitary else random_symplectic(n, seed=seed)
     model, config = DeviceModel(s, eta=eta), MeasurementConfig(scheme, shots, seed=seed)
     device = _RecordingDevice(model)
-    settings_count = (1 if unitary else 2) * n
+    settings_count = (2 if kind == "symplectic" else 1) * n
     if in_sweep and not config.analytic:  # as a sweep reseeds it: carrying the master's rows
         table = randgen._stream_tables({seed: settings_count})[seed]
         config = config._reseeded(seed, table=table)
     if unitary:
         with contextlib.suppress(LossRecoveryError, NotPassiveError):
-            reconstruct_unitary(device, amplitude, config)
+            got = reconstruct_unitary(device, amplitude, config)
+            u_hat, eta_hat = _per_column_unitary(device.settings, amplitude)
+            assert np.array_equal(got.u_hat, u_hat) and got.eta_hat == eta_hat
+    elif kind == "ratios":
+        amplitudes = [amplitude * (k + 1) for k in range(n)]
+        got = probe_ratios(device, amplitudes, config)
+        assert got == [means.p_means[0] / (math.sqrt(2.0) * probe.amplitude)
+                       for probe, means in device.settings]
+        assert [probe.amplitude for probe, _ in device.settings] == amplitudes
     else:
         got = measure_attenuated_matrix(device, amplitude, config)
         assert np.array_equal(got, _per_column_attenuated_matrix(model, amplitude, config))
