@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Write the CLI outputs whose bytes a change that keeps every answer must not
-# change, 24 files, into the directory OUTDIR:
-#   - 2 device files (generate, N = 3 and 16)
+# change, 29 files, into the directory OUTDIR:
+#   - 3 device files (generate, N = 1, 3 and 16)
 #   - 12 reconstructions: N = 3 and 16 x both schemes x shots 3, 100 and inf
+#   - 2 reconstructions at N = 1 (2 settings), both schemes at 100 shots
+#   - 2 reconstructions at N = 3, seeds 2**64 - 1 (the largest master a stream
+#     table holds) and 2**64 (the smallest that takes default_rng)
 #   - the four README experiments at reduced --reps: 4 CSV and 4 .meta.json files
 #   - 2 detect verdicts, analytic and at 100 shots
 # The package is imported from PYTHONPATH, which must be absolute, so that one
@@ -21,6 +24,15 @@ for n in 3 16; do
         --loss 0.5 --seed 0 --out "recon-$n-$scheme-$shots.json"
     done
   done
+done
+gt generate --kind symplectic --modes 1 --r-max 0.5 --seed 7 --out s1.json
+for scheme in homodyne heterodyne; do
+  gt reconstruct --device s1.json --scheme "$scheme" --shots 100 \
+    --loss 0.5 --seed 0 --out "recon-1-$scheme-100.json"
+done
+for seed in 18446744073709551615 18446744073709551616; do
+  gt reconstruct --device s3.json --scheme heterodyne --shots 100 \
+    --loss 0.5 --seed "$seed" --out "recon-3-seed-$seed.json"
 done
 gt experiment mode-scaling --modes 2,4,8,12 --schemes homodyne,heterodyne \
   --losses 0,0.5 --shots 100 --reps 3 --seed 41 --out modes.csv

@@ -23,7 +23,6 @@ from . import __version__
 from .core import (
     NotPassiveError,
     _check_fields,
-    _check_index,
     matrix_from_json,
     matrix_to_json,
     scaled_frobenius,
@@ -207,13 +206,12 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    seed = _check_index(args.seed, "seed", 0)
     if args.kind == "symplectic":
         obj = matrix_to_json(
-            random_symplectic(args.modes, r_max=args.r_max, seed=seed), "symplectic"
+            random_symplectic(args.modes, r_max=args.r_max, seed=args.seed), "symplectic"
         )
     else:
-        obj = unitary_to_json(haar_unitary(args.modes, seed=seed))
+        obj = unitary_to_json(haar_unitary(args.modes, seed=args.seed))
     _dump_json(obj, args.out)
     return EXIT_OK
 

@@ -23,11 +23,10 @@ same for every probe setting: a :class:`DeviceModel` computes them once, and
 each setting propagates only its mean.
 
 A setting's shots come from ``default_rng(config.seed)``, and the tomography
-layer sets that seed to ``derive_seed(master, k)`` for setting k, which
-defines the stream. In an experiment sweep or a reconstruction of many settings,
-the config also carries the stream's seeding words from a table derived before the
-first probe (a sweep's, whose rows each reconstruction's config carries), and the
-sampler seeds a fresh generator from them (:mod:`gausstomo.randgen`).
+layer sets that seed to ``derive_seed(master, k)`` for setting k, which defines
+the stream; its config carries the stream's seeding words from a table derived
+before the first probe, and the sampler seeds a fresh generator from them
+(:mod:`gausstomo.randgen`).
 
 :func:`sample_quadratures` draws a setting's raw outcomes in closed form: one
 ``rng.normal`` call per homodyne quadrature, X first; for heterodyne one

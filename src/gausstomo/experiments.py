@@ -6,9 +6,9 @@ repetitions run outermost, and each row is keyed by its cell's grid index, so
 a repeated grid value gets its own row. Seeds are derived per repetition and
 cell, so a run is bit-reproducible from its master seed, and the scaling
 runners share each repetition's random device across every scheme and loss
-to sharpen comparisons. Before its first probe, the sweep checks each cell's config and
-derives every reconstruction's master seed and, in one table pass, its finite-shot
-settings' streams, whose rows its config carries (see :mod:`gausstomo.randgen`).
+to sharpen comparisons. Before its first probe, the sweep checks each cell's config, its
+CSV row's scheme and shots, and derives every reconstruction's master seed and, in one
+table pass, 2N streams per finite-shot master of N modes (see :mod:`gausstomo.randgen`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import NotPassiveError, _check_index, _real, embed_unitary, scaled_frobenius
 from .device import HETERODYNE, HOMODYNE, DeviceModel, MeasurementConfig, SCHEMES, SimulatedDevice
-from .device import _check_scheme
 from .randgen import DEFAULT_R_MAX, _stream_tables, derive_seed, haar_unitary, random_symplectic
 from .tomography import (
     LossRecoveryError,
@@ -61,24 +60,11 @@ class ExperimentRecord:
     dropped: int
 
 
-def _record(experiment_id: str, errors: Sequence[float], dropped: int, **cell) -> ExperimentRecord:
-    """One row: the swept cell, and the mean and standard error of its errors."""
-    arr = np.asarray(errors, dtype=float)
-    f_mean = float(arr.mean()) if arr.size else math.nan
-    f_stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.nan
-    return ExperimentRecord(
-        experiment_id=experiment_id, f_mean=f_mean, f_stderr=f_stderr, dropped=dropped, **cell
-    )
-
-
-def _check_inputs(seed: int, amplitudes, schemes, **counts: Iterable[int]) -> None:
-    """Before the first probe, reject a seed that is not an integer >= 0, an
-    amplitude not finite and > 0, an unknown scheme and a count not an integer >= 1."""
-    _check_index(seed, "seed", 0)
+def _check_inputs(amplitudes, **counts: Iterable[int]) -> None:
+    """Before the first probe, reject an amplitude not finite and > 0 and a count not an
+    integer >= 1; ``derive_seed`` rejects a bad seed, and ``_sweep`` a cell's bad config."""
     for amplitude in amplitudes:
         _probe_scale(amplitude)
-    for scheme in schemes:
-        _check_scheme(scheme)
     for name, values in counts.items():
         for value in values:
             _check_index(value, name, 1)
@@ -86,43 +72,43 @@ def _check_inputs(seed: int, amplitudes, schemes, **counts: Iterable[int]) -> No
 
 def _sweep(
     experiment_id: str, axes: dict[str, Sequence], repetitions: int,
-    config: Callable[[tuple[int, ...]], MeasurementConfig],
-    seeds: Callable[[tuple[int, ...], int], list[int]], settings: Callable[[tuple[int, ...]], int],
+    seeds: Callable[[tuple[int, ...], int], list[int]],
     error: Callable[[tuple[int, ...], int, list[MeasurementConfig]], float],
     drop_on: tuple[type[Exception], ...] = (), **fixed,
 ) -> list[ExperimentRecord]:
     """One row per cell of the grid ``axes`` (row field -> swept values).
 
-    Cells are index tuples into the axes, in row-major order. ``config(idx)`` is
-    a cell's config and ``seeds(idx, rep)`` its master seeds in one repetition,
-    one per reconstruction of ``settings(idx)`` settings; all are built, and
-    every finite-shot setting's stream derived in one table pass, before the
-    first probe. Repetitions run outermost: for every ``rep``, every cell's
-    ``error(idx, rep, configs)`` is called in turn with the cell's config
-    reseeded to each master, carrying its rows, and a ``drop_on`` exception
-    counts one drop for that cell. A row pools only its own cell's repetitions.
+    Cells are index tuples into the axes, in row-major order. A cell's row holds the
+    ``fixed`` fields and its swept values, and its config is the row's scheme and shots.
+    ``seeds(idx, rep)`` are its master seeds in one repetition, one per reconstruction;
+    all are built, and 2 * n_modes streams per finite-shot master (the most settings an
+    N-mode reconstruction issues) derived in one table pass, before the first probe.
+    Repetitions run outermost: for every ``rep``, every cell's ``error(idx, rep, configs)``
+    is called in turn with its config reseeded to each master, carrying its rows, and a
+    ``drop_on`` exception counts one drop. A record is its cell's row with the mean and
+    standard error of the cell's own errors.
     """
     cells = list(itertools.product(*(range(len(values)) for values in axes.values())))
-    configs = {idx: config(idx) for idx in cells}
+    rows = {idx: dict(fixed, experiment_id=experiment_id, repetitions=repetitions, dropped=0,
+                      **{name: values[i] for (name, values), i in zip(axes.items(), idx)})
+            for idx in cells}
+    configs = {idx: MeasurementConfig(row["scheme"], row["shots"]) for idx, row in rows.items()}
     masters = {(idx, rep): seeds(idx, rep) for rep in range(repetitions) for idx in cells}
-    table = _stream_tables({m: settings(idx) for (idx, _), ms in masters.items() for m in ms
-                            if not configs[idx].analytic})  # analytic settings draw nothing
+    table = _stream_tables({m: 2 * rows[idx]["n_modes"] for (idx, _), ms in masters.items()
+                            for m in ms if not configs[idx].analytic})  # analytic: no draws
     errors: dict[tuple[int, ...], list[float]] = {idx: [] for idx in cells}
-    dropped = dict.fromkeys(cells, 0)
     for rep in range(repetitions):
         for idx in cells:
             reseeded = [configs[idx]._reseeded(m, table=table.get(m)) for m in masters[idx, rep]]
             try:
                 errors[idx].append(error(idx, rep, reseeded))
             except drop_on:
-                dropped[idx] += 1
-    return [
-        _record(
-            experiment_id, errors[idx], dropped[idx], repetitions=repetitions, **fixed,
-            **{name: values[i] for (name, values), i in zip(axes.items(), idx)},
-        )
-        for idx in cells
-    ]
+                rows[idx]["dropped"] += 1
+    for idx, row in rows.items():
+        arr = np.asarray(errors[idx], dtype=float)
+        row["f_mean"] = float(arr.mean()) if arr.size else math.nan
+        row["f_stderr"] = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.nan
+    return [ExperimentRecord(**row) for row in rows.values()]
 
 
 def run_mode_scaling(
@@ -142,7 +128,7 @@ def run_mode_scaling(
     combinations so scheme comparisons are paired. The default grid is
     N = 2, 4, 8, 12 modes x both schemes x eta = 1.0, 0.5, 50 repetitions each.
     """
-    _check_inputs(seed, [amplitude], schemes, n_list=n_list, repetitions=[repetitions])
+    _check_inputs([amplitude], n_list=n_list, repetitions=[repetitions])
 
     @functools.lru_cache(maxsize=1)  # one device per (n, rep), shared by its cells
     def draw(n, rep):
@@ -156,9 +142,7 @@ def run_mode_scaling(
 
     return _sweep(
         "mode-scaling", dict(n_modes=n_list, scheme=schemes, eta=eta_list), repetitions,
-        lambda idx: MeasurementConfig(schemes[idx[1]], shots),
         lambda idx, rep: [derive_seed(seed, _MEAS, n_list[idx[0]], rep, idx[2], idx[1])],
-        lambda idx: 2 * n_list[idx[0]],
         error, (LossRecoveryError,), amplitude=amplitude, shots=shots, trials=1, seed=seed,
     )
 
@@ -179,7 +163,7 @@ def run_unitary_scaling(
     passivity or loss-recovery checks are counted in ``dropped``. The default
     grid is N = 2, 4, 8 modes x both schemes at eta = 1.0, 50 repetitions each.
     """
-    _check_inputs(seed, [amplitude], schemes, n_list=n_list, repetitions=[repetitions])
+    _check_inputs([amplitude], n_list=n_list, repetitions=[repetitions])
 
     @functools.lru_cache(maxsize=1)  # one device per (n, rep), shared by its cells
     def draw(n, rep):
@@ -194,9 +178,7 @@ def run_unitary_scaling(
 
     return _sweep(
         "unitary-scaling", dict(n_modes=n_list, scheme=schemes, eta=eta_list), repetitions,
-        lambda idx: MeasurementConfig(schemes[idx[1]], shots),
         lambda idx, rep: [derive_seed(seed, _MEAS, n_list[idx[0]], rep, idx[2], idx[1])],
-        lambda idx: n_list[idx[0]],
         error, (LossRecoveryError, NotPassiveError),
         amplitude=amplitude, shots=shots, trials=1, seed=seed,
     )
@@ -221,9 +203,8 @@ def run_intensity_scaling(
     default grid is amplitudes 10, 31.62, 100 x 1, 10, 100 trials on a 5-mode
     heterodyne device, 20 repetitions each.
     """
-    _check_inputs(seed, amplitude_list, [scheme], n_modes=[n_modes], trials_list=trials_list,
+    _check_inputs(amplitude_list, n_modes=[n_modes], trials_list=trials_list,
                   repetitions=[repetitions])
-    config = MeasurementConfig(scheme, shots)
     s_true = random_symplectic(n_modes, r_max=r_max, seed=derive_seed(seed, _DEV))
     model = DeviceModel(s_true, eta=eta)
 
@@ -238,9 +219,9 @@ def run_intensity_scaling(
         return scaled_frobenius(s_true, tilde_avg / math.sqrt(estimate_eta(tilde_avg)))
 
     return _sweep(
-        "intensity", dict(amplitude=amplitude_list, trials=trials_list), repetitions,
-        lambda idx: config, seeds, lambda idx: 2 * n_modes, error,
-        (LossRecoveryError,), n_modes=n_modes, scheme=scheme, eta=eta, shots=shots, seed=seed,
+        "intensity", dict(amplitude=amplitude_list, trials=trials_list), repetitions, seeds,
+        error, (LossRecoveryError,),
+        n_modes=n_modes, scheme=scheme, eta=eta, shots=shots, seed=seed,
     )
 
 
@@ -263,10 +244,9 @@ def run_phase_error_study(
     """
     if not 0 <= _real(phi_max) < math.pi / 4:
         raise ValueError("phi_max must lie in [0, pi/4)")
-    _check_inputs(seed, [amplitude], [], trials_list=trials_list, repetitions=[repetitions])
+    _check_inputs([amplitude], trials_list=trials_list, repetitions=[repetitions])
     s_true = random_symplectic(1, r_max=r_max, seed=derive_seed(seed, _DEV))
     device = SimulatedDevice(DeviceModel(s_true, eta=1.0))
-    config = MeasurementConfig(scheme=HOMODYNE, shots=math.inf)
     target = s_true[0, 0]
     norm = math.hypot(s_true[0, 0], s_true[0, 1])
 
@@ -277,9 +257,9 @@ def run_phase_error_study(
         return abs(float(np.mean(estimates)) - target) / norm
 
     return _sweep(
-        "phase-error", dict(trials=trials_list), repetitions, lambda idx: config,
-        lambda idx, rep: [derive_seed(seed, _MEAS, *idx, rep)], lambda idx: trials_list[idx[0]],
-        error, n_modes=1, scheme=HOMODYNE, eta=1.0, amplitude=amplitude, shots=math.inf, seed=seed,
+        "phase-error", dict(trials=trials_list), repetitions,
+        lambda idx, rep: [derive_seed(seed, _MEAS, *idx, rep)], error,
+        n_modes=1, scheme=HOMODYNE, eta=1.0, amplitude=amplitude, shots=math.inf, seed=seed,
     )
 
 

@@ -5,13 +5,13 @@ All randomness in the package flows through ``numpy.random.default_rng``
 Seed streams for independent settings or repetitions are derived with
 :func:`derive_seed`, which hashes an index tuple through ``SeedSequence``
 and defines every stream. :func:`_setting_streams` gives each setting k of a
-reconstruction its child seed ``derive_seed(master, k)`` and, when a table
-derived them in one vectorised pass, its PCG64 seeding words. The table's
-rows for a master come from an experiment sweep, which derives one table for
-all its masters and hands each reconstruction its rows in its config; else a
-reconstruction of ``_TABLE_SETTINGS`` or more settings from a master below 2**64
-derives its own. The words travel with the setting's config, and NumPy seeds a
-fresh PCG64 from them; any other seed takes ``default_rng``.
+finite-shot reconstruction its child seed ``derive_seed(master, k)`` and its
+PCG64 seeding words from a table that derives them in one vectorised pass: an
+experiment sweep derives one table for all its masters and hands each
+reconstruction its rows in its config, else the reconstruction derives its own.
+The words travel with the setting's config, and NumPy seeds a fresh PCG64 from
+them. A master of 2**64 or more, which the pass cannot hold, and a caller's own
+config probed directly take ``default_rng``.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import numpy as np
 from .core import _check_index, _real, embed_unitary
 
 DEFAULT_R_MAX = 0.5
-_TABLE_SETTINGS = 16  # settings from which one table pass beats native seeding (ROADMAP aim 1)
 
 
 def derive_seed(master: int, *parts: int) -> int:
-    """Derive an independent 64-bit child seed from a master seed and indices."""
-    ss = np.random.SeedSequence((int(master),) + tuple(int(p) for p in parts))
+    """Derive an independent 64-bit child seed from a master seed and indices, integers >= 0."""
+    ss = np.random.SeedSequence([_check_index(v, "seed", 0) for v in (master, *parts)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -84,14 +83,15 @@ def _stream_tables(settings: dict[int, int]) -> dict[int, tuple[np.ndarray, np.n
 
 def _setting_streams(master: int, count: int, table: tuple | None = None
                      ) -> list[tuple[int, np.ndarray | None]]:
-    """``(derive_seed(master, k), its PCG64 seeding words or None)`` for each ``k < count``:
-    read from ``table``, ``master``'s rows of :func:`_stream_tables`, when it is given,
-    else from a table pass of its own from ``_TABLE_SETTINGS`` settings on with a
-    master below 2**64; any other setting's words are None."""
-    if table is None and count >= _TABLE_SETTINGS and master < 2**64:
-        table = _stream_tables({master: count})[master]
-    streams = list(zip(table[0][:count].tolist(), table[1][:count])) if table is not None else []
-    return streams + [(derive_seed(master, k), None) for k in range(len(streams), count)]
+    """``(derive_seed(master, k), its PCG64 seeding words)`` for each ``k < count``: read
+    from ``table``, ``master``'s rows of :func:`_stream_tables`, which must hold ``count``,
+    else from a pass of its own; a master from 2**64 on gets ``None`` words instead."""
+    if table is None and master >= 2**64:
+        return [(derive_seed(master, k), None) for k in range(count)]
+    children, words = _stream_tables({master: count})[master] if table is None else table
+    if len(children) < count:
+        raise ValueError(f"a stream table of {len(children)} rows cannot seed {count} settings")
+    return list(zip(children[:count].tolist(), words[:count]))
 
 
 @functools.cache
@@ -117,6 +117,12 @@ def _stream(seed: int, words: np.ndarray | None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_table_seed()(words)))
 
 
+def _rng(seed) -> np.random.Generator:
+    """``default_rng`` of None, a NumPy Generator, BitGenerator or SeedSequence, or an int >= 0."""
+    given = (type(None), np.random.Generator, np.random.BitGenerator, np.random.SeedSequence)
+    return np.random.default_rng(seed if isinstance(seed, given) else _check_index(seed, "seed", 0))
+
+
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     # Ginibre matrix, QR, then the diagonal phase correction that makes the
     # distribution right-invariant.
@@ -131,13 +137,13 @@ def haar_unitary(n: int, seed: int | np.random.Generator | None = None) -> np.nd
 
     Args:
         n: matrix dimension (number of modes), >= 1.
-        seed: integer seed or an existing ``numpy.random.Generator``.
+        seed: integer seed >= 0, None, or a NumPy Generator, BitGenerator or SeedSequence.
 
     Returns:
         Complex n x n array, unitary to double precision.
     """
     _check_index(n, "number of modes", 1)
-    return _haar_unitary(n, np.random.default_rng(seed))
+    return _haar_unitary(n, _rng(seed))
 
 
 def random_symplectic(
@@ -156,12 +162,12 @@ def random_symplectic(
     Args:
         n: number of modes, >= 1.
         r_max: maximum squeezing magnitude, finite and >= 0.
-        seed: integer seed or an existing ``numpy.random.Generator``.
+        seed: integer seed >= 0, None, or a NumPy Generator, BitGenerator or SeedSequence.
     """
     _check_index(n, "number of modes", 1)
     if not 0 <= _real(r_max) < np.inf:
         raise ValueError(f"r_max must be finite and >= 0, got {r_max!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     k1 = embed_unitary(_haar_unitary(n, rng))
     r = rng.uniform(-r_max, r_max, size=n)
     k2 = embed_unitary(_haar_unitary(n, rng))

@@ -14,10 +14,9 @@ imaginary parts of one unitary column, halving the number of settings.
 A reconstruction issues its settings in order and gathers their means in one
 (2N, K) array: column k holds setting k's X means over its P means, and each
 reconstruction reads its matrix off that array. Setting k's config carries its
-own seed stream ``derive_seed(master, k)``, read from the table rows a sweep's config
-carries if any (:func:`gausstomo.randgen._setting_streams`), so no setting depends on
-another's draws. A phase-error scan checks its inputs once, then issues one setting
-per phase.
+own seed stream ``derive_seed(master, k)`` (:func:`gausstomo.randgen._setting_streams`),
+so no setting depends on another's draws. A phase-error scan checks its inputs once,
+then issues one setting per phase. An overflowed mean warns nothing and is rejected.
 """
 
 from __future__ import annotations
@@ -37,13 +36,13 @@ SQRT2 = math.sqrt(2.0)
 
 
 class LossRecoveryError(RuntimeError):
-    """Transmissivity recovery failed: det(s_tilde) <= 0, or the recovered
-    transmissivity is not finite and > 0.
+    """Transmissivity recovery failed: the raw estimate has a non-finite entry or
+    det(s_tilde) <= 0, or the recovered transmissivity is not finite and > 0.
 
     At very low shot counts (or for a non-symplectic device) the estimated
     matrix can have non-positive determinant; this is surfaced rather than
     clamped so that accuracy studies are not silently biased. A probe
-    amplitude at the edge of the floating-point range can make the
+    amplitude at the edge of the floating-point range can make a mean or the
     determinant overflow or underflow.
     """
 
@@ -90,16 +89,24 @@ def _eta_from_log(log_eta: float) -> float:
     return eta_hat
 
 
+def _check_finite(finite: np.ndarray, name: str) -> None:
+    """Raise :class:`LossRecoveryError` naming up to three non-``finite`` entries, 1-based."""
+    if bad := (np.argwhere(~finite) + 1).tolist():
+        raise LossRecoveryError(f"{name} has {len(bad)} non-finite entries, such as "
+                                + ", ".join(str(tuple(entry)) for entry in bad[:3]))
+
+
 def estimate_eta(s_tilde: np.ndarray) -> float:
     """Recover the uniform transmissivity from det(s_tilde) = eta^N.
 
     Raises:
         ValueError: if ``s_tilde`` is not a 2N x 2N matrix with N >= 1.
-        LossRecoveryError: if the determinant is not positive, or the
-            recovered transmissivity is not finite and > 0.
+        LossRecoveryError: if an entry is not finite, the determinant is not
+            positive, or the recovered transmissivity is not finite and > 0.
     """
     s_tilde = np.asarray(s_tilde, dtype=float)
     n = _check_even_square(s_tilde, "s_tilde")
+    _check_finite(np.isfinite(s_tilde), "s_tilde")
     sign, logabsdet = np.linalg.slogdet(s_tilde)
     if not sign > 0:
         raise LossRecoveryError(
@@ -117,17 +124,18 @@ def _probe_scale(amplitude: float) -> float:
 
 def _probe_settings(device: ProbeableDevice, probes: list[ProbeSpec],
                     config: MeasurementConfig) -> np.ndarray:
-    """Issue the probe settings in order; returns the (2N, K) array whose column k
-    holds setting k's X means over its P means. Setting k gets its own seed stream
-    ``derive_seed(config.seed, k)``, carried in its config (the checked ``config``
-    reseeded, from its table rows if any): the settings could run concurrently."""
+    """Issue the probe settings in order; returns the (2N, K) array whose column k holds
+    setting k's X means over its P means, non-finite, without a warning, where one overflowed.
+    Setting k's config is the checked ``config`` reseeded to its own stream (see
+    :func:`_setting_streams`), so the settings could run concurrently."""
     settings = [config] * len(probes) if config.analytic else [config._reseeded(*stream)
         for stream in _setting_streams(config.seed, len(probes), config._table)]
     n = device.n_modes
     means = np.empty((2 * n, len(probes)))
-    for k, (probe, setting) in enumerate(zip(probes, settings)):
-        got = device.probe_and_measure(probe, setting)
-        means[:n, k], means[n:, k] = got.x_means, got.p_means
+    with np.errstate(over="ignore", invalid="ignore"):  # one context per reconstruction
+        for k, (probe, setting) in enumerate(zip(probes, settings)):
+            got = device.probe_and_measure(probe, setting)
+            means[:n, k], means[n:, k] = got.x_means, got.p_means
     return means
 
 
@@ -207,8 +215,8 @@ def reconstruct_unitary(
 
     Raises:
         ValueError: amplitude not finite and > 0.
-        LossRecoveryError: vanishing determinant of the raw estimate, or a
-            recovered transmissivity that is not finite and > 0.
+        LossRecoveryError: a non-finite entry or a vanishing determinant of the
+            raw estimate, or a recovered transmissivity that is not finite and > 0.
         NotPassiveError: unitarity residual of the rescaled estimate exceeds
             10x the expected shot-noise scale, which signals an active device.
     """
@@ -216,6 +224,7 @@ def reconstruct_unitary(
     n = device.n_modes
     probes = [ProbeSpec(mode_j=j, amplitude=amplitude, phase=0.0) for j in range(1, n + 1)]
     means = _probe_settings(device, probes, config)
+    _check_finite(np.isfinite(means[:n]) & np.isfinite(means[n:]), "u_tilde")
     u_tilde = means[:n] / scale - 1j * means[n:] / scale
 
     # a vanishing determinant has log -inf and recovers eta_hat = 0
@@ -238,8 +247,8 @@ def reconstruct_unitary(
 
 def _phase_error_elements(device: ProbeableDevice, i: int, j: int, amplitude: float, phis,
                           config: MeasurementConfig) -> list[float]:
-    """Estimates of element (i, j), one ``probe_and_measure`` per phase error in
-    ``phis``; the indices, the amplitude and every phase are checked first."""
+    """Estimates of element (i, j), one ``probe_and_measure`` per phase error in ``phis``;
+    the inputs are checked first, and a non-finite estimate raises ``ValueError``."""
     scale = _probe_scale(amplitude)
     if not np.all(np.abs(np.asarray(phis, dtype=float)) < math.pi / 4):
         raise ValueError("phase error must satisfy |phi| < pi/4")
@@ -248,7 +257,12 @@ def _phase_error_elements(device: ProbeableDevice, i: int, j: int, amplitude: fl
     if i > n or j > n:
         raise ValueError(f"element indices ({i}, {j}) out of range 1..{n}")
     probes = (ProbeSpec(j, amplitude, phi) for phi in phis)
-    return [float(device.probe_and_measure(p, config).x_means[i - 1] / scale) for p in probes]
+    with np.errstate(over="ignore", invalid="ignore"):  # one context per scan, not per probe
+        estimates = [float(device.probe_and_measure(p, config).x_means[i - 1] / scale)
+                     for p in probes]
+    if not all(map(math.isfinite, estimates)):
+        raise ValueError(f"probe amplitude {amplitude} gives a non-finite estimate")
+    return estimates
 
 
 def reconstruct_element_with_phase_error(

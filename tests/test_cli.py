@@ -1,18 +1,23 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from unittest import mock
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gausstomo
 from gausstomo import (
     SimulatedDevice,
     extract_unitary,
     is_symplectic,
     matrix_from_json,
+    matrix_to_json,
     random_symplectic,
 )
 from gausstomo import experiments
@@ -443,13 +448,39 @@ def test_experiment_rejects_unknown_scheme_before_sweep(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_detect_rejects_non_finite_ratio(capsys):
     code, out, err = run(["detect", "--gamma", "0.1", "--amplitudes", "1e308,1",
                           "--shots", "100"], capsys)
     assert code == 1
     assert out == ""
     assert "1e+308" in err
+
+
+_OVERFLOW = ["--gamma", "0.1", "--amplitudes", "1e308,1", "--shots", "100"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["detect", *_OVERFLOW], 1),
+    (["detect", *_OVERFLOW, "--scheme", "homodyne"], 1),
+    (["detect", "--gamma", "0.1", "--amplitudes", "1e200,1", "--shots", "inf"], 1),
+    (["reconstruct", "--device", "s1.json", "--amplitude", "1e308", "--shots", "100",
+      "--out", "r.json"], 2),
+    (["reconstruct", "--device", "s1.json", "--amplitude", "1e308", "--shots", "100",
+      "--scheme", "homodyne", "--out", "r.json"], 2),
+], ids=["detect-heterodyne", "detect-homodyne", "detect-analytic", "reconstruct-heterodyne",
+        "reconstruct-homodyne"])
+def test_overflowed_means_fail_in_one_line_without_a_warning(tmp_path, argv, code):
+    # -W error: a RuntimeWarning would be a traceback; a cubic gate or an N = 1 sum overflows
+    (tmp_path / "s1.json").write_text(json.dumps(matrix_to_json(random_symplectic(1, seed=1),
+                                                                "symplectic")))
+    src = os.path.dirname(os.path.dirname(gausstomo.__file__))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "gausstomo.cli", *argv],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == code
+    assert done.stdout == "" and len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("gausstomo: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.json"]  # nothing written
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

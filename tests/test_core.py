@@ -24,7 +24,7 @@ from gausstomo import (
 from gausstomo.core import _real
 from gausstomo.device import HETERODYNE, DeviceModel, MeasurementConfig, ProbeSpec, SimulatedDevice
 from gausstomo.experiments import run_mode_scaling, run_phase_error_study
-from gausstomo.randgen import haar_unitary, random_symplectic
+from gausstomo.randgen import derive_seed, haar_unitary, random_symplectic
 from gausstomo.tomography import (
     detect_non_gaussian,
     reconstruct_element_with_phase_error,
@@ -434,6 +434,13 @@ _REAL_SITES = {
         lambda v: detect_non_gaussian(_device(), [v, 1.0], MeasurementConfig(HETERODYNE, 10)),
         "probe amplitude must be finite and > 0"),
 }
+# integer seeds; None asks NumPy for fresh entropy, except in derive_seed
+_SEED_SITES = {
+    "derive-seed": (lambda v: derive_seed(v, 1), "seed must be an integer >= 0"),
+    "derive-seed-part": (lambda v: derive_seed(1, v), "seed must be an integer >= 0"),
+    "haar-seed": (lambda v: haar_unitary(2, seed=v), "seed must be an integer >= 0"),
+    "symplectic-seed": (lambda v: random_symplectic(2, seed=v), "seed must be an integer >= 0"),
+}
 
 
 @pytest.mark.parametrize("build, message", [
@@ -445,8 +452,9 @@ _REAL_SITES = {
     (lambda flag: DeviceModel(np.eye(2), eta=flag), r"transmissivity must be in \(0, 1\]"),
     (lambda flag: apply_uniform_loss(flag, vacuum_state(1)), r"transmissivity must be in"),
     *_REAL_SITES.values(),
+    *_SEED_SITES.values(),
 ], ids=["modes", "mode-index", "repetitions", "shots", "seed", "device-eta", "loss-eta",
-        *_REAL_SITES])
+        *_REAL_SITES, *_SEED_SITES])
 @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
 def test_a_bool_is_not_a_number(build, message, flag):
     with pytest.raises(ValueError, match=message):
@@ -463,14 +471,30 @@ def test_a_bool_is_not_a_number(build, message, flag):
         "loss-eta": (lambda value: apply_uniform_loss(value, vacuum_state(1)),
                      "transmissivity must be in"),
         **_REAL_SITES,
+        **_SEED_SITES,
     }.items()
     for value_id, value in {"str": "3", "str-float": "0.5", "none": None, "complex": 1j}.items()
-    if not (value is None and site in ("cubic-gamma", "tol"))  # None: no gate, default tol
+    # None: no gate, default tol, fresh entropy
+    if not (value is None and site in ("cubic-gamma", "tol", "haar-seed", "symplectic-seed"))
 ])
 def test_a_non_number_is_rejected_by_name(build, message, value):
     with pytest.raises(ValueError, match=message) as raised:
         build(value)
     assert "got nan" not in str(raised.value)  # a message shows the value it was given
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, -1], ids=["integral-float", "float", "negative"])
+@pytest.mark.parametrize("build, message", _SEED_SITES.values(), ids=list(_SEED_SITES))
+def test_a_seed_that_is_not_an_integer_from_0_is_rejected(build, message, value):
+    with pytest.raises(ValueError, match=f"{message}, got {value!r}"):
+        build(value)
+
+
+def test_numpy_random_objects_seed_as_before():
+    for seed in (None, np.random.default_rng(3), np.random.PCG64(3), np.random.SeedSequence(3)):
+        assert haar_unitary(2, seed=seed).shape == (2, 2)
+    assert np.array_equal(random_symplectic(2, seed=np.random.default_rng(3)),
+                          random_symplectic(2, seed=np.int64(3)))
 
 
 @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(1), 1, 0.5])

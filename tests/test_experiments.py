@@ -414,21 +414,24 @@ SWEEPS = [
 def test_sweep_streams_give_the_bytes_of_derive_seed_and_default_rng(
     monkeypatch, sweep, settings, drawing
 ):
-    """Every setting's stream read from the sweep's one-pass tables equals the
-    per-setting ``derive_seed`` + ``default_rng`` path, taken when the tables miss."""
+    """Every setting's stream read from the sweep's one-pass table equals the
+    per-setting ``derive_seed`` + ``default_rng`` path."""
     derived = []
     derive_seed = randgen.derive_seed
     monkeypatch.setattr(randgen, "derive_seed", lambda *a: derived.append(a) or derive_seed(*a))
     cached = records_to_csv(sweep())
     assert derived == []  # no setting's seed was derived natively
 
-    def no_rows(settings):
-        return {m: (np.empty(0, np.uint64), np.empty((0, 4), np.uint64)) for m in settings}
+    def native_rows(settings):  # each row's child from derive_seed, and no words: default_rng
+        return {m: (np.array([derive_seed(m, k) for k in range(count)], np.uint64), [None] * count)
+                for m, count in settings.items()}
 
-    monkeypatch.setattr(experiments, "_stream_tables", no_rows)
-    monkeypatch.setattr(randgen, "_stream_tables", no_rows)
+    seeded, stream = [], randgen._stream
+    monkeypatch.setattr(experiments, "_stream_tables", native_rows)
+    monkeypatch.setattr("gausstomo.device._stream",
+                        lambda seed, words: seeded.append(words) or stream(seed, words))
     assert records_to_csv(sweep()) == cached
-    assert len(derived) == drawing
+    assert seeded == [None] * drawing
 
 
 @pytest.mark.parametrize("sweep, settings, drawing", SWEEPS)
@@ -444,6 +447,37 @@ def test_sweep_issues_one_probe_per_setting(monkeypatch, sweep, settings, drawin
     monkeypatch.setattr(SimulatedDevice, "probe_and_measure", counting)
     sweep()
     assert len(calls) == settings
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: run_mode_scaling([1, 2], schemes=(HOMODYNE, HETERODYNE), eta_list=(1.0,),
+                             amplitude=200.0, shots=9.0, repetitions=2, seed=3),
+    lambda: run_unitary_scaling([1, 2], schemes=(HETERODYNE, HOMODYNE), amplitude=200.0,
+                                shots=math.inf, repetitions=2, seed=4),
+    lambda: run_intensity_scaling([10.0], [1, 2], shots=5, n_modes=2, scheme=HOMODYNE,
+                                  repetitions=2, seed=5),
+    lambda: run_phase_error_study(0.05, [1, 3], repetitions=2, seed=6),
+], ids=["mode", "unitary", "intensity", "phase"])
+def test_sweep_configs_take_their_rows_scheme_and_shots(monkeypatch, sweep):
+    seen, cells, original = [], [], experiments._sweep
+
+    def spying(experiment_id, axes, repetitions, seeds, error, *args, **fixed):
+        def recording(idx, rep, configs):
+            seen.append((idx, configs))
+            return error(idx, rep, configs)
+
+        cells.extend(itertools.product(*(range(len(values)) for values in axes.values())))
+        return original(experiment_id, axes, repetitions, seeds, recording, *args, **fixed)
+
+    monkeypatch.setattr(experiments, "_sweep", spying)
+    records = sweep()
+    assert len(seen) == 2 * len(records)
+    for idx, configs in seen:
+        row = records[cells.index(idx)]
+        assert configs and all(c.scheme == row.scheme and c.shots == row.shots for c in configs)
+        # a finite-shot master carries 2N table rows, the most an N-mode device's settings
+        assert all((c._table is None) if c.analytic else len(c._table[0]) == 2 * row.n_modes
+                   for c in configs)
 
 
 def test_sweep_leaves_randgen_unchanged_on_return_and_on_raise(monkeypatch):

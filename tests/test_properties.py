@@ -40,7 +40,6 @@ from gausstomo import (
 )
 from gausstomo.device import _CACHED_VALUES, _block_factors, _draw_factors
 from gausstomo import randgen
-from gausstomo.randgen import _TABLE_SETTINGS
 
 modes = st.integers(min_value=1, max_value=8)
 etas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -207,41 +206,46 @@ def _per_column_unitary(settings, amplitude):
 
 
 class _RecordingDevice:
-    """A simulated device that keeps every setting's probe and means."""
+    """A simulated device that keeps every setting's probe, means and config."""
 
     def __init__(self, model):
-        self.inner, self.settings = SimulatedDevice(model), []
+        self.inner, self.settings, self.configs = SimulatedDevice(model), [], []
 
     @property
     def n_modes(self):
         return self.inner.n_modes
 
     def probe_and_measure(self, probe, config):
+        self.configs.append(config)
         self.settings.append((probe, self.inner.probe_and_measure(probe, config)))
         return self.settings[-1][1]
 
 
 @settings(max_examples=150)
-@given(count=st.integers(1, 2 * _TABLE_SETTINGS), eta=etas, scheme=schemes, data=st.data(),
+@given(count=st.integers(1, 32), eta=etas, scheme=schemes, data=st.data(),
        seed=st.one_of(seeds, st.integers(2**32, 2**64 - 1)), in_sweep=st.booleans(),
        kind=st.sampled_from(["symplectic", "unitary", "ratios"]),
        amplitude=st.floats(min_value=1e-3, max_value=1e4))
-@example(count=_TABLE_SETTINGS, eta=0.5, scheme=HETERODYNE, data=None, seed=2**64 - 1,
+@example(count=16, eta=0.5, scheme=HETERODYNE, data=None, seed=2**64 - 1,
          in_sweep=False, kind="symplectic", amplitude=3.0)
-@example(count=_TABLE_SETTINGS, eta=0.5, scheme=HOMODYNE, data=None, seed=7, in_sweep=False,
+@example(count=16, eta=0.5, scheme=HOMODYNE, data=None, seed=7, in_sweep=False,
          kind="unitary", amplitude=3.0)
-@example(count=2 * _TABLE_SETTINGS, eta=0.5, scheme=HETERODYNE, data=None, seed=2**40 + 3,
+@example(count=32, eta=0.5, scheme=HETERODYNE, data=None, seed=2**40 + 3,
          in_sweep=False, kind="unitary", amplitude=3.0)
-@example(count=_TABLE_SETTINGS - 1, eta=0.5, scheme=HOMODYNE, data=None, seed=2**40 + 3,
+@example(count=15, eta=0.5, scheme=HOMODYNE, data=None, seed=2**40 + 3,
          in_sweep=False, kind="unitary", amplitude=3.0)
-@example(count=_TABLE_SETTINGS, eta=0.5, scheme=HOMODYNE, data=None, seed=5, in_sweep=True,
+@example(count=16, eta=0.5, scheme=HOMODYNE, data=None, seed=5, in_sweep=True,
          kind="ratios", amplitude=3.0)
+@example(count=1, eta=0.5, scheme=HETERODYNE, data=None, seed=2**40 + 3,
+         in_sweep=False, kind="unitary", amplitude=3.0)
+@example(count=2, eta=0.5, scheme=HOMODYNE, data=None, seed=11,
+         in_sweep=False, kind="symplectic", amplitude=3.0)
 def test_attenuated_matrix_equals_per_column_reference(count, eta, seed, scheme, data, in_sweep,
                                                        kind, amplitude):
-    # about ``count`` settings, 2n (n for a unitary, one per amplitude for the ratios), on
-    # both sides of _TABLE_SETTINGS: from there on a direct reconstruction replays its
-    # streams from a table pass of its own; in a sweep they come from the table rows the
-    # sweep hands over in the master's config. Masters take one and two words.
+    # about ``count`` settings, 2n (n for a unitary, one per amplitude for the ratios), from
+    # a single one on: a direct reconstruction replays its streams from a table pass of its
+    # own; in a sweep they come from the table rows the sweep hands over in the master's
+    # config. Masters take one and two words.
     n = count if kind != "symplectic" else -(-count // 2)
     shots = data.draw(st.one_of(st.integers(2 if scheme == HOMODYNE else 1, 300),
                                 st.just(math.inf)), label="shots") if data else 50
@@ -268,6 +272,8 @@ def test_attenuated_matrix_equals_per_column_reference(count, eta, seed, scheme,
         got = measure_attenuated_matrix(device, amplitude, config)
         assert np.array_equal(got, _per_column_attenuated_matrix(model, amplitude, config))
     assert len(device.settings) == settings_count
+    # every finite-shot setting reads its words off a table row, whatever the count
+    assert all((child._words is None) == config.analytic for child in device.configs)
     reference = SimulatedDevice(model)
     for k, (probe, means) in enumerate(device.settings):
         want = reference.probe_and_measure(probe, _per_setting(config, k))
@@ -281,7 +287,7 @@ def test_wide_reconstruction_at_large_seeds_equals_per_column_reference(monkeypa
     tables = []
     stream_tables = randgen._stream_tables
     monkeypatch.setattr(randgen, "_stream_tables", lambda s: tables.append(s) or stream_tables(s))
-    n = -(-_TABLE_SETTINGS // 2)
+    n = 8
     model = DeviceModel(random_symplectic(n, seed=3), eta=0.7)
     config = MeasurementConfig(HETERODYNE, 20, seed=seed)
     got = reconstruct_symplectic(SimulatedDevice(model), 5.0, config).s_tilde

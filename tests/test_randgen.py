@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -116,7 +117,7 @@ def test_pinned_streams(master, k, child, state, inc):
     assert np.random.default_rng(child).bit_generator.state["state"] == pcg
     table = randgen._stream_tables({master: k + 1})[master]
     from_sweep = randgen._setting_streams(master, k + 1, table)[k]
-    own_table = randgen._setting_streams(master, max(k + 1, randgen._TABLE_SETTINGS))[k]
+    own_table = randgen._setting_streams(master, k + 1)[k]
     for seed, words in (from_sweep, own_table):
         assert seed == child and words is not None
         replayed = randgen._stream(seed, words)
@@ -135,22 +136,29 @@ def test_sweep_streams_match_derive_seed_and_default_rng(settings_per_master):
         children, word_rows = tables[master]  # row views of the one pass, not Python lists
         assert children.shape == (count,) and word_rows.shape == (count, 4)
         assert children.base is not None and word_rows.base is not None
-        streams = randgen._setting_streams(master, count + 1, tables[master])
-        for k, (child, words) in enumerate(streams[:count]):
+        streams = randgen._setting_streams(master, count, tables[master])
+        for k, (child, words) in enumerate(streams):
             assert child == derive_seed(master, k)
             assert words.shape == (4,) and np.shares_memory(words, word_rows)  # a row view
             replayed = randgen._stream(child, words)
             assert replayed is not randgen._stream(child, words)  # a new generator at every call
             native = np.random.default_rng(child)
             assert replayed.bit_generator.state == native.bit_generator.state
-        # past the table: the native derivation
-        assert streams[count] == (derive_seed(master, count), None)
+        # past the table: no stream, rather than one derived another way
+        with pytest.raises(ValueError, match=f"table of {count} rows cannot seed {count + 1}"):
+            randgen._setting_streams(master, count + 1, tables[master])
 
 
 def test_stream_outside_a_sweep_is_a_fresh_generator():
-    few = randgen._TABLE_SETTINGS - 1
-    assert randgen._setting_streams(7, few) == [(derive_seed(7, k), None) for k in range(few)]
-    fresh = randgen._stream(5, None)
+    for master, count in itertools.product((7, 2**40 + 3), range(1, 16)):
+        # a table pass of its own, however few the settings
+        streams = randgen._setting_streams(master, count)
+        assert [child for child, _ in streams] == [derive_seed(master, k) for k in range(count)]
+        for child, words in streams:
+            assert words is not None
+            assert (randgen._stream(child, words).bit_generator.state
+                    == np.random.default_rng(child).bit_generator.state)
+    fresh = randgen._stream(5, None)  # a caller's own seed: default_rng
     assert fresh is not randgen._stream(5, None)
     np.testing.assert_array_equal(fresh.standard_normal(4),
                                   np.random.default_rng(5).standard_normal(4))
@@ -167,8 +175,19 @@ def test_replayed_stream_restarts_at_every_read():
         np.testing.assert_array_equal(replayed.standard_normal(8), expected)
 
 
+@pytest.mark.parametrize("master, table_words", [(2**64 - 1, True), (2**64, False)],
+                         ids=["2^64-1", "2^64"])
+def test_a_master_takes_table_words_below_2_to_the_64_only(master, table_words):
+    streams = randgen._setting_streams(master, 3)
+    assert [child for child, _ in streams] == [derive_seed(master, k) for k in range(3)]
+    assert all((words is not None) == table_words for _, words in streams)
+    for child, words in streams:
+        assert (randgen._stream(child, words).bit_generator.state
+                == np.random.default_rng(child).bit_generator.state)
+
+
 def test_table_streams_held_at_once_do_not_alias():
-    streams = randgen._setting_streams(3, randgen._TABLE_SETTINGS)
+    streams = randgen._setting_streams(3, 2)
     (s0, w0), (s1, w1) = streams[:2]
     a, b = randgen._stream(s0, w0), randgen._stream(s1, w1)
     assert a is not b
@@ -184,7 +203,7 @@ def test_package_keeps_no_thread_state():
     for module in modules:
         assert not any(isinstance(value, threading.local) for value in vars(module).values())
     namespace = dict(vars(randgen))
-    [(seed, words)] = randgen._setting_streams(3, randgen._TABLE_SETTINGS)[:1]
+    [(seed, words)] = randgen._setting_streams(3, 1)
     seen = []
     thread = threading.Thread(target=lambda: seen.append(randgen._stream(seed, words)))
     thread.start()

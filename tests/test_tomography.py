@@ -35,7 +35,6 @@ from gausstomo import (
 )
 from gausstomo import experiments, randgen
 from gausstomo.experiments import run_mode_scaling
-from gausstomo.randgen import _TABLE_SETTINGS
 
 ANALYTIC_HET = MeasurementConfig(scheme=HETERODYNE, shots=math.inf)
 ANALYTIC_HOM = MeasurementConfig(scheme=HOMODYNE, shots=math.inf)
@@ -385,9 +384,8 @@ def test_detect_rejects_bad_tol(tol):
 
 
 # At 1e-300 the shot noise divided by sqrt(2) a makes det(s_tilde) overflow,
-# so eta_hat = exp(logdet / N) is inf; at 1e308 the sample means overflow and
-# eta_hat is NaN. Neither may come back as a result.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# so eta_hat = exp(logdet / N) is inf; at 1e308 the sample means overflow, and
+# s_tilde has non-finite entries. Neither may come back as a result, nor warn.
 @pytest.mark.parametrize("amplitude, seed", [(1e-300, 0), (1e308, 2)])
 def test_non_finite_eta_hat_is_loss_recovery_error(amplitude, seed):
     config = MeasurementConfig(scheme=HETERODYNE, shots=100, seed=seed)
@@ -402,7 +400,34 @@ def test_unitary_non_finite_eta_hat_is_loss_recovery_error():
         reconstruct_unitary(device, 1e-300, config)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_estimate_eta_names_the_non_finite_entries():
+    s_tilde = np.eye(4)
+    s_tilde[0, 1], s_tilde[2, 3] = math.inf, math.nan
+    with pytest.raises(LossRecoveryError,
+                       match=r"^s_tilde has 2 non-finite entries, such as \(1, 2\), \(3, 4\)$"):
+        estimate_eta(s_tilde)
+    s_tilde[:] = math.inf
+    with pytest.raises(LossRecoveryError, match=r" 16 non-finite .* \(1, 1\), \(1, 2\), \(1, 3\)$"):
+        estimate_eta(s_tilde)
+
+
+@pytest.mark.parametrize("scheme, shots",
+                         [(HETERODYNE, 100), (HOMODYNE, 100), (HOMODYNE, math.inf)])
+def test_unitary_overflowed_mean_is_loss_recovery_error(scheme, shots):
+    device = SimulatedDevice(DeviceModel(np.diag([2.0, 2.0, 0.5, 0.5])))
+    with pytest.raises(LossRecoveryError,
+                       match=r"^u_tilde has 2 non-finite entries, such as \(1, 1\), \(2, 2\)$"):
+        reconstruct_unitary(device, 1e308, MeasurementConfig(scheme, shots, seed=1))
+
+
+@pytest.mark.parametrize("scheme, shots", [(HOMODYNE, math.inf), (HETERODYNE, 100)])
+def test_phase_error_overflowed_mean_is_rejected(scheme, shots):
+    device = SimulatedDevice(DeviceModel(np.diag([2.0, 0.5])))
+    with pytest.raises(ValueError, match=r"probe amplitude 1e\+308 gives a non-finite estimate"):
+        reconstruct_element_with_phase_error(device, 1, 1, 1e308, 0.0,
+                                             MeasurementConfig(scheme, shots))
+
+
 def test_probe_ratios_rejects_non_finite_ratio():
     config = MeasurementConfig(scheme=HETERODYNE, shots=100, seed=0)
     with pytest.raises(ValueError, match="1e\\+308"):
@@ -460,7 +485,7 @@ def test_analytic_settings_share_the_checked_config():
     assert all(child is ANALYTIC_HET for child in device.configs)
 
 
-WIDE = -(-_TABLE_SETTINGS // 2)  # the fewest modes whose 2N settings take a table pass
+WIDE = 3  # any mode count: every finite-shot reconstruction reads its streams off a table
 
 
 def _count_table_passes(monkeypatch):
@@ -532,6 +557,15 @@ def test_wide_setting_configs_draw_their_own_streams_in_any_order(scheme, shots,
         got = measure(state, child)
         assert np.array_equal(got.x_means, want.x_means)
         assert np.array_equal(got.p_means, want.p_means)
+
+
+def test_a_table_one_row_short_raises_before_any_probe():
+    short = randgen._stream_tables({9: 2 * WIDE - 1})[9]  # no native stream fills the gap
+    config = MeasurementConfig(HETERODYNE, 10)._reseeded(9, table=short)
+    device = _RecordingDevice(WIDE)
+    with pytest.raises(ValueError, match=f"table of {2 * WIDE - 1} rows cannot seed {2 * WIDE}"):
+        reconstruct_symplectic(device, 10.0, config)
+    assert device.configs == [] and device.inner.settings_used == 0
 
 
 def test_reconstruction_in_a_sweep_builds_no_second_table(monkeypatch):
