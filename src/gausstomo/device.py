@@ -40,9 +40,9 @@ one block spans every shot and each column is summed alone. A block is formed
 by two passes over its full width, ``z *= scale`` and ``z += loc``: ``scale``
 holds the factors broadcast to the block, ``loc`` the mean plus, in heterodyne
 P, ``l21 z0``. IEEE addition commutes, so ``l22 z1 + (l21 z0 + mp)`` is the
-closed form's ``(mp + l21 z0) + l22 z1`` bit for bit. A model keeps each
-scheme's broadcast factors: copies up to 4096 values (32 KiB), zero-copy views
-above.
+closed form's ``(mp + l21 z0) + l22 z1`` bit for bit. A model tiles each
+scheme's factors once down a block of at most 4096 values (32 KiB); a block reads
+their prefix, or their first row if taller. No model is written after it is built.
 """
 
 from __future__ import annotations
@@ -158,18 +158,17 @@ class QuadratureSampleMeans:
 class DeviceModel:
     """Symplectic matrix + uniform loss (+ optional single-mode cubic gate).
 
-    ``cubic_gamma`` enables the mean-field cubic nonlinearity; it must be
-    finite and is only supported for single-mode devices. The output
-    covariance, the sampling factors and ``sqrt(eta)`` are computed once here.
+    ``cubic_gamma`` enables the mean-field cubic nonlinearity; it must be finite and
+    is only supported for single-mode devices. The output covariance, the sampling
+    factor tiles and ``sqrt(eta)`` are computed once here; the model is immutable.
     """
 
     s: np.ndarray
     eta: float = 1.0
     cubic_gamma: float | None = None
     _cov: np.ndarray = field(init=False, repr=False, compare=False)
-    _factors: dict = field(init=False, repr=False, compare=False)
+    _tiles: dict = field(init=False, repr=False, compare=False)
     _sqrt_eta: float = field(init=False, repr=False, compare=False)
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.array(self.s, dtype=float)
@@ -184,8 +183,8 @@ class DeviceModel:
         object.__setattr__(self, "s", s)
         cov = apply_symplectic(s, apply_uniform_loss(self.eta, vacuum_state(self.n_modes))).cov
         object.__setattr__(self, "_cov", cov)
-        factors = {scheme: _draw_factors(cov, scheme) for scheme in SCHEMES}
-        object.__setattr__(self, "_factors", factors)
+        tiles = {scheme: _tiles(_draw_factors(cov, scheme)) for scheme in SCHEMES}
+        object.__setattr__(self, "_tiles", tiles)
         object.__setattr__(self, "_sqrt_eta", np.sqrt(self.eta))
 
     @property
@@ -246,39 +245,36 @@ def _draw_factors(cov: np.ndarray, scheme: str) -> tuple[np.ndarray, ...]:
 
 # float64 outcomes per block of the mean reduction: 256 KiB stay in cache from draw to sum
 _BLOCK_VALUES = 1 << 15
-# a model copies its factors broadcast to a block of at most this many values (32 KiB)
-_CACHED_VALUES = 1 << 12
+# a model tiles each factor down a block of at most this many values (32 KiB)
+_TILE_VALUES = 1 << 12
 
 
-def _block_factors(factors: tuple, m: int, scheme: str, kept: dict) -> tuple:
-    """Per-mode ``factors`` broadcast to a block of the shots of ``m`` (at N = 1 one
-    block spans every shot), kept in ``kept`` (one block shape per scheme):
-    contiguous copies while a block holds at most ``_CACHED_VALUES`` values,
-    else zero-copy views."""
-    rows = m if len(factors[0]) == 1 else min(m, max(1, _BLOCK_VALUES // factors[-1].size))
-    if (entry := kept.get(scheme, (0,)))[0] != rows:  # read once: other threads may write
-        small = rows * factors[-1].size <= _CACHED_VALUES
-        entry = kept[scheme] = (rows, tuple(np.repeat(f[None], rows, 0) if small
-                                            else np.broadcast_to(f, (rows, *f.shape))
-                                            for f in factors))
-    return entry[1]
+def _tiles(factors: tuple) -> tuple:
+    """Read-only copies of a scheme's per-mode ``factors``, each repeated down the rows
+    of a block of at most ``_TILE_VALUES`` values (at least one row)."""
+    tiles = tuple(np.repeat(f[None], max(1, _TILE_VALUES // factors[-1].size), 0) for f in factors)
+    for tile in tiles:
+        tile.flags.writeable = False
+    return tiles
 
 
-def _measure(mean: np.ndarray, m: int, config: MeasurementConfig, factors: dict,
-             kept: dict) -> QuadratureSampleMeans:
-    """The X and P means of ``m`` shots per quadrature around the output ``mean``,
-    drawn with ``factors[config.scheme]`` broadcast to blocks kept in ``kept``
-    (:func:`_block_factors`); views of ``mean`` itself when ``m`` is 0 (analytic)."""
+def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
+             tiles: tuple) -> QuadratureSampleMeans:
+    """The X and P means of ``m`` shots per quadrature around the output ``mean``, drawn in
+    blocks of about ``_BLOCK_VALUES`` values (one at N = 1) scaled by ``config.scheme``'s
+    ``tiles`` (:func:`_tiles`); views of ``mean`` itself when ``m`` is 0 (analytic)."""
     n = mean.size // 2
     if not m:
         return QuadratureSampleMeans(mean[:n], mean[n:], m)
     scheme, mx, mp = config.scheme, mean[:n], mean[n:]
-    blocks = _block_factors(factors[scheme], m, scheme, kept)
-    rows, rng = len(blocks[0]), _stream(config.seed, config._words)
+    rows = m if n == 1 else min(m, max(1, _BLOCK_VALUES // tiles[-1][0].size))
+    if rows > len(tiles[0]):  # a block taller than the tiles reads their first row, broadcast
+        tiles = [tile[:1] for tile in tiles]
+    rng = _stream(config.seed, config._words)
     if scheme == HOMODYNE:  # all X blocks, then all P; a (1, N) loc stays whole in loc[:k]
-        passes = zip((mx[None], mp[None]), blocks)
+        passes = zip((mx[None], mp[None]), tiles)
     else:  # one pass of joint shots; P's loc is filled per block
-        (l21, scale), tmp, loc = blocks, np.empty((rows, n)), np.empty((rows, n, 2))
+        (l21, scale), tmp, loc = tiles, np.empty((rows, n)), np.empty((rows, n, 2))
         loc[:, :, 0] = mx
         passes = [(loc, scale)]
     sums = []
@@ -339,9 +335,8 @@ def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSample
     Returns exact means for the analytic backend, otherwise the sample means
     of :func:`sample_quadratures`.
     """
-    scheme = config.scheme
-    return _measure(state.mean.copy(), config.shots_per_quadrature, config,
-                    {scheme: _draw_factors(state.cov, scheme)}, {})
+    tiles = tuple(f[None] for f in _draw_factors(state.cov, config.scheme))
+    return _measure(state.mean.copy(), config.shots_per_quadrature, config, tiles)
 
 
 @dataclass
@@ -351,7 +346,7 @@ class SimulatedDevice:
     Tracks the number of settings issued and probes (shots) consumed, which
     lets experiments assert that competing schemes got equal budgets. The
     counters are not thread-safe, so use one instance per thread; the model may
-    be shared, as its block cache hands each lookup the entry it checked or built.
+    be shared, as nothing writes to it after construction.
     """
 
     model: DeviceModel
@@ -370,7 +365,7 @@ class SimulatedDevice:
         self.settings_used += 1
         # one probe per homodyne single-quadrature outcome or heterodyne shot, none analytic
         self.probes_used += m * (2 if config.scheme == HOMODYNE else 1)
-        return _measure(mean, m, config, self.model._factors, self.model._blocks)
+        return _measure(mean, m, config, self.model._tiles[config.scheme])
 
 
 def device_to_json(model: DeviceModel) -> dict:

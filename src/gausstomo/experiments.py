@@ -213,9 +213,10 @@ def run_intensity_scaling(
 
     def error(idx, rep, configs):
         amplitude, tilde_sum = amplitude_list[idx[0]], np.zeros((2 * n_modes, 2 * n_modes))
-        for config in configs:
-            tilde_sum += measure_attenuated_matrix(SimulatedDevice(model), amplitude, config)
-        tilde_avg = tilde_sum / len(configs)
+        with np.errstate(over="ignore", invalid="ignore"):  # estimate_eta rejects an overflow
+            for config in configs:
+                tilde_sum += measure_attenuated_matrix(SimulatedDevice(model), amplitude, config)
+            tilde_avg = tilde_sum / len(configs)
         return scaled_frobenius(s_true, tilde_avg / math.sqrt(estimate_eta(tilde_avg)))
 
     return _sweep(

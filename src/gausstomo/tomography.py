@@ -125,17 +125,17 @@ def _probe_scale(amplitude: float) -> float:
 def _probe_settings(device: ProbeableDevice, probes: list[ProbeSpec],
                     config: MeasurementConfig) -> np.ndarray:
     """Issue the probe settings in order; returns the (2N, K) array whose column k holds
-    setting k's X means over its P means, non-finite, without a warning, where one overflowed.
+    setting k's X means over its P means, non-finite where one overflowed. Each caller issues
+    them and divides them by the probe scale under one overflow scope, so neither warns.
     Setting k's config is the checked ``config`` reseeded to its own stream (see
     :func:`_setting_streams`), so the settings could run concurrently."""
     settings = [config] * len(probes) if config.analytic else [config._reseeded(*stream)
         for stream in _setting_streams(config.seed, len(probes), config._table)]
     n = device.n_modes
     means = np.empty((2 * n, len(probes)))
-    with np.errstate(over="ignore", invalid="ignore"):  # one context per reconstruction
-        for k, (probe, setting) in enumerate(zip(probes, settings)):
-            got = device.probe_and_measure(probe, setting)
-            means[:n, k], means[n:, k] = got.x_means, got.p_means
+    for k, (probe, setting) in enumerate(zip(probes, settings)):
+        got = device.probe_and_measure(probe, setting)
+        means[:n, k], means[n:, k] = got.x_means, got.p_means
     return means
 
 
@@ -167,10 +167,10 @@ def measure_attenuated_matrix(
         for j in range(1, device.n_modes + 1)
         for phase in (0.0, math.pi / 2.0)
     ]
-    means = _probe_settings(device, probes, config)
-    s_tilde = np.hstack((means[:, 0::2], means[:, 1::2]))  # phase 0 columns, then pi/2
-    s_tilde /= scale  # elementwise: the bits of dividing each mean
-    return s_tilde
+    with np.errstate(over="ignore", invalid="ignore"):  # one scope per reconstruction
+        means = _probe_settings(device, probes, config)
+        # phase 0 columns, then pi/2, each element divided as its own mean
+        return np.hstack((means[:, 0::2], means[:, 1::2])) / scale
 
 
 def reconstruct_symplectic(
@@ -223,9 +223,10 @@ def reconstruct_unitary(
     scale = _probe_scale(amplitude)
     n = device.n_modes
     probes = [ProbeSpec(mode_j=j, amplitude=amplitude, phase=0.0) for j in range(1, n + 1)]
-    means = _probe_settings(device, probes, config)
-    _check_finite(np.isfinite(means[:n]) & np.isfinite(means[n:]), "u_tilde")
-    u_tilde = means[:n] / scale - 1j * means[n:] / scale
+    with np.errstate(over="ignore", invalid="ignore"):  # one scope per reconstruction
+        means = _probe_settings(device, probes, config)
+        u_tilde = means[:n] / scale - 1j * means[n:] / scale
+    _check_finite(np.isfinite(u_tilde), "u_tilde")
 
     # a vanishing determinant has log -inf and recovers eta_hat = 0
     _, logabsdet = np.linalg.slogdet(u_tilde)
@@ -304,7 +305,8 @@ def probe_ratios(
     """
     scales = [_probe_scale(amp) for amp in amplitudes]
     probes = [ProbeSpec(mode_j=1, amplitude=amp, phase=0.0) for amp in amplitudes]
-    ratios = (_probe_settings(device, probes, config)[device.n_modes] / scales).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # one scope for every amplitude
+        ratios = (_probe_settings(device, probes, config)[device.n_modes] / scales).tolist()
     for amp, ratio in zip(amplitudes, ratios):
         if not math.isfinite(ratio):
             raise ValueError(f"probe amplitude {amp} gives a non-finite ratio {ratio}")

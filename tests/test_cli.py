@@ -467,8 +467,12 @@ _OVERFLOW = ["--gamma", "0.1", "--amplitudes", "1e308,1", "--shots", "100"]
       "--out", "r.json"], 2),
     (["reconstruct", "--device", "s1.json", "--amplitude", "1e308", "--shots", "100",
       "--scheme", "homodyne", "--out", "r.json"], 2),
+    # a subnormal amplitude: the division of each mean by it overflows
+    (["detect", "--gamma", "0.1", "--amplitudes", "1e-310,1", "--shots", "100"], 1),
+    (["reconstruct", "--device", "s1.json", "--amplitude", "1e-310", "--shots", "100",
+      "--out", "r.json"], 2),
 ], ids=["detect-heterodyne", "detect-homodyne", "detect-analytic", "reconstruct-heterodyne",
-        "reconstruct-homodyne"])
+        "reconstruct-homodyne", "detect-tiny", "reconstruct-tiny"])
 def test_overflowed_means_fail_in_one_line_without_a_warning(tmp_path, argv, code):
     # -W error: a RuntimeWarning would be a traceback; a cubic gate or an N = 1 sum overflows
     (tmp_path / "s1.json").write_text(json.dumps(matrix_to_json(random_symplectic(1, seed=1),

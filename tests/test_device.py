@@ -1,9 +1,12 @@
 import gc
+import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import weakref
-from unittest import mock
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from gausstomo import (
     HOMODYNE,
     MeasurementConfig,
     ProbeSpec,
+    SCHEMES,
     SimulatedDevice,
     coherent_probe_state,
     cubic_phase_mean_map,
@@ -27,6 +31,7 @@ from gausstomo import (
     vacuum_state,
 )
 from gausstomo import device as device_module
+from gausstomo.device import _draw_factors
 from gausstomo.experiments import run_mode_scaling
 
 SQRT2 = math.sqrt(2.0)
@@ -384,69 +389,107 @@ def test_measure_never_aliases_the_state_mean(scheme, shots):
     assert state.mean.flags.writeable is False
 
 
-def test_block_factors_die_with_their_model():
+def test_factor_tiles_die_with_their_model():
     model = DeviceModel(random_symplectic(3, seed=1), eta=0.5)
     device = SimulatedDevice(model)
     for scheme in (HOMODYNE, HETERODYNE):
         device.probe_and_measure(ProbeSpec(1, 10.0), MeasurementConfig(scheme, 100, seed=0))
-    assert set(model._blocks) == {HOMODYNE, HETERODYNE}
+    tiles = [weakref.ref(tile) for scheme in SCHEMES for tile in model._tiles[scheme]]
     ref = weakref.ref(model)
     del model, device
     assert ref() is None  # freed by its reference count: no cycle and no outside holder
+    assert all(tile() is None for tile in tiles)
     # and no module-level container could hold another copy
     assert not [name for name, value in vars(device_module).items() if not name.startswith("__")
                 and (isinstance(value, (dict, list, set, np.ndarray)) or hasattr(value, "cache_info"))]
 
 
-def test_a_shared_model_hands_each_lookup_the_blocks_it_checked():
-    # another thread, drawing 4 shots, replaces the cached entry between this
-    # lookup's check and its use; at N = 1 heterodyne, blocks of 4 rows for 10
-    # shots would keep only the last block's sum, a wrong mean and no error
-    other = DeviceModel(np.eye(2))
-    SimulatedDevice(other).probe_and_measure(ProbeSpec(1, 1.0), MeasurementConfig(HETERODYNE, 4))
-
-    class Racing(dict):
-        """Every read returns the other thread's entry."""
-
-        def get(self, key, default=None):
-            return other._blocks[key]
-
-        __getitem__ = get
-
-    raced = DeviceModel(np.eye(2))
-    object.__setattr__(raced, "_blocks", Racing())
-    config = MeasurementConfig(HETERODYNE, 10, seed=5)
-    got = SimulatedDevice(raced).probe_and_measure(ProbeSpec(1, 1.0), config)
-    want = SimulatedDevice(DeviceModel(np.eye(2))).probe_and_measure(ProbeSpec(1, 1.0), config)
-    np.testing.assert_array_equal(got.x_means, want.x_means)
-    np.testing.assert_array_equal(got.p_means, want.p_means)
+def _snapshot(value):
+    """``value`` with every array in it, nested in dicts and tuples, as its bytes."""
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, dict):
+        return {key: _snapshot(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return tuple(map(_snapshot, value))
+    return value
 
 
-def test_wide_model_keeps_no_block_data():
-    # a heterodyne block at N = 64 holds 256 x 64 x 2 values, above the cap: the
-    # model keeps zero-copy views of its own factors and no array data
+def test_probing_leaves_a_model_unchanged():
+    # shot counts on both sides of the tile cap, N = 1 (one block of every shot) included
+    for n in (1, 8):
+        model = DeviceModel(random_symplectic(n, seed=2), eta=0.6)
+        before = _snapshot(vars(model))
+        assert set(before["_tiles"]) == set(SCHEMES)
+        device = SimulatedDevice(model)
+        for scheme, shots in itertools.product(SCHEMES, [2, 3, 100, 1000, 10_000, math.inf]):
+            device.probe_and_measure(ProbeSpec(1, 10.0, 0.3), MeasurementConfig(scheme, shots))
+        assert _snapshot(vars(model)) == before
+        assert not any(tile.flags.writeable for tiles in model._tiles.values() for tile in tiles)
+
+
+@pytest.mark.parametrize("n, shot_counts, rounds", [(1, [4, 10], 200), (3, [2, 5, 101, 3000], 25)],
+                         ids=["one-mode", "three-mode"])
+def test_threads_sharing_a_model_get_the_serial_means(n, shot_counts, rounds):
+    # at N = 1 a heterodyne block spans every shot, 4 or 10 rows: a thread that
+    # read another's block shape would keep only its last block's sum. Each
+    # thread starts the settings at its own offset, so threads draw different
+    # shot counts of one scheme at once.
+    model = DeviceModel(random_symplectic(n, seed=4), eta=0.8)
+    configs = [MeasurementConfig(scheme, shots, seed=k)
+               for k, (scheme, shots) in enumerate(itertools.product(SCHEMES, shot_counts))]
+    probe = ProbeSpec(1, 10.0, 0.3)
+    want = [SimulatedDevice(model).probe_and_measure(probe, config) for config in configs]
+    barrier = threading.Barrier(4, timeout=60)
+
+    def run(offset):
+        device = SimulatedDevice(model)  # its counters are its own
+        order = list(range(offset, offset + rounds * len(configs)))
+        barrier.wait()
+        return [(k % len(configs), device.probe_and_measure(probe, configs[k % len(configs)]))
+                for k in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as the interpreter checks
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(run, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in itertools.chain.from_iterable(runs):
+        np.testing.assert_array_equal(got.x_means, want[k].x_means)
+        np.testing.assert_array_equal(got.p_means, want[k].p_means)
+
+
+def test_wide_model_tiles_hold_at_most_the_cap():
+    # at N = 64 a heterodyne block of 256 x 64 x 2 values is taller than the
+    # tiles and reads their first row; each tile holds at most the cap's values
     model = DeviceModel(random_symplectic(64, seed=0), eta=0.8)
     config = MeasurementConfig(HETERODYNE, 10_000, seed=0)
     SimulatedDevice(model).probe_and_measure(ProbeSpec(mode_j=3, amplitude=10.0), config)
-    (rows, blocks), = model._blocks.values()
-    assert rows == 256
-    for block, factor in zip(blocks, model._factors[HETERODYNE]):
-        assert not block.flags.owndata and block.strides[0] == 0
-        assert np.shares_memory(block, factor)
+    for scheme in SCHEMES:
+        for tile, factor in zip(model._tiles[scheme], _draw_factors(model._cov, scheme),
+                                strict=True):
+            assert tile.flags.owndata and tile.size <= device_module._TILE_VALUES
+            assert np.array_equal(tile, np.broadcast_to(factor, tile.shape))
+    assert len(model._tiles[HETERODYNE][0]) == device_module._TILE_VALUES // 128 < 256
 
 
 def test_scaling_sweep_memory_does_not_grow_with_its_devices():
-    # 20 repetitions draw 20 devices of two models each; kept block factors
-    # (about 26 KB per model at N = 8) must die with their models
-    def peak(cap):
-        with mock.patch("gausstomo.device._CACHED_VALUES", cap):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                run_mode_scaling([8], eta_list=(1.0, 0.5), shots=100, repetitions=20, seed=3)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    # each repetition draws two devices at N = 8, whose models tile their factors;
+    # the tiles must die with their models. From 2 to 20 repetitions the sweep's
+    # stream table and records grow by about 100 KB, kept tiles would add 36 sets
+    tile_bytes = sum(tile.nbytes for tiles in DeviceModel(np.eye(16))._tiles.values()
+                     for tile in tiles)
 
-    kept, views = peak(device_module._CACHED_VALUES), peak(0)
-    assert kept - views < 128 * 1024
+    def peak(repetitions):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_mode_scaling([8], eta_list=(1.0, 0.5), shots=100, repetitions=repetitions, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # the first sweep in a process also allocates what later sweeps reuse
+    assert peak(20) - peak(2) < 2 * tile_bytes

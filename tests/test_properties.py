@@ -38,7 +38,8 @@ from gausstomo import (
     sample_quadratures,
     scaled_frobenius,
 )
-from gausstomo.device import _CACHED_VALUES, _block_factors, _draw_factors
+from gausstomo import device as device_module
+from gausstomo.device import _draw_factors
 from gausstomo import randgen
 
 modes = st.integers(min_value=1, max_value=8)
@@ -123,26 +124,30 @@ def _unblocked_outcomes(state, config):
 
 
 def _assert_streamed_means_match(n, seed, scheme, shots, cap_offset=None):
-    """Means and outcomes equal the unblocked ones. The model keeps copies of its
-    block factors when a block holds at most the cap's values, and views above
-    it; ``cap_offset`` sets the cap that far from the block's own value count,
-    else the module's cap holds."""
-    model = DeviceModel(random_symplectic(n, seed=seed), eta=0.7)
-    probe = ProbeSpec(1 + seed % n, 1000.0, 0.3)
+    """Means and outcomes equal the unblocked ones. A model tiles its factors down
+    a block of at most the cap's values: a block that fits reads a prefix of the
+    tiles, a taller one their first row. ``cap_offset`` sets the cap, before the
+    model is built, that far from the block's own value count, else the module's
+    cap holds."""
     config = MeasurementConfig(scheme, shots, seed=seed)
-    factors = model._factors[scheme]
-    values = _block_factors(factors, config.shots_per_quadrature, scheme, {})[-1].size
-    cap = _CACHED_VALUES if cap_offset is None else values + cap_offset
+    m, width = config.shots_per_quadrature, n if scheme == HOMODYNE else 2 * n
+    rows = m if n == 1 else min(m, max(1, device_module._BLOCK_VALUES // width))
+    values = rows * width
+    cap = device_module._TILE_VALUES if cap_offset is None else values + cap_offset
+    with mock.patch("gausstomo.device._TILE_VALUES", cap):
+        model = DeviceModel(random_symplectic(n, seed=seed), eta=0.7)
+    tiles = model._tiles[scheme]
+    # a one-row block fits in the one row a tile keeps at least
+    assert (len(tiles[0]) >= rows) == (values <= cap or rows == 1)
+    assert all(tile.size <= max(cap, tile[0].size) for tile in tiles)
+    probe = ProbeSpec(1 + seed % n, 1000.0, 0.3)
     state = evolve(model, probe)
     x, p = _unblocked_outcomes(state, config)
-    with mock.patch("gausstomo.device._CACHED_VALUES", cap):
-        device = SimulatedDevice(model)
-        for got in (measure(state, config), device.probe_and_measure(probe, config),
-                    device.probe_and_measure(probe, config)):  # the second reads the kept factors
-            assert np.array_equal(got.x_means, x.mean(axis=0))
-            assert np.array_equal(got.p_means, p.mean(axis=0))
-    (_, blocks), = model._blocks.values()
-    assert all(block.flags.owndata == (values <= cap) for block in blocks)
+    device = SimulatedDevice(model)
+    for got in (measure(state, config), device.probe_and_measure(probe, config),
+                device.probe_and_measure(probe, config)):  # the second reads the same tiles
+        assert np.array_equal(got.x_means, x.mean(axis=0))
+        assert np.array_equal(got.p_means, p.mean(axis=0))
     x_raw, p_raw = sample_quadratures(state, config)
     assert np.array_equal(x_raw, x) and np.array_equal(p_raw, p)
 
@@ -151,7 +156,7 @@ def _assert_streamed_means_match(n, seed, scheme, shots, cap_offset=None):
 @given(n=modes, seed=seeds, scheme=schemes, shots=st.integers(min_value=1, max_value=500),
        block_values=st.integers(min_value=1, max_value=48),
        cap_offset=st.sampled_from([-1, 0, 1]))
-# blocks of 5, 5 and 3 shots, kept and as views; one block spanning every shot at N = 1
+# blocks of 5, 5 and 3 shots, inside the tiles and taller; one block spanning every shot at N = 1
 @example(n=3, seed=11, scheme=HETERODYNE, shots=13, block_values=30, cap_offset=0)
 @example(n=3, seed=11, scheme=HETERODYNE, shots=13, block_values=30, cap_offset=-1)
 @example(n=3, seed=11, scheme=HOMODYNE, shots=27, block_values=15, cap_offset=0)
@@ -161,7 +166,7 @@ def _assert_streamed_means_match(n, seed, scheme, shots, cap_offset=None):
 def test_streamed_means_equal_unblocked_means(n, seed, scheme, shots, block_values, cap_offset):
     # a block of a few rows makes every example cross several block boundaries,
     # most ending in a short block; at N = 1 the means must still come from
-    # one block spanning every shot. The block sits just above the cap
+    # one block spanning every shot. The block sits just above the tile cap
     # (cap_offset -1), at it (0) or just below it (1).
     assume(scheme != HOMODYNE or shots >= 2)
     with mock.patch("gausstomo.device._BLOCK_VALUES", block_values):

@@ -400,6 +400,28 @@ def test_unitary_non_finite_eta_hat_is_loss_recovery_error():
         reconstruct_unitary(device, 1e-300, config)
 
 
+# At 1e-310, a subnormal, each shot-noise mean divided by sqrt(2) a overflows:
+# the division runs inside the reconstruction's one overflow scope, so nothing
+# warns, and the non-finite entries are named before any determinant is taken.
+@pytest.mark.parametrize("scheme", [HOMODYNE, HETERODYNE])
+def test_tiny_amplitude_names_the_non_finite_entries(scheme):
+    config = MeasurementConfig(scheme, 100, seed=0)
+    with pytest.raises(LossRecoveryError, match=r"^s_tilde has \d+ non-finite entries"):
+        reconstruct_symplectic(make_device(2, seed=0), 1e-310, config)
+
+
+def test_unitary_tiny_amplitude_names_the_non_finite_entries():
+    device = SimulatedDevice(DeviceModel(np.eye(4)))
+    with pytest.raises(LossRecoveryError, match=r"^u_tilde has 4 non-finite entries"):
+        reconstruct_unitary(device, 1e-310, MeasurementConfig(HETERODYNE, 100))
+
+
+def test_probe_ratios_rejects_a_tiny_amplitude_without_a_warning():
+    config = MeasurementConfig(scheme=HETERODYNE, shots=100, seed=0)
+    with pytest.raises(ValueError, match=r"1e-310 gives a non-finite ratio"):
+        probe_ratios(cubic_device(0.1), [1e-310, 1.0], config)
+
+
 def test_estimate_eta_names_the_non_finite_entries():
     s_tilde = np.eye(4)
     s_tilde[0, 1], s_tilde[2, 3] = math.inf, math.nan
