@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Write the CLI outputs whose bytes a change that keeps every answer must not
-# change, 33 files, into the directory OUTDIR:
+# change, 35 files, into the directory OUTDIR:
 #   - 3 device files (generate, N = 1, 3 and 16)
 #   - 12 reconstructions: N = 3 and 16 x both schemes x shots 3, 100 and inf
 #   - 2 reconstructions at N = 16, both schemes at 1000 shots: sampling blocks
 #     taller than a model's factor tiles
-#   - 4 reconstructions at N = 1 (2 settings), both schemes at 100 and 10**4
-#     shots; at 10**4 the one block of every shot is taller than the tiles
+#   - 6 reconstructions at N = 1 (2 settings), both schemes at 100, 10**4 and
+#     100003 shots; at 100003 the shots are drawn in several leaves of NumPy's
+#     pairwise split, where a tree drawing one block of every shot has one
 #   - 2 reconstructions at N = 3, seeds 2**64 - 1 (the largest master a stream
 #     table holds) and 2**64 (the smallest that takes default_rng)
 #   - the four README experiments at reduced --reps: 4 CSV and 4 .meta.json files
@@ -32,7 +33,7 @@ gt generate --kind symplectic --modes 1 --r-max 0.5 --seed 7 --out s1.json
 for scheme in homodyne heterodyne; do
   gt reconstruct --device s16.json --scheme "$scheme" --shots 1000 \
     --loss 0.5 --seed 0 --out "recon-16-$scheme-1000.json"
-  for shots in 100 10000; do
+  for shots in 100 10000 100003; do
     gt reconstruct --device s1.json --scheme "$scheme" --shots "$shots" \
       --loss 0.5 --seed 0 --out "recon-1-$scheme-$shots.json"
   done

@@ -50,12 +50,7 @@ class GaussianState:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.cov, dtype=float)
-        if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
-            raise ValueError(f"mean must be a length-2N vector, got shape {mean.shape}")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"covariance shape {cov.shape} inconsistent with mean length {mean.size}"
-            )
+        _check_shape(cov, "covariance", _check_shape(mean, "mean"))
         if np.max(np.abs(cov - cov.T)) > STRUCTURAL_TOL:
             raise ValueError("covariance matrix is not symmetric")
         mean.flags.writeable = False
@@ -80,14 +75,21 @@ def symplectic_form(n: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def _check_even_square(a: np.ndarray, name: str) -> int:
-    """Validate a 2N x 2N matrix and return N."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if a.shape[0] % 2 != 0 or a.shape[0] == 0:
-        raise ValueError(f"{name} must have even dimension 2N, got {a.shape[0]}")
-    return a.shape[0] // 2
+# an N-mode array of each kind has shape N times these factors; any other kind (2, 2)
+_SHAPE_FACTORS = {"mean": (2,), "unitary-real": (1, 1), "unitary-imag": (1, 1)}
+
+
+def _check_shape(a: np.ndarray, kind: str, n: int | None = None) -> int:
+    """``a`` must have the shape of an N-mode ``kind``, N = ``n`` >= 1, or read off the first
+    axis if ``n`` is None: (2N,) for a mean, (N, N) for a unitary part, (2N, 2N) for any other
+    kind (a matrix). Returns N."""
+    factors = _SHAPE_FACTORS.get(kind, (2, 2))
+    if n is None:
+        n = a.shape[0] // factors[0] if a.ndim else 0
+    if n < 1 or a.shape != (shape := tuple(factor * n for factor in factors)):
+        expected = f"{shape} for N = {n}" if n >= 1 else "N >= 1 modes"
+        raise ValueError(f"{kind} data has shape {a.shape}, expected {expected}")
+    return n
 
 
 def is_symplectic(s: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
@@ -97,8 +99,7 @@ def is_symplectic(s: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
         ValueError: if ``s`` is not square with even dimension.
     """
     s = np.asarray(s, dtype=float)
-    n = _check_even_square(s, "matrix")
-    j = symplectic_form(n)
+    j = symplectic_form(_check_shape(s, "matrix"))
     return bool(np.max(np.abs(s @ j @ s.T - j)) <= tol)
 
 
@@ -138,7 +139,7 @@ def extract_unitary(s: np.ndarray, tol: float = PASSIVE_BLOCK_TOL) -> np.ndarray
             which signals an active (e.g. squeezing) transformation.
     """
     s = np.asarray(s, dtype=float)
-    n = _check_even_square(s, "matrix")
+    n = _check_shape(s, "matrix")
     a, b = s[:n, :n], s[:n, n:]
     c, d = s[n:, :n], s[n:, n:]
     asym = max(np.max(np.abs(a - d)), np.max(np.abs(b + c)))
@@ -225,11 +226,7 @@ def _coherent_mean(n: int, mode_j: int, amplitude: float, phase: float, gain=1.0
 def apply_symplectic(s: np.ndarray, state: GaussianState) -> GaussianState:
     """Evolve a state through a symplectic map: mean -> S mean, cov -> S cov S^T."""
     s = np.asarray(s, dtype=float)
-    _check_even_square(s, "matrix")
-    if s.shape[0] != state.mean.size:
-        raise ValueError(
-            f"matrix dimension {s.shape[0]} does not match state dimension {state.mean.size}"
-        )
+    _check_shape(s, "matrix", state.n_modes)
     return GaussianState(mean=s @ state.mean, cov=s @ state.cov @ s.T)
 
 
@@ -283,22 +280,14 @@ def matrix_to_json(a: np.ndarray, kind: str) -> dict:
     """Encode a real matrix (or mean vector) as a plain JSON-ready dict.
 
     The dict carries an explicit quadrature-ordering tag so files written
-    here cannot silently be read under a different convention.
+    here cannot silently be read under a different convention. N is read off
+    the first axis, and the shape checked by :func:`matrix_from_json`'s rule.
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
     a = np.asarray(a, dtype=float)
-    if kind == "mean":
-        if a.ndim != 1 or a.size % 2:
-            raise ValueError("mean must be a length-2N vector")
-        n_modes = a.size // 2
-    elif kind in ("unitary-real", "unitary-imag"):
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"{kind} must be a square matrix")
-        n_modes = a.shape[0]
-    else:
-        n_modes = _check_even_square(a, kind)
-    return {"kind": kind, "n_modes": n_modes, "ordering": ORDERING, "data": a.tolist()}
+    n = _check_shape(a, kind)
+    return {"kind": kind, "n_modes": n, "ordering": ORDERING, "data": a.tolist()}
 
 
 def matrix_from_json(obj: dict, expect_kind: str | None = None) -> np.ndarray:
@@ -312,15 +301,7 @@ def matrix_from_json(obj: dict, expect_kind: str | None = None) -> np.ndarray:
     if obj["ordering"] != ORDERING:
         raise ValueError(f"unsupported quadrature ordering {obj['ordering']!r}")
     a = np.asarray(obj["data"], dtype=float)
-    n = _check_index(obj["n_modes"], "n_modes", 1)
-    if kind == "mean":
-        expected = (2 * n,)
-    elif kind in ("unitary-real", "unitary-imag"):
-        expected = (n, n)
-    else:
-        expected = (2 * n, 2 * n)
-    if a.shape != expected:
-        raise ValueError(f"{kind} data has shape {a.shape}, expected {expected}")
+    _check_shape(a, kind, _check_index(obj["n_modes"], "n_modes", 1))
     return a
 
 

@@ -36,7 +36,8 @@ means of those outcomes through one sampler that never holds them: it draws the
 same normals in blocks of about 256 KiB and reduces each block as it is drawn,
 to the same bits. NumPy sums a (shots, N) array row by row, which a running sum
 carried across blocks continues, but a single column (N = 1) pairwise, so there
-one block spans every shot and each column is summed alone. A block is formed
+the shots are drawn in the leaves of NumPy's pairwise split, each at most a
+block, and each leaf's columns are summed alone. A block is formed
 by two passes over its full width, ``z *= scale`` and ``z += loc``: ``scale``
 holds the factors broadcast to the block, ``loc`` the mean plus, in heterodyne
 P, ``l21 z0``. IEEE addition commutes, so ``l22 z1 + (l21 z0 + mp)`` is the
@@ -261,13 +262,16 @@ def _tiles(factors: tuple) -> tuple:
 def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
              tiles: tuple) -> QuadratureSampleMeans:
     """The X and P means of ``m`` shots per quadrature around the output ``mean``, drawn in
-    blocks of about ``_BLOCK_VALUES`` values (one at N = 1) scaled by ``config.scheme``'s
-    ``tiles`` (:func:`_tiles`); views of ``mean`` itself when ``m`` is 0 (analytic)."""
+    blocks of about ``_BLOCK_VALUES`` values scaled by ``config.scheme``'s ``tiles``
+    (:func:`_tiles`), by :func:`_measure_one` at N = 1; views of ``mean`` itself when ``m``
+    is 0 (analytic)."""
     n = mean.size // 2
     if not m:
         return QuadratureSampleMeans(mean[:n], mean[n:], m)
+    if n == 1:
+        return _measure_one(mean, m, config, tiles)
     scheme, mx, mp = config.scheme, mean[:n], mean[n:]
-    rows = m if n == 1 else min(m, max(1, _BLOCK_VALUES // tiles[-1][0].size))
+    rows = min(m, max(1, _BLOCK_VALUES // tiles[-1][0].size))
     if rows > len(tiles[0]):  # a block taller than the tiles reads their first row, broadcast
         tiles = [tile[:1] for tile in tiles]
     rng = _stream(config.seed, config._words)
@@ -289,9 +293,7 @@ def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
                 loc[:k, :, 1] = t
             z *= scale[:k]
             z += loc[:k]  # heterodyne P: l22 z1 + (l21 z0 + mp), the closed form commuted
-            if n == 1 and scheme == HETERODYNE:  # one block; each column is summed pairwise
-                total = np.array([[z[:, 0, 0].sum(), z[:, 0, 1].sum()]])
-            elif total is None:
+            if total is None:
                 total = np.add.reduce(z, axis=0)
             else:
                 buf[0] = total  # the running sum goes in row 0, ahead of the block's shots
@@ -299,6 +301,36 @@ def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
         sums.append(total / m)
     x, p = sums if scheme == HOMODYNE else sums[0].T
     return QuadratureSampleMeans(x, p, m)
+
+
+def _measure_one(mean: np.ndarray, m: int, config: MeasurementConfig,
+                 tiles: tuple) -> QuadratureSampleMeans:
+    """:func:`_measure` at N = 1. NumPy sums a column pairwise: above 128 values, the sums of two
+    halves, the first ``k // 2`` rounded down to a multiple of 8. The shots are drawn in stream
+    order in that split's leaves, at most a block but not split below 128, each column summed."""
+    het = config.scheme == HETERODYNE
+    rows = min(m, max(128, _BLOCK_VALUES // (1 + het)))
+    buf, rng = np.empty((rows, 1 + het)), _stream(config.seed, config._words)
+    a, b = (tile[0] for tile in tiles)  # homodyne sx, sp; heterodyne l21, (l11, l22)
+
+    def pairwise(k, loc, scale):
+        if k > rows:
+            half = k // 2 - k // 2 % 8
+            return pairwise(half, loc, scale) + pairwise(k - half, loc, scale)
+        z = rng.standard_normal(out=buf[:k])
+        if het:  # P's loc, l21 z0 + mp
+            loc = loc[:k]
+            np.multiply(z[:, 0], a, out=loc[:, 1])
+            loc[:, 1] += mean[1]
+        z *= scale
+        z += loc  # heterodyne P: l22 z1 + (l21 z0 + mp), the closed form commuted
+        return np.array([column.sum() for column in z.T])
+
+    if het:  # one pass of joint shots
+        loc = np.empty((rows, 2))
+        loc[:, 0] = mean[0]
+        return QuadratureSampleMeans(*(pairwise(m, loc, b[0]) / m)[:, None], m)
+    return QuadratureSampleMeans(pairwise(m, mean[:1], a) / m, pairwise(m, mean[1:], b) / m, m)
 
 
 def sample_quadratures(

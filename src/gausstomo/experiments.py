@@ -86,8 +86,11 @@ def _sweep(
     Repetitions run outermost: for every ``rep``, every cell's ``error(idx, rep, configs)``
     is called in turn with its config reseeded to each master, carrying its rows, and a
     ``drop_on`` exception counts one drop. A record is its cell's row with the mean and
-    standard error of the cell's own errors.
+    standard error of the cell's own errors. An empty axis, which would leave no row, raises.
     """
+    for name, values in axes.items():
+        if not len(values):
+            raise ValueError(f"the {name} axis of the {experiment_id} grid is empty")
     cells = list(itertools.product(*(range(len(values)) for values in axes.values())))
     rows = {idx: dict(fixed, experiment_id=experiment_id, repetitions=repetitions, dropped=0,
                       **{name: values[i] for (name, values), i in zip(axes.items(), idx)})

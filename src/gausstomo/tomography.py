@@ -27,7 +27,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import (STRUCTURAL_TOL, NotPassiveError, _check_even_square, _check_index, _real,
+from .core import (STRUCTURAL_TOL, NotPassiveError, _check_index, _check_shape, _real,
                    matrix_to_json)
 from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans
 from .randgen import _setting_streams
@@ -105,7 +105,7 @@ def estimate_eta(s_tilde: np.ndarray) -> float:
             positive, or the recovered transmissivity is not finite and > 0.
     """
     s_tilde = np.asarray(s_tilde, dtype=float)
-    n = _check_even_square(s_tilde, "s_tilde")
+    n = _check_shape(s_tilde, "s_tilde")
     _check_finite(np.isfinite(s_tilde), "s_tilde")
     sign, logabsdet = np.linalg.slogdet(s_tilde)
     if not sign > 0:

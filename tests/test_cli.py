@@ -197,6 +197,22 @@ def test_bad_seed_is_usage_error_naming_seed(tmp_path, capsys, command, seed, me
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, message", [
+    ("generate --kind symplectic --modes 0 --out OUT",
+     "argument --modes: expected a positive integer, got 0"),
+    ("experiment mode-scaling --modes , --out OUT", "argument --modes: empty list"),
+    ("reconstruct --device DEVICE --loss abc --out OUT",
+     "argument --loss: invalid loss fraction 'abc'"),
+], ids=["generate-modes-0", "mode-scaling-empty-modes", "reconstruct-loss-not-a-number"])
+def test_bad_flag_value_is_usage_error_naming_the_flag(tmp_path, capsys, command, message):
+    dev, _ = write_device(tmp_path, n=1)
+    argv = command.replace("OUT", str(tmp_path / "out")).replace("DEVICE", str(dev)).split()
+    code, stdout, err = run(argv, capsys)
+    assert code == 1 and stdout == ""
+    assert err.endswith(f": error: {message}\n")
+    assert list(tmp_path.iterdir()) == [dev]
+
+
 def test_unknown_subcommand(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 1

@@ -1,10 +1,13 @@
+import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from gausstomo import (
+    MATRIX_KINDS,
     GaussianState,
     NotPassiveError,
     apply_symplectic,
@@ -27,6 +30,7 @@ from gausstomo.experiments import run_mode_scaling, run_phase_error_study
 from gausstomo.randgen import derive_seed, haar_unitary, random_symplectic
 from gausstomo.tomography import (
     detect_non_gaussian,
+    estimate_eta,
     reconstruct_element_with_phase_error,
     reconstruct_symplectic,
 )
@@ -354,6 +358,71 @@ def test_matrix_json_kind_mismatch():
 def test_unitary_json_round_trip():
     u = haar_unitary(3, seed=4)
     np.testing.assert_allclose(unitary_from_json(unitary_to_json(u)), u, atol=0)
+
+
+# the shape of each kind at N = 1; N modes scale every axis by N
+_KIND_SHAPES = {"symplectic": (2, 2), "covariance": (2, 2), "mean": (2,),
+                "unitary-real": (1, 1), "unitary-imag": (1, 1)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_matrix_json_round_trips_every_kind_bit_for_bit(kind, n):
+    a = np.random.default_rng(n).standard_normal([f * n for f in _KIND_SHAPES[kind]])
+    obj = json.loads(json.dumps(matrix_to_json(a, kind)))
+    assert obj["n_modes"] == n
+    got = matrix_from_json(obj, expect_kind=kind)
+    assert got.shape == a.shape and got.tobytes() == a.tobytes()
+
+
+# per kind: empty, odd-sized, non-square and wrongly ranked arrays; an empty mean or
+# unitary part was once written with "n_modes": 0, which no reader accepts
+_MEAN_BAD = [(0,), (3,), (), (2, 2)]
+_UNITARY_BAD = [(0, 0), (2, 3), (), (2,), (2, 2, 2)]
+_SQUARE_BAD = [(0, 0), (3, 3), (2, 4), (), (4,), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("kind, shape", [
+    pytest.param(kind, shape, id=f"{kind}-{'x'.join(map(str, shape)) or 'scalar'}")
+    for kinds, shapes in ((["mean"], _MEAN_BAD), (["unitary-real", "unitary-imag"], _UNITARY_BAD),
+                          (["symplectic", "covariance"], _SQUARE_BAD))
+    for kind in kinds for shape in shapes])
+def test_matrix_to_json_rejects_a_shape_of_no_mode_count(kind, shape):
+    with pytest.raises(ValueError, match=f"^{kind} data has shape {re.escape(str(shape))}, "
+                                         "expected "):
+        matrix_to_json(np.zeros(shape), kind)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: matrix_from_json({**matrix_to_json(np.eye(4), "symplectic"), "n_modes": 3}),
+     "symplectic data has shape (4, 4), expected (6, 6) for N = 3"),
+    (lambda: is_symplectic(np.zeros((2, 3))),
+     "matrix data has shape (2, 3), expected (2, 2) for N = 1"),
+    (lambda: extract_unitary(np.zeros((0, 0))),
+     "matrix data has shape (0, 0), expected N >= 1 modes"),
+    (lambda: apply_symplectic(np.eye(4), vacuum_state(1)),
+     "matrix data has shape (4, 4), expected (2, 2) for N = 1"),
+    (lambda: GaussianState(mean=np.zeros(3), cov=np.eye(3)),
+     "mean data has shape (3,), expected (2,) for N = 1"),
+    (lambda: GaussianState(mean=np.zeros(2), cov=np.eye(4)),
+     "covariance data has shape (4, 4), expected (2, 2) for N = 1"),
+    (lambda: estimate_eta(np.eye(3)), "s_tilde data has shape (3, 3), expected (2, 2) for N = 1"),
+], ids=["matrix_from_json", "is_symplectic", "extract_unitary", "apply_symplectic", "state-mean", "state-cov",
+        "estimate_eta"])
+def test_every_mode_shaped_input_is_checked_by_the_one_shape_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_embed_unitary_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"^unitary must be square, got shape \(2, 3\)$"):
+        embed_unitary(np.zeros((2, 3)))
+
+
+def test_unitary_json_parts_must_agree_in_mode_count():
+    obj = {"real": unitary_to_json(np.eye(2))["real"], "imag": unitary_to_json(np.eye(3))["imag"]}
+    with pytest.raises(ValueError, match="^unitary real/imag parts disagree in shape$"):
+        unitary_from_json(obj)
 
 
 @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])

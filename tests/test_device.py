@@ -27,6 +27,7 @@ from gausstomo import (
     evolve,
     measure,
     random_symplectic,
+    reconstruct_symplectic,
     sample_quadratures,
     vacuum_state,
 )
@@ -346,6 +347,70 @@ def test_heterodyne_means_use_bounded_memory():
     assert peak < 2 * 2**20
 
 
+class _CountingStream:
+    """A generator that records the row count of every ``standard_normal`` fill."""
+
+    def __init__(self, rng, fills):
+        self.rng, self.fills = rng, fills
+
+    def standard_normal(self, *args, out):
+        self.fills.append(len(out))
+        return self.rng.standard_normal(*args, out=out)
+
+
+@pytest.mark.parametrize("shots", [3, 128, 129, 1000, 3001, 4099])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_one_mode_means_stream_in_pairwise_leaves(monkeypatch, scheme, shots):
+    # a block of 256 values holds 256 homodyne or 128 heterodyne shots, so
+    # thousands of shots span several leaves of NumPy's pairwise split
+    model = DeviceModel(random_symplectic(1, seed=3), eta=0.7)
+    probe = ProbeSpec(1, 10.0, 0.3)
+    config = MeasurementConfig(scheme, shots, seed=shots)
+    x, p = sample_quadratures(evolve(model, probe), config)
+    monkeypatch.setattr(device_module, "_BLOCK_VALUES", 256)
+    fills, stream = [], device_module._stream
+    monkeypatch.setattr(device_module, "_stream",
+                        lambda *args: _CountingStream(stream(*args), fills))
+    rows = 256 if scheme == HOMODYNE else 128
+    for got in (SimulatedDevice(model).probe_and_measure(probe, config),
+                measure(evolve(model, probe), config)):
+        assert np.array_equal(got.x_means, x.mean(axis=0))
+        assert np.array_equal(got.p_means, p.mean(axis=0))
+    assert max(fills) <= rows
+    passes = 2 * (2 if scheme == HOMODYNE else 1)  # two calls; homodyne draws X, then P
+    assert sum(fills) == passes * config.shots_per_quadrature
+    if config.shots_per_quadrature > 2 * rows:  # at least three leaves per pass
+        assert len(fills) >= 3 * passes
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_one_mode_reconstruction_uses_bounded_memory(scheme):
+    # 400003 heterodyne shots drawn as one block would take 6.4 MB; a leaf
+    # holds at most one block of 256 KiB
+    device = SimulatedDevice(DeviceModel(random_symplectic(1, seed=1), eta=0.7))
+    reconstruct_symplectic(device, 100.0, MeasurementConfig(scheme, 10, seed=3))  # warm-up
+    tracemalloc.start()
+    try:
+        reconstruct_symplectic(device, 100.0, MeasurementConfig(scheme, 400_003, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_cubic_phase_mean_map_rejects_a_two_mode_mean():
+    with pytest.raises(ValueError, match=r"^cubic gate acts on a single mode \(mean vector of "
+                                         r"length 2\)$"):
+        cubic_phase_mean_map(0.1, np.zeros(4))
+
+
+def test_sample_quadratures_has_no_analytic_outcomes():
+    state = evolve(DeviceModel(np.eye(2)), ProbeSpec(1, 1.0))
+    with pytest.raises(ValueError, match=r"^analytic backend has no sample outcomes; "
+                                         r"use measure\(\)$"):
+        sample_quadratures(state, MeasurementConfig(HETERODYNE, math.inf))
+
+
 @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
 def test_probe_spec_rejects_non_finite_phase(phase):
     with pytest.raises(ValueError, match="phase"):
@@ -416,7 +481,7 @@ def _snapshot(value):
 
 
 def test_probing_leaves_a_model_unchanged():
-    # shot counts on both sides of the tile cap, N = 1 (one block of every shot) included
+    # shot counts on both sides of the tile cap, N = 1 (which reads the tiles' first rows) included
     for n in (1, 8):
         model = DeviceModel(random_symplectic(n, seed=2), eta=0.6)
         before = _snapshot(vars(model))
@@ -431,7 +496,7 @@ def test_probing_leaves_a_model_unchanged():
 @pytest.mark.parametrize("n, shot_counts, rounds", [(1, [4, 10], 200), (3, [2, 5, 101, 3000], 25)],
                          ids=["one-mode", "three-mode"])
 def test_threads_sharing_a_model_get_the_serial_means(n, shot_counts, rounds):
-    # at N = 1 a heterodyne block spans every shot, 4 or 10 rows: a thread that
+    # at N = 1 a heterodyne leaf spans every shot, 4 or 10 rows: a thread that
     # read another's block shape would keep only its last block's sum. Each
     # thread starts the settings at its own offset, so threads draw different
     # shot counts of one scheme at once.

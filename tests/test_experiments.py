@@ -298,17 +298,48 @@ def probe_count(monkeypatch):
         (lambda: run_unitary_scaling([1], amplitude=-2.0, repetitions=1), "amplitude"),
         (lambda: run_phase_error_study(0.05, [1], amplitude=math.nan, repetitions=1),
          "amplitude"),
+        # an empty grid would leave a CSV of the header alone
+        (lambda: run_mode_scaling(n_list=[], shots=math.inf, repetitions=1),
+         "^the n_modes axis of the mode-scaling grid is empty$"),
+        (lambda: run_unitary_scaling([2], schemes=[], shots=math.inf, repetitions=1),
+         "^the scheme axis of the unitary-scaling grid is empty$"),
+        (lambda: run_intensity_scaling(amplitude_list=[], shots=math.inf, repetitions=1),
+         "^the amplitude axis of the intensity grid is empty$"),
+        (lambda: run_phase_error_study(0.05, trials_list=[], repetitions=1),
+         "^the trials axis of the phase-error grid is empty$"),
     ],
     ids=["mode-reps", "unitary-reps", "intensity-reps", "phase-reps", "mode-n", "unitary-n",
          "intensity-n", "intensity-trials", "phase-trials", "mode-n-float", "phase-reps-float",
          "intensity-negative-amplitude", "intensity-inf-amplitude", "intensity-scheme",
          "mode-scheme", "unitary-scheme", "mode-amplitude", "unitary-amplitude",
-         "phase-amplitude"],
+         "phase-amplitude", "mode-empty", "unitary-empty", "intensity-empty", "phase-empty"],
 )
 def test_runners_reject_bad_counts_before_any_probe(sweep, match, probe_count):
     with pytest.raises(ValueError, match=match):
         sweep()
     assert probe_count == []
+
+
+def test_stderr_is_the_sample_standard_error_of_the_repetitions(monkeypatch):
+    errors = iter([1.0, 2.0, 4.0])
+    monkeypatch.setattr(experiments, "scaled_frobenius", lambda *args, **kwargs: next(errors))
+    (record,) = run_mode_scaling([2], schemes=[HETERODYNE], eta_list=[1.0], shots=math.inf,
+                                 repetitions=3)
+    # mean 7/3; squared deviations 16/9, 1/9 and 25/9 over 3 - 1 give the variance 7/3
+    assert record.f_mean == pytest.approx(7 / 3, rel=1e-15)
+    assert record.f_stderr == pytest.approx(math.sqrt(7 / 3) / math.sqrt(3), rel=1e-15)
+
+
+def test_phase_error_averages_the_trial_estimates(monkeypatch):
+    # skewed estimates: their mean lies one row norm above the element, their median on it
+    def estimates(device, i, j, amplitude, phis, config):
+        s = device.model.s
+        target, norm = s[0, 0], math.hypot(s[0, 0], s[0, 1])
+        return [target, target, target + 3 * norm]
+
+    monkeypatch.setattr(experiments, "_phase_error_elements", estimates)
+    (record,) = run_phase_error_study(0.05, trials_list=[3], repetitions=1)
+    assert record.f_mean == pytest.approx(1.0, rel=1e-12)
 
 
 def test_repeated_mode_count_gets_its_own_row():

@@ -156,7 +156,7 @@ def _assert_streamed_means_match(n, seed, scheme, shots, cap_offset=None):
 @given(n=modes, seed=seeds, scheme=schemes, shots=st.integers(min_value=1, max_value=500),
        block_values=st.integers(min_value=1, max_value=48),
        cap_offset=st.sampled_from([-1, 0, 1]))
-# blocks of 5, 5 and 3 shots, inside the tiles and taller; one block spanning every shot at N = 1
+# blocks of 5, 5 and 3 shots, inside the tiles and taller; one leaf spanning every shot at N = 1
 @example(n=3, seed=11, scheme=HETERODYNE, shots=13, block_values=30, cap_offset=0)
 @example(n=3, seed=11, scheme=HETERODYNE, shots=13, block_values=30, cap_offset=-1)
 @example(n=3, seed=11, scheme=HOMODYNE, shots=27, block_values=15, cap_offset=0)
@@ -165,9 +165,10 @@ def _assert_streamed_means_match(n, seed, scheme, shots, cap_offset=None):
 @example(n=1, seed=11, scheme=HOMODYNE, shots=9, block_values=4, cap_offset=-1)
 def test_streamed_means_equal_unblocked_means(n, seed, scheme, shots, block_values, cap_offset):
     # a block of a few rows makes every example cross several block boundaries,
-    # most ending in a short block; at N = 1 the means must still come from
-    # one block spanning every shot. The block sits just above the tile cap
-    # (cap_offset -1), at it (0) or just below it (1).
+    # most ending in a short block; at N = 1 the shots are drawn in leaves of
+    # NumPy's pairwise split, at most 128 shots each, as a block of at most 48
+    # values is smaller. The block sits just above the tile cap (cap_offset -1),
+    # at it (0) or just below it (1).
     assume(scheme != HOMODYNE or shots >= 2)
     with mock.patch("gausstomo.device._BLOCK_VALUES", block_values):
         _assert_streamed_means_match(n, seed, scheme, shots, cap_offset)

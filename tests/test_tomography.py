@@ -234,6 +234,44 @@ def test_reconstruct_unitary_flags_active_device():
         reconstruct_unitary(SimulatedDevice(DeviceModel(squeezer)), 1.0, ANALYTIC_HOM)
 
 
+class _MatrixDevice:
+    """A probeable device whose probe of mode j reads column j of the complex matrix
+    ``u_tilde`` as ``reconstruct_unitary`` reads it, whatever the shots."""
+
+    def __init__(self, u_tilde):
+        self.u_tilde = np.asarray(u_tilde, dtype=complex)
+
+    @property
+    def n_modes(self):
+        return len(self.u_tilde)
+
+    def probe_and_measure(self, probe, config):
+        column = math.sqrt(2.0) * probe.amplitude * self.u_tilde[:, probe.mode_j - 1]
+        return QuadratureSampleMeans(column.real, -column.imag, config.shots_per_quadrature)
+
+
+# two modes at 100 heterodyne shots and amplitude 1: each entry's noise scale is
+# 0.1 / sqrt(2), so the residual gate is 10 sqrt(2 N) 0.1 / sqrt(2) = sqrt(2)
+_GATE_CONFIG = MeasurementConfig(HETERODYNE, 100)
+
+
+def test_reconstruct_unitary_flags_a_residual_above_ten_noise_scales():
+    # diag(2, 1/2) keeps |det| = 1, so eta_hat = 1 and the residual is 2**2 - 1 = 3,
+    # between the gate (1.41) and 100 noise scales (14.1)
+    message = r"^unitarity residual 3\.000e\+00 exceeds 1\.414e\+00"
+    with pytest.raises(NotPassiveError, match=message):
+        reconstruct_unitary(_MatrixDevice(np.diag([2.0, 0.5])), 1.0, _GATE_CONFIG)
+
+
+def test_reconstruct_unitary_noise_scale_grows_with_sqrt_2n():
+    # a residual of 1.2 lies between the gate of sqrt(N) (1.0) and sqrt(2 N) (1.41)
+    # noise scales: it must pass
+    d = math.sqrt(2.2)
+    rec = reconstruct_unitary(_MatrixDevice(np.diag([d, 1 / d])), 1.0, _GATE_CONFIG)
+    assert rec.unitarity_residual == pytest.approx(1.2, rel=1e-12)
+    assert rec.eta_hat == pytest.approx(1.0, rel=1e-12)
+
+
 def test_reconstruct_unitary_single_mode_gain_alias():
     # for one mode the residual gate cannot fire: rescaling by |det| lands
     # every 1x1 estimate on the unit circle, squeezing reads as loss or gain
