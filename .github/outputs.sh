@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Write the CLI outputs whose bytes a change that keeps every answer must not
-# change, 35 files, into the directory OUTDIR:
+# change, 37 files, into the directory OUTDIR:
 #   - 3 device files (generate, N = 1, 3 and 16)
 #   - 12 reconstructions: N = 3 and 16 x both schemes x shots 3, 100 and inf
 #   - 2 reconstructions at N = 16, both schemes at 1000 shots: sampling blocks
 #     taller than a model's factor tiles
+#   - 2 reconstructions at N = 16, homodyne at 2048 and 2050 shots: a setting's
+#     X and P shots just fit one sampling block (2 x 1024 x 16 values), and just
+#     do not, so each quadrature is drawn in a block of its own
 #   - 6 reconstructions at N = 1 (2 settings), both schemes at 100, 10**4 and
 #     100003 shots; at 100003 the shots are drawn in several leaves of NumPy's
 #     pairwise split, where a tree drawing one block of every shot has one
@@ -37,6 +40,10 @@ for scheme in homodyne heterodyne; do
     gt reconstruct --device s1.json --scheme "$scheme" --shots "$shots" \
       --loss 0.5 --seed 0 --out "recon-1-$scheme-$shots.json"
   done
+done
+for shots in 2048 2050; do
+  gt reconstruct --device s16.json --scheme homodyne --shots "$shots" \
+    --loss 0.5 --seed 0 --out "recon-16-homodyne-$shots.json"
 done
 for seed in 18446744073709551615 18446744073709551616; do
   gt reconstruct --device s3.json --scheme heterodyne --shots 100 \

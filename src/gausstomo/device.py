@@ -14,36 +14,25 @@ Measurement schemes and their sampling statistics (vacuum covariance = I):
   ``(sigma_block + I) / 2``; the extra vacuum unit is the noise penalty of
   the joint measurement.
 
-With ``shots=math.inf`` the measurement is analytic: exact state means are
-returned, no sampling. This is the oracle backend for exactness tests.
+With ``shots=math.inf`` the measurement is analytic: a setting returns its
+exact output means before any sampler runs. This is the oracle backend.
 
 Every coherent probe has vacuum covariance and uniform loss mixes vacuum with
 vacuum, so the output covariance ``S S^T`` and its sampling factors are the
-same for every probe setting: a :class:`DeviceModel` computes them once, and
-each setting propagates only its mean.
+same for every setting: a :class:`DeviceModel` computes them once, and each
+setting propagates only its mean. A setting's shots come from
+``default_rng(config.seed)``, or from a fresh generator seeded with the stream
+words its config carries (:mod:`gausstomo.randgen`).
 
-A setting's shots come from ``default_rng(config.seed)``, and the tomography
-layer sets that seed to ``derive_seed(master, k)`` for setting k, which defines
-the stream; its config carries the stream's seeding words from a table derived
-before the first probe, and the sampler seeds a fresh generator from them
-(:mod:`gausstomo.randgen`).
-
-:func:`sample_quadratures` draws a setting's raw outcomes in closed form: one
-``rng.normal`` call per homodyne quadrature, X first; for heterodyne one
-(shots, N, 2) standard-normal draw, mapped by each mode's Cholesky factor.
-:func:`measure` and :meth:`SimulatedDevice.probe_and_measure` both return the
-means of those outcomes through one sampler that never holds them: it draws the
-same normals in blocks of about 256 KiB and reduces each block as it is drawn,
-to the same bits. NumPy sums a (shots, N) array row by row, which a running sum
-carried across blocks continues, but a single column (N = 1) pairwise, so there
-the shots are drawn in the leaves of NumPy's pairwise split, each at most a
-block, and each leaf's columns are summed alone. A block is formed
-by two passes over its full width, ``z *= scale`` and ``z += loc``: ``scale``
-holds the factors broadcast to the block, ``loc`` the mean plus, in heterodyne
-P, ``l21 z0``. IEEE addition commutes, so ``l22 z1 + (l21 z0 + mp)`` is the
-closed form's ``(mp + l21 z0) + l22 z1`` bit for bit. A model tiles each
-scheme's factors once down a block of at most 4096 values (32 KiB); a block reads
-their prefix, or their first row if taller. No model is written after it is built.
+:func:`sample_quadratures` draws raw outcomes in closed form: one ``rng.normal``
+call per homodyne quadrature, X first; for heterodyne one (shots, N, 2)
+standard-normal draw, mapped by each mode's Cholesky factor. :func:`measure`
+and :meth:`SimulatedDevice.probe_and_measure` return their means, to the same
+bits, through one sampler that never holds them all: it draws the same normals
+in blocks of about 256 KiB and reduces each as it is drawn; a homodyne setting
+that fits one block draws its X then its P shots as one (2, shots, N) block.
+A model tiles each scheme's factors once down a block of at most 4096 values,
+one row at N = 1. No model is written after it is built.
 """
 
 from __future__ import annotations
@@ -92,6 +81,13 @@ class ProbeSpec:
     def __post_init__(self):
         _check_index(self.mode_j, "mode index", 1)
         _check_probe(self.amplitude, self.phase)
+
+
+def _probe(mode_j: int, amplitude: float, phase: float) -> ProbeSpec:
+    """A ``ProbeSpec`` built without its checks, for a probe plan checked as a whole."""
+    probe = object.__new__(ProbeSpec)
+    probe.__dict__.update(mode_j=mode_j, amplitude=amplitude, phase=phase)
+    return probe
 
 
 @dataclass(frozen=True)
@@ -143,16 +139,19 @@ class MeasurementConfig:
         return child
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadratureSampleMeans:
-    """Per-mode sample means of X and P, plus the shots spent per quadrature.
-
-    ``shots_used_per_quadrature`` is 0 when the means are analytic (exact).
-    """
+    """Per-mode sample means of X and P and the shots spent per quadrature, 0 if analytic. Built
+    per setting, ``__init__`` fills the instance dict rather than a frozen setattr per field."""
 
     x_means: np.ndarray
     p_means: np.ndarray
     shots_used_per_quadrature: int
+
+    def __init__(self, x_means, p_means, shots_used_per_quadrature):
+        fields = self.__dict__
+        fields["x_means"], fields["p_means"] = x_means, p_means
+        fields["shots_used_per_quadrature"] = shots_used_per_quadrature
 
 
 @dataclass(frozen=True)
@@ -219,23 +218,21 @@ def evolve(model: DeviceModel, probe: ProbeSpec) -> GaussianState:
     optional cubic gate; returns the output state.
 
     Loss is applied at the input, which is equivalent to uniform loss anywhere
-    inside the device as far as the means are concerned. The covariance is the
-    model's cached one: probe and loss are vacuum, the cubic gate acts on means.
+    inside the device as far as the means are concerned; the covariance is the model's.
     """
     return GaussianState(mean=_output_mean(model, probe), cov=model._cov)
 
 
-def _draw_factors(cov: np.ndarray, scheme: str) -> tuple[np.ndarray, ...]:
-    """Per-mode factors of a scheme's draws: homodyne X and P standard deviations;
-    heterodyne ``l21`` and the (N, 2) stack of ``l11, l22``, the Cholesky factors
+def _draw_factors(cov: np.ndarray, scheme: str) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Per-mode factors of a scheme's draws: homodyne the (2, N) stack of X and P standard
+    deviations; heterodyne ``l21`` and the (N, 2) stack of ``l11, l22``, the Cholesky factors
     (l11, l21, l22) of each mode's (block + I)/2."""
     n = cov.shape[0] // 2
     xx = np.diagonal(cov[:n, :n])
     pp = np.diagonal(cov[n:, n:])
     if scheme == HOMODYNE:
-        return np.sqrt(xx / 2.0), np.sqrt(pp / 2.0)
-    # The Schur complement is bounded below by 1/(4 a) for any PSD block, so
-    # the square roots are safe.
+        return np.sqrt(np.stack((xx, pp)) / 2.0)
+    # the Schur complement is at least 1/(4 a) for any PSD block: the square roots are safe
     xp = (np.diagonal(cov[:n, n:]) + np.diagonal(cov[n:, :n])) / 2.0
     a = (xx + 1.0) / 2.0
     b = xp / 2.0
@@ -250,31 +247,46 @@ _BLOCK_VALUES = 1 << 15
 _TILE_VALUES = 1 << 12
 
 
-def _tiles(factors: tuple) -> tuple:
-    """Read-only copies of a scheme's per-mode ``factors``, each repeated down the rows
-    of a block of at most ``_TILE_VALUES`` values (at least one row)."""
-    tiles = tuple(np.repeat(f[None], max(1, _TILE_VALUES // factors[-1].size), 0) for f in factors)
-    for tile in tiles:
+def _tiles(factors) -> tuple | np.ndarray:
+    """Read-only ``factors`` of a scheme repeated down a block of at most ``_TILE_VALUES`` values
+    (one row at N = 1, all its sampler reads); homodyne's (2, N) stack as one (2, rows, N)."""
+    rows = 1 if factors[0].size == 1 else max(1, _TILE_VALUES // factors[-1].size)
+    hom = isinstance(factors, np.ndarray)
+    tiles = np.repeat(factors[:, None], rows, 1) if hom else tuple(
+        np.repeat(f[None], rows, 0) for f in factors)
+    for tile in [tiles] if hom else tiles:
         tile.flags.writeable = False
     return tiles
 
 
 def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
-             tiles: tuple) -> QuadratureSampleMeans:
+             tiles) -> QuadratureSampleMeans:
     """The X and P means of ``m`` shots per quadrature around the output ``mean``, drawn in
-    blocks of about ``_BLOCK_VALUES`` values scaled by ``config.scheme``'s ``tiles``
-    (:func:`_tiles`), by :func:`_measure_one` at N = 1; views of ``mean`` itself when ``m``
-    is 0 (analytic)."""
+    blocks of about ``_BLOCK_VALUES`` values, each formed by two passes, ``z *= scale`` (a
+    prefix of ``config.scheme``'s ``tiles``, or their first row if taller) and ``z += loc``:
+    one block if all fit, else a running sum carried across blocks continues NumPy's
+    row-by-row sum. By :func:`_measure_one` at N = 1; views of ``mean`` when ``m`` is 0."""
     n = mean.size // 2
     if not m:
         return QuadratureSampleMeans(mean[:n], mean[n:], m)
     if n == 1:
         return _measure_one(mean, m, config, tiles)
     scheme, mx, mp = config.scheme, mean[:n], mean[n:]
-    rows = min(m, max(1, _BLOCK_VALUES // tiles[-1][0].size))
-    if rows > len(tiles[0]):  # a block taller than the tiles reads their first row, broadcast
-        tiles = [tile[:1] for tile in tiles]
     rng = _stream(config.seed, config._words)
+    if 2 * m * n <= _BLOCK_VALUES:  # one block: homodyne's X then P shots, or the joint shots
+        head = slice(m if m <= len(tiles[0]) else 1)
+        if scheme == HOMODYNE:
+            z, scale, loc = rng.standard_normal((2, m, n)), tiles[:, head], mean.reshape(2, 1, n)
+        else:
+            z, loc, scale = rng.standard_normal((m, n, 2)), np.empty((m, n, 2)), tiles[1][head]
+            loc[:, :, 0] = mx
+            loc[:, :, 1] = np.multiply(z[:, :, 0], tiles[0][head]) + mp
+        z *= scale
+        z += loc  # heterodyne P: l22 z1 + (l21 z0 + mp), the closed form commuted
+        sums = (np.add.reduce(z, 1) if scheme == HOMODYNE else np.add.reduce(z, 0).T) / m
+        return QuadratureSampleMeans(sums[0], sums[1], m)
+    rows = min(m, max(1, _BLOCK_VALUES // tiles[-1][0].size))
+    tiles = [tile[:1] for tile in tiles]  # blocks taller than the tiles read their first row
     if scheme == HOMODYNE:  # all X blocks, then all P; a (1, N) loc stays whole in loc[:k]
         passes = zip((mx[None], mp[None]), tiles)
     else:  # one pass of joint shots; P's loc is filled per block
@@ -283,28 +295,25 @@ def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
         passes = [(loc, scale)]
     sums = []
     for loc, scale in passes:
-        buf, total = np.empty((rows + 1, *scale.shape[1:])), None
+        buf = np.empty((rows + 1, *scale.shape[1:]))
         for start in range(0, m, rows):
             k = min(rows, m - start)
             z = rng.standard_normal(out=buf[1 : k + 1])
-            if scheme == HETERODYNE:
-                t = np.multiply(z[:, :, 0], l21[:k], out=tmp[:k])
-                t += mp
-                loc[:k, :, 1] = t
-            z *= scale[:k]
-            z += loc[:k]  # heterodyne P: l22 z1 + (l21 z0 + mp), the closed form commuted
-            if total is None:
-                total = np.add.reduce(z, axis=0)
-            else:
-                buf[0] = total  # the running sum goes in row 0, ahead of the block's shots
-                total = np.add.reduce(buf[: k + 1], axis=0)
+            if scheme == HETERODYNE:  # P's loc, l21 z0 + mp
+                t = np.multiply(z[:, :, 0], l21, out=tmp[:k])
+                loc[:k, :, 1] = np.add(t, mp, out=t)
+            z *= scale
+            z += loc[:k]
+            if start:  # the running sum goes in row 0, ahead of the block's shots
+                buf[0] = total
+            total = np.add.reduce(buf[0 if start else 1 : k + 1], axis=0)
         sums.append(total / m)
     x, p = sums if scheme == HOMODYNE else sums[0].T
     return QuadratureSampleMeans(x, p, m)
 
 
 def _measure_one(mean: np.ndarray, m: int, config: MeasurementConfig,
-                 tiles: tuple) -> QuadratureSampleMeans:
+                 tiles) -> QuadratureSampleMeans:
     """:func:`_measure` at N = 1. NumPy sums a column pairwise: above 128 values, the sums of two
     halves, the first ``k // 2`` rounded down to a multiple of 8. The shots are drawn in stream
     order in that split's leaves, at most a block but not split below 128, each column summed."""
@@ -338,12 +347,9 @@ def sample_quadratures(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw raw quadrature outcomes; arrays of shape (shots_used_per_quadrature, N).
 
-    Homodyne outcomes for X and P come from disjoint halves of the shot
-    budget, with variance ``sigma_ii / 2``: one ``rng.normal`` call each, X
-    first. Heterodyne X and P columns belong to the same joint shots, sampled
-    from each mode's ``(block + I) / 2``: one (shots, N, 2) standard-normal
-    draw and each mode's Cholesky map. :func:`measure` returns these
-    outcomes' means, bit for bit, without holding them.
+    Homodyne X and P come from disjoint halves of the shot budget, heterodyne X
+    and P from the same joint shots, drawn in the closed form the module
+    describes; :func:`measure` returns their means, bit for bit.
 
     Raises:
         ValueError: for the analytic backend (no outcomes to draw).
@@ -362,12 +368,8 @@ def sample_quadratures(
 
 
 def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSampleMeans:
-    """Estimate all 2N quadrature means of a state under a measurement config.
-
-    Returns exact means for the analytic backend, otherwise the sample means
-    of :func:`sample_quadratures`.
-    """
-    tiles = tuple(f[None] for f in _draw_factors(state.cov, config.scheme))
+    """A state's 2N quadrature means: exact if analytic, else :func:`sample_quadratures`' means."""
+    tiles = _tiles(_draw_factors(state.cov, config.scheme))
     return _measure(state.mean.copy(), config.shots_per_quadrature, config, tiles)
 
 
@@ -393,9 +395,11 @@ class SimulatedDevice:
         self, probe: ProbeSpec, config: MeasurementConfig
     ) -> QuadratureSampleMeans:
         mean = _output_mean(self.model, probe)  # fresh: the analytic means are views of it
-        m = config.shots_per_quadrature
         self.settings_used += 1
-        # one probe per homodyne single-quadrature outcome or heterodyne shot, none analytic
+        if config.analytic:  # exact means, before the sampler
+            n = mean.size // 2
+            return QuadratureSampleMeans(mean[:n], mean[n:], 0)
+        m = config.shots_per_quadrature  # a probe per homodyne outcome or heterodyne shot
         self.probes_used += m * (2 if config.scheme == HOMODYNE else 1)
         return _measure(mean, m, config, self.model._tiles[config.scheme])
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import (STRUCTURAL_TOL, NotPassiveError, _check_index, _check_shape, _real,
                    matrix_to_json)
-from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans
+from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans, _probe
 from .randgen import _setting_streams
 
 SQRT2 = math.sqrt(2.0)
@@ -162,11 +162,8 @@ def measure_attenuated_matrix(
         ValueError: amplitude not finite and > 0.
     """
     scale = _probe_scale(amplitude)
-    probes = [
-        ProbeSpec(mode_j=j, amplitude=amplitude, phase=phase)
-        for j in range(1, device.n_modes + 1)
-        for phase in (0.0, math.pi / 2.0)
-    ]
+    probes = [_probe(j, amplitude, phase)
+              for j in range(1, device.n_modes + 1) for phase in (0.0, math.pi / 2.0)]
     with np.errstate(over="ignore", invalid="ignore"):  # one scope per reconstruction
         means = _probe_settings(device, probes, config)
         # phase 0 columns, then pi/2, each element divided as its own mean
@@ -222,7 +219,7 @@ def reconstruct_unitary(
     """
     scale = _probe_scale(amplitude)
     n = device.n_modes
-    probes = [ProbeSpec(mode_j=j, amplitude=amplitude, phase=0.0) for j in range(1, n + 1)]
+    probes = [_probe(j, amplitude, 0.0) for j in range(1, n + 1)]
     with np.errstate(over="ignore", invalid="ignore"):  # one scope per reconstruction
         means = _probe_settings(device, probes, config)
         u_tilde = means[:n] / scale - 1j * means[n:] / scale
@@ -248,19 +245,18 @@ def reconstruct_unitary(
 
 def _phase_error_elements(device: ProbeableDevice, i: int, j: int, amplitude: float, phis,
                           config: MeasurementConfig) -> list[float]:
-    """Estimates of element (i, j), one ``probe_and_measure`` per phase error in ``phis``;
-    the inputs are checked first, and a non-finite estimate raises ``ValueError``."""
+    """Estimates of element (i, j), one ``probe_and_measure`` per phase error in ``phis``; the
+    inputs are checked first, ``phis`` as one array, and a non-finite estimate raises."""
     scale = _probe_scale(amplitude)
-    if not np.all(np.abs(np.asarray(phis, dtype=float)) < math.pi / 4):
+    if not np.all(np.abs(phis := np.asarray(phis, dtype=float)) < math.pi / 4):
         raise ValueError("phase error must satisfy |phi| < pi/4")
     n = device.n_modes
     i, j = _check_index(i, "element index i", 1), _check_index(j, "element index j", 1)
     if i > n or j > n:
         raise ValueError(f"element indices ({i}, {j}) out of range 1..{n}")
-    probes = (ProbeSpec(j, amplitude, phi) for phi in phis)
     with np.errstate(over="ignore", invalid="ignore"):  # one context per scan, not per probe
-        estimates = [float(device.probe_and_measure(p, config).x_means[i - 1] / scale)
-                     for p in probes]
+        estimates = [float(device.probe_and_measure(_probe(j, amplitude, phi), config)
+                           .x_means[i - 1] / scale) for phi in phis]
     if not all(map(math.isfinite, estimates)):
         raise ValueError(f"probe amplitude {amplitude} gives a non-finite estimate")
     return estimates
@@ -304,7 +300,7 @@ def probe_ratios(
             ratio is not finite (the output mean overflowed).
     """
     scales = [_probe_scale(amp) for amp in amplitudes]
-    probes = [ProbeSpec(mode_j=1, amplitude=amp, phase=0.0) for amp in amplitudes]
+    probes = [_probe(1, amp, 0.0) for amp in amplitudes]
     with np.errstate(over="ignore", invalid="ignore"):  # one scope for every amplitude
         ratios = (_probe_settings(device, probes, config)[device.n_modes] / scales).tolist()
     for amp, ratio in zip(amplitudes, ratios):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -18,6 +19,7 @@ from gausstomo import (
     HOMODYNE,
     MeasurementConfig,
     ProbeSpec,
+    QuadratureSampleMeans,
     SCHEMES,
     SimulatedDevice,
     coherent_probe_state,
@@ -348,14 +350,15 @@ def test_heterodyne_means_use_bounded_memory():
 
 
 class _CountingStream:
-    """A generator that records the row count of every ``standard_normal`` fill."""
+    """A generator that records the row count of every ``standard_normal`` fill into
+    ``out``, or the ``size`` of a fresh draw."""
 
     def __init__(self, rng, fills):
         self.rng, self.fills = rng, fills
 
-    def standard_normal(self, *args, out):
-        self.fills.append(len(out))
-        return self.rng.standard_normal(*args, out=out)
+    def standard_normal(self, size=None, out=None):
+        self.fills.append(len(out) if size is None else size)
+        return self.rng.standard_normal(size, out=out)
 
 
 @pytest.mark.parametrize("shots", [3, 128, 129, 1000, 3001, 4099])
@@ -442,6 +445,53 @@ def test_analytic_probe_results_do_not_alias():
     first.x_means[:] = first.p_means[:] = 0.0
     assert np.array_equal(second.x_means, fresh.x_means)
     assert np.array_equal(second.p_means, fresh.p_means)
+
+
+# the draws of one setting in blocks of 60 values: none when analytic; a setting whose 2 q N
+# values fit one block draws them as one, homodyne X then P as a (2, q, N) block, heterodyne
+# a (q, N, 2) block; a larger one draws each homodyne quadrature, or the joint shots, in
+# blocks of at most 60 values (homodyne at 22 shots a block each); N = 1 draws its leaves of
+# at least 128 shots
+@pytest.mark.parametrize("n, scheme, shots, draws", [
+    (3, HOMODYNE, math.inf, []), (3, HETERODYNE, math.inf, []), (1, HOMODYNE, math.inf, []),
+    (3, HOMODYNE, 20, [(2, 10, 3)]), (3, HOMODYNE, 22, [11, 11]),
+    (3, HOMODYNE, 50, [20, 5, 20, 5]), (3, HETERODYNE, 10, [(10, 3, 2)]),
+    (3, HETERODYNE, 11, [10, 1]), (1, HOMODYNE, 100, [50, 50]), (1, HETERODYNE, 100, [100]),
+], ids=["analytic-hom", "analytic-het", "analytic-one-mode", "homodyne-one-block",
+        "homodyne-past-one-block", "homodyne-blocks", "heterodyne-one-block",
+        "heterodyne-blocks", "one-mode-homodyne", "one-mode-heterodyne"])
+def test_each_path_returns_frozen_means_and_counts_its_setting(monkeypatch, n, scheme, shots,
+                                                               draws):
+    model = DeviceModel(random_symplectic(n, seed=5), eta=0.7)
+    device, probe = SimulatedDevice(model), ProbeSpec(1, 10.0, 0.3)
+    config = MeasurementConfig(scheme, shots, seed=9)
+    state = evolve(model, probe)
+    if config.analytic:
+        x, p = state.mean[:n], state.mean[n:]
+    else:
+        x, p = (outcomes.mean(axis=0) for outcomes in sample_quadratures(state, config))
+    want = QuadratureSampleMeans(x, p, config.shots_per_quadrature)
+    monkeypatch.setattr(device_module, "_BLOCK_VALUES", 60)
+    fills, stream = [], device_module._stream
+    monkeypatch.setattr(device_module, "_stream",
+                        lambda *args: _CountingStream(stream(*args), fills))
+    per_setting = config.shots_per_quadrature * (2 if scheme == HOMODYNE else 1)
+    got = []
+    for calls in (1, 2):
+        fills.clear()
+        got.append(device.probe_and_measure(probe, config))
+        assert fills == draws
+        assert (device.settings_used, device.probes_used) == (calls, calls * per_setting)
+    names = [f.name for f in dataclasses.fields(QuadratureSampleMeans)]
+    for means in got:
+        assert type(means) is QuadratureSampleMeans and list(vars(means)) == names
+        for name in names:
+            value, expected = getattr(means, name), getattr(want, name)
+            assert type(value) is type(expected) and np.array_equal(value, expected)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            means.x_means = means.p_means
+    for a in (got[0].x_means, got[0].p_means):  # two calls never share an array
+        assert not any(np.shares_memory(a, b) for b in (got[1].x_means, got[1].p_means))
 
 
 @pytest.mark.parametrize("shots", [math.inf, 7])
@@ -533,9 +583,12 @@ def test_wide_model_tiles_hold_at_most_the_cap():
     config = MeasurementConfig(HETERODYNE, 10_000, seed=0)
     SimulatedDevice(model).probe_and_measure(ProbeSpec(mode_j=3, amplitude=10.0), config)
     for scheme in SCHEMES:
-        for tile, factor in zip(model._tiles[scheme], _draw_factors(model._cov, scheme),
-                                strict=True):
-            assert tile.flags.owndata and tile.size <= device_module._TILE_VALUES
+        # homodyne's X and P tiles are the two rows of one (2, rows, N) array the model owns
+        tiles = model._tiles[scheme]
+        owner = tiles if scheme == HOMODYNE else None
+        assert owner is None or owner.flags.owndata
+        for tile, factor in zip(tiles, _draw_factors(model._cov, scheme), strict=True):
+            assert tile.base is owner and tile.size <= device_module._TILE_VALUES
             assert np.array_equal(tile, np.broadcast_to(factor, tile.shape))
     assert len(model._tiles[HETERODYNE][0]) == device_module._TILE_VALUES // 128 < 256
 

@@ -128,17 +128,20 @@ def _assert_streamed_means_match(n, seed, scheme, shots, cap_offset=None):
     a block of at most the cap's values: a block that fits reads a prefix of the
     tiles, a taller one their first row. ``cap_offset`` sets the cap, before the
     model is built, that far from the block's own value count, else the module's
-    cap holds."""
+    cap holds. At N = 1 the shots are drawn in leaves of at least 128 shots, and
+    the tiles keep one row whatever the cap, as the N = 1 sampler reads no more."""
     config = MeasurementConfig(scheme, shots, seed=seed)
     m, width = config.shots_per_quadrature, n if scheme == HOMODYNE else 2 * n
-    rows = m if n == 1 else min(m, max(1, device_module._BLOCK_VALUES // width))
+    rows = min(m, max(128 if n == 1 else 1, device_module._BLOCK_VALUES // width))
     values = rows * width
     cap = device_module._TILE_VALUES if cap_offset is None else values + cap_offset
     with mock.patch("gausstomo.device._TILE_VALUES", cap):
         model = DeviceModel(random_symplectic(n, seed=seed), eta=0.7)
     tiles = model._tiles[scheme]
-    # a one-row block fits in the one row a tile keeps at least
-    assert (len(tiles[0]) >= rows) == (values <= cap or rows == 1)
+    if n == 1:  # the N = 1 sampler reads only the first row, whatever the cap
+        assert [len(tile) for tile in tiles] == [1, 1]
+    else:  # a one-row block fits in the one row a tile keeps at least
+        assert (len(tiles[0]) >= rows) == (values <= cap or rows == 1)
     assert all(tile.size <= max(cap, tile[0].size) for tile in tiles)
     probe = ProbeSpec(1 + seed % n, 1000.0, 0.3)
     state = evolve(model, probe)
@@ -163,6 +166,14 @@ def _assert_streamed_means_match(n, seed, scheme, shots, cap_offset=None):
 @example(n=3, seed=11, scheme=HOMODYNE, shots=27, block_values=15, cap_offset=-1)
 @example(n=1, seed=11, scheme=HETERODYNE, shots=9, block_values=4, cap_offset=0)
 @example(n=1, seed=11, scheme=HOMODYNE, shots=9, block_values=4, cap_offset=-1)
+# a setting as one block: 2 q N = 30 values fill a block of 30 and read a prefix of the
+# tiles, or their first row with the cap just below; at 36 values the blocks are drawn
+# apart, homodyne one per quadrature
+@example(n=3, seed=11, scheme=HOMODYNE, shots=10, block_values=30, cap_offset=0)
+@example(n=3, seed=11, scheme=HOMODYNE, shots=10, block_values=30, cap_offset=-1)
+@example(n=3, seed=11, scheme=HOMODYNE, shots=12, block_values=30, cap_offset=0)
+@example(n=3, seed=11, scheme=HETERODYNE, shots=5, block_values=30, cap_offset=-1)
+@example(n=3, seed=11, scheme=HETERODYNE, shots=6, block_values=30, cap_offset=0)
 def test_streamed_means_equal_unblocked_means(n, seed, scheme, shots, block_values, cap_offset):
     # a block of a few rows makes every example cross several block boundaries,
     # most ending in a short block; at N = 1 the shots are drawn in leaves of

@@ -194,6 +194,22 @@ def test_estimator_unbiased_both_schemes():
         assert abs(vals.mean() - s[0, 0]) < 4 * se
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("scheme, shots", [(HOMODYNE, math.inf), (HETERODYNE, math.inf),
+                                           (HOMODYNE, 100), (HOMODYNE, 12_000),
+                                           (HETERODYNE, 100)])
+def test_reconstructions_return_c_ordered_arrays(n, scheme, shots):
+    # a caller may read a result's buffer, as u_hat.view(np.float64) does, which needs its
+    # last axis contiguous; at N = 3, 12000 homodyne shots do not fit one sampling block
+    config = MeasurementConfig(scheme, shots, seed=4)
+    result = reconstruct_symplectic(make_device(n, eta=0.8, seed=2), 1000.0, config)
+    u_hat = reconstruct_unitary(SimulatedDevice(DeviceModel(
+        embed_unitary(haar_unitary(n, seed=2)), eta=0.8)), 1000.0, config).u_hat
+    for a in (result.s_tilde, result.s_recon, u_hat):
+        assert a.flags.c_contiguous
+    assert u_hat.view(np.float64).shape == (n, 2 * n)
+
+
 def test_reconstruct_unitary_identity():
     dev = SimulatedDevice(DeviceModel(np.eye(2)))
     rec = reconstruct_unitary(dev, 1.0, ANALYTIC_HOM)
