@@ -38,7 +38,7 @@ class NotPassiveError(ValueError):
 
 @dataclass(frozen=True)
 class GaussianState:
-    """A Gaussian state: mean vector (length 2N) and covariance matrix (2N x 2N).
+    """A Gaussian state: mean vector (length 2N) and finite symmetric covariance (2N x 2N).
 
     Instances are immutable; the arrays are copied and marked read-only so a
     state can be shared freely between threads.
@@ -51,6 +51,8 @@ class GaussianState:
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.cov, dtype=float)
         _check_shape(cov, "covariance", _check_shape(mean, "mean"))
+        if not np.isfinite(cov).all():  # a NaN passes the symmetry check, an inf warns in it
+            raise ValueError("covariance matrix has non-finite entries")
         if np.max(np.abs(cov - cov.T)) > STRUCTURAL_TOL:
             raise ValueError("covariance matrix is not symmetric")
         mean.flags.writeable = False
@@ -186,6 +188,12 @@ def _check_probe(amplitude: float, phase: float) -> None:
         raise ValueError(f"probe phase must be finite, got {phase!r}")
 
 
+def _check_eta(eta: float) -> None:
+    """A power transmissivity must be in (0, 1]."""
+    if not 0 < _real(eta) <= 1:
+        raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
+
+
 def _check_index(value, name: str, low: int) -> int:
     """``value`` as an int: an integer (``operator.index``), not a bool, and >= ``low``."""
     try:  # not contextlib.suppress: per probe, its object would cost several times the check
@@ -239,8 +247,7 @@ def apply_uniform_loss(eta: float, state: GaussianState) -> GaussianState:
     Args:
         eta: power transmissivity, 0 < eta <= 1.
     """
-    if not 0 < _real(eta) <= 1:
-        raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
+    _check_eta(eta)
     dim = state.mean.size
     return GaussianState(
         mean=np.sqrt(eta) * state.mean,

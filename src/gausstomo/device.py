@@ -17,10 +17,10 @@ Measurement schemes and their sampling statistics (vacuum covariance = I):
 With ``shots=math.inf`` the measurement is analytic: a setting returns its
 exact output means before any sampler runs. This is the oracle backend.
 
-Every coherent probe has vacuum covariance and uniform loss mixes vacuum with
+Every coherent probe has vacuum covariance and uniform loss maps vacuum to
 vacuum, so the output covariance ``S S^T`` and its sampling factors are the
-same for every setting: a :class:`DeviceModel` computes them once, and each
-setting propagates only its mean. A setting's shots come from
+same for every setting: a :class:`DeviceModel` forms ``S S^T`` directly, once,
+and each setting propagates only its mean. A setting's shots come from
 ``default_rng(config.seed)``, or from a fresh generator seeded with the stream
 words its config carries (:mod:`gausstomo.randgen`).
 
@@ -32,7 +32,8 @@ bits, through one sampler that never holds them all: it draws the same normals
 in blocks of about 256 KiB and reduces each as it is drawn; a homodyne setting
 that fits one block draws its X then its P shots as one (2, shots, N) block.
 A model tiles each scheme's factors once down a block of at most 4096 values,
-one row at N = 1. No model is written after it is built.
+one row at N = 1; :func:`measure` hands the sampler one row, which it
+broadcasts. No model is written after it is built.
 """
 
 from __future__ import annotations
@@ -45,17 +46,15 @@ import numpy as np
 from .core import (
     GaussianState,
     STRUCTURAL_TOL,
+    _check_eta,
     _check_fields,
     _check_index,
     _check_probe,
     _coherent_mean,
     _real,
-    apply_symplectic,
-    apply_uniform_loss,
     is_symplectic,
     matrix_from_json,
     matrix_to_json,
-    vacuum_state,
 )
 from .randgen import _stream
 
@@ -159,8 +158,8 @@ class DeviceModel:
     """Symplectic matrix + uniform loss (+ optional single-mode cubic gate).
 
     ``cubic_gamma`` enables the mean-field cubic nonlinearity; it must be finite and
-    is only supported for single-mode devices. The output covariance, the sampling
-    factor tiles and ``sqrt(eta)`` are computed once here; the model is immutable.
+    is only supported for single-mode devices. The output covariance ``S S^T``, the
+    sampling factor tiles and ``sqrt(eta)`` are computed once here; the model is immutable.
     """
 
     s: np.ndarray
@@ -179,9 +178,13 @@ class DeviceModel:
                 raise ValueError(f"cubic_gamma must be finite, got {self.cubic_gamma!r}")
             if s.shape != (2, 2):
                 raise ValueError("cubic gate is only supported for single-mode devices")
+        _check_eta(self.eta)
         s.flags.writeable = False
         object.__setattr__(self, "s", s)
-        cov = apply_symplectic(s, apply_uniform_loss(self.eta, vacuum_state(self.n_modes))).cov
+        # not ``s @ s.T``: NumPy hands a product of an array and its own transpose to syrk,
+        # whose bits differ from gemm's; a copy keeps the gemm of S (vacuum) S^T, bit for bit
+        cov = s.copy() @ s.T
+        cov.flags.writeable = False
         object.__setattr__(self, "_cov", cov)
         tiles = {scheme: _tiles(_draw_factors(cov, scheme)) for scheme in SCHEMES}
         object.__setattr__(self, "_tiles", tiles)
@@ -369,7 +372,8 @@ def sample_quadratures(
 
 def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSampleMeans:
     """A state's 2N quadrature means: exact if analytic, else :func:`sample_quadratures`' means."""
-    tiles = _tiles(_draw_factors(state.cov, config.scheme))
+    factors = _draw_factors(state.cov, config.scheme)  # one-row tiles: each block broadcasts them
+    tiles = factors[:, None] if config.scheme == HOMODYNE else tuple(f[None] for f in factors)
     return _measure(state.mean.copy(), config.shots_per_quadrature, config, tiles)
 
 

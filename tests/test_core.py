@@ -313,6 +313,22 @@ def test_gaussian_state_validation():
         GaussianState(mean=np.zeros(2), cov=asym)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_gaussian_state_rejects_a_non_finite_covariance(bad, entry):
+    # checked before symmetry: a NaN passes the symmetry tolerance, an inf warns in cov - cov.T
+    cov = np.eye(2)
+    cov[entry] = bad
+    with pytest.raises(ValueError, match=r"^covariance matrix has non-finite entries$"):
+        GaussianState(mean=np.zeros(2), cov=cov)
+
+
+def test_gaussian_state_leaves_an_overflowed_mean_to_its_reader():
+    # an overflowed probe's output state must still build
+    state = GaussianState(mean=[math.inf, math.nan], cov=np.eye(2))
+    assert not np.isfinite(state.mean).any()
+
+
 def test_gaussian_state_immutable():
     state = vacuum_state(1)
     with pytest.raises(ValueError):

@@ -22,6 +22,8 @@ from gausstomo import (
     QuadratureSampleMeans,
     SCHEMES,
     SimulatedDevice,
+    apply_symplectic,
+    apply_uniform_loss,
     coherent_probe_state,
     cubic_phase_mean_map,
     device_from_json,
@@ -303,6 +305,13 @@ def test_device_model_rejects_multimode_cubic_gate():
         DeviceModel(np.eye(4), cubic_gamma=0.1)
 
 
+@pytest.mark.parametrize("s, message", [(np.ones((2, 2)), "not symplectic"),
+                                        (np.eye(4), "single-mode")])
+def test_device_model_checks_s_then_the_cubic_gate_then_eta(s, message):
+    with pytest.raises(ValueError, match=message):
+        DeviceModel(s, eta=2.0, cubic_gamma=0.1)
+
+
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
 def test_device_model_rejects_non_finite_gamma(gamma):
     with pytest.raises(ValueError):
@@ -316,23 +325,41 @@ def test_probe_spec_rejects_non_finite_amplitude(amplitude):
 
 
 def test_probe_settings_build_no_gaussian_states(monkeypatch):
-    # the output covariance is the model's, computed once; settings carry means only
-    from gausstomo import reconstruct_symplectic
-
-    model = DeviceModel(random_symplectic(4, seed=1), eta=0.5)
+    # the output covariance is the model's, formed directly; settings carry means only
     built = []
     original = GaussianState.__post_init__
     monkeypatch.setattr(GaussianState, "__post_init__", lambda self: built.append(original(self)))
-    device = SimulatedDevice(model)
+    device = SimulatedDevice(DeviceModel(random_symplectic(4, seed=1), eta=0.5))
     reconstruct_symplectic(device, 1000.0, MeasurementConfig(scheme=HETERODYNE, shots=10, seed=0))
     assert device.settings_used == 8
     assert built == []
 
 
 def test_evolve_returns_cached_covariance():
-    model = DeviceModel(random_symplectic(2, seed=4), eta=0.3)
-    out = evolve(model, ProbeSpec(mode_j=2, amplitude=1.5, phase=0.2))
-    np.testing.assert_allclose(out.cov, model.s @ model.s.T, atol=1e-12)
+    # bit for bit the covariance of vacuum through loss and S; NumPy's product of S and
+    # its own transpose (syrk) differs in the last bits under some BLAS kernels
+    for n, (seed, eta) in itertools.product([1, 2, 3, 5, 16, 64], [(4, 0.3), (5, 1.0), (6, 1 / 3)]):
+        s = random_symplectic(n, seed=seed)
+        out = evolve(DeviceModel(s, eta=eta), ProbeSpec(mode_j=1, amplitude=1.5, phase=0.2))
+        reference = apply_symplectic(s, apply_uniform_loss(eta, vacuum_state(n))).cov
+        assert out.cov.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("shots", [2, math.inf])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_measure_builds_no_model_sized_tiles(scheme, shots):
+    # one-row factors, broadcast by the sampler: at N = 64 a model's tiles take 48-64 KiB
+    # per scheme, the one-row factors 1-2 KiB
+    state = evolve(DeviceModel(random_symplectic(64, seed=0), eta=0.5), ProbeSpec(3, 10.0))
+    config = MeasurementConfig(scheme, shots, seed=1)
+    measure(state, config)  # warm-up
+    tracemalloc.start()
+    try:
+        measure(state, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**10
 
 
 def test_heterodyne_means_use_bounded_memory():
