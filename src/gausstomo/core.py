@@ -102,7 +102,8 @@ def is_symplectic(s: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     """
     s = np.asarray(s, dtype=float)
     j = symplectic_form(_check_shape(s, "matrix"))
-    return bool(np.max(np.abs(s @ j @ s.T - j)) <= tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product is not symplectic
+        return bool(np.max(np.abs(s @ j @ s.T - j)) <= tol)
 
 
 def embed_unitary(u: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:

@@ -29,8 +29,10 @@ call per homodyne quadrature, X first; for heterodyne one (shots, N, 2)
 standard-normal draw, mapped by each mode's Cholesky factor. :func:`measure`
 and :meth:`SimulatedDevice.probe_and_measure` return their means, to the same
 bits, through one sampler that never holds them all: it draws the same normals
-in blocks of about 256 KiB and reduces each as it is drawn; a homodyne setting
-that fits one block draws its X then its P shots as one (2, shots, N) block.
+in blocks of about 256 KiB and reduces each as it is drawn, adding the running
+sum to the next block's first shot (IEEE addition commutes, so the bits are
+NumPy's row-by-row sum); a homodyne setting that fits one block draws its X
+then its P shots as one (2, shots, N) block.
 A model tiles each scheme's factors once down a block of at most 4096 values,
 one row at N = 1; :func:`measure` hands the sampler one row, which it
 broadcasts. No model is written after it is built.
@@ -183,7 +185,10 @@ class DeviceModel:
         object.__setattr__(self, "s", s)
         # not ``s @ s.T``: NumPy hands a product of an array and its own transpose to syrk,
         # whose bits differ from gemm's; a copy keeps the gemm of S (vacuum) S^T, bit for bit
-        cov = s.copy() @ s.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = s.copy() @ s.T
+        if not np.isfinite(cov).all():
+            raise ValueError("device covariance S S^T overflows float64")
         cov.flags.writeable = False
         object.__setattr__(self, "_cov", cov)
         tiles = {scheme: _tiles(_draw_factors(cov, scheme)) for scheme in SCHEMES}
@@ -298,18 +303,18 @@ def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
         passes = [(loc, scale)]
     sums = []
     for loc, scale in passes:
-        buf = np.empty((rows + 1, *scale.shape[1:]))
+        buf = np.empty((rows, *scale.shape[1:]))
         for start in range(0, m, rows):
             k = min(rows, m - start)
-            z = rng.standard_normal(out=buf[1 : k + 1])
+            z = rng.standard_normal(out=buf[:k])
             if scheme == HETERODYNE:  # P's loc, l21 z0 + mp
                 t = np.multiply(z[:, :, 0], l21, out=tmp[:k])
                 loc[:k, :, 1] = np.add(t, mp, out=t)
             z *= scale
             z += loc[:k]
-            if start:  # the running sum goes in row 0, ahead of the block's shots
-                buf[0] = total
-            total = np.add.reduce(buf[0 if start else 1 : k + 1], axis=0)
+            if start:  # the running sum joins the first shot: z0 + total is total + z0
+                z[0] += total
+            total = np.add.reduce(z, 0)
         sums.append(total / m)
     x, p = sums if scheme == HOMODYNE else sums[0].T
     return QuadratureSampleMeans(x, p, m)

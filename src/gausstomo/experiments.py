@@ -6,8 +6,8 @@ repetitions run outermost, and each row is keyed by its cell's grid index, so
 a repeated grid value gets its own row. Seeds are derived per repetition and
 cell, so a run is bit-reproducible from its master seed, and the scaling
 runners share each repetition's random device across every scheme and loss
-to sharpen comparisons. Before its first probe, the sweep checks each cell's config, its
-CSV row's scheme and shots, and derives every reconstruction's master seed and, in one
+to sharpen comparisons. Before its first probe, the sweep checks every input once, off the
+cells' CSV rows, naming the column at fault, and derives every master seed and, in one
 table pass, 2N streams per finite-shot master of N modes (see :mod:`gausstomo.randgen`).
 """
 
@@ -60,16 +60,6 @@ class ExperimentRecord:
     dropped: int
 
 
-def _check_inputs(amplitudes, **counts: Iterable[int]) -> None:
-    """Before the first probe, reject an amplitude not finite and > 0 and a count not an
-    integer >= 1; ``derive_seed`` rejects a bad seed, and ``_sweep`` a cell's bad config."""
-    for amplitude in amplitudes:
-        _probe_scale(amplitude)
-    for name, values in counts.items():
-        for value in values:
-            _check_index(value, name, 1)
-
-
 def _sweep(
     experiment_id: str, axes: dict[str, Sequence], repetitions: int,
     seeds: Callable[[tuple[int, ...], int], list[int]],
@@ -80,13 +70,15 @@ def _sweep(
 
     Cells are index tuples into the axes, in row-major order. A cell's row holds the
     ``fixed`` fields and its swept values, and its config is the row's scheme and shots.
-    ``seeds(idx, rep)`` are its master seeds in one repetition, one per reconstruction;
-    all are built, and 2 * n_modes streams per finite-shot master (the most settings an
-    N-mode reconstruction issues) derived in one table pass, before the first probe.
-    Repetitions run outermost: for every ``rep``, every cell's ``error(idx, rep, configs)``
-    is called in turn with its config reseeded to each master, carrying its rows, and a
-    ``drop_on`` exception counts one drop. A record is its cell's row with the mean and
-    standard error of the cell's own errors. An empty axis, which would leave no row, raises.
+    Each input is checked once, off the rows, by its rule's home, and an error names the row
+    field: an empty axis (no row), ``repetitions``, each row's ``n_modes``, ``trials``,
+    ``amplitude`` and config, then its seed (``derive_seed``). ``seeds(idx, rep)`` are its
+    master seeds in one repetition, one per reconstruction; all are built, and 2 * n_modes
+    streams per finite-shot master (the most settings an N-mode reconstruction issues)
+    derived in one table pass, before the first probe. Repetitions run outermost: for every
+    ``rep``, every cell's ``error(idx, rep, configs)`` is called in turn with its config
+    reseeded to each master, carrying its rows, and a ``drop_on`` exception counts one drop.
+    A record is its cell's row with the mean and standard error of the cell's own errors.
     """
     for name, values in axes.items():
         if not len(values):
@@ -95,6 +87,11 @@ def _sweep(
     rows = {idx: dict(fixed, experiment_id=experiment_id, repetitions=repetitions, dropped=0,
                       **{name: values[i] for (name, values), i in zip(axes.items(), idx)})
             for idx in cells}
+    _check_index(repetitions, "repetitions", 1)
+    for row in rows.values():
+        _check_index(row["n_modes"], "n_modes", 1)
+        _check_index(row["trials"], "trials", 1)
+        _probe_scale(row["amplitude"])
     configs = {idx: MeasurementConfig(row["scheme"], row["shots"]) for idx, row in rows.items()}
     masters = {(idx, rep): seeds(idx, rep) for rep in range(repetitions) for idx in cells}
     table = _stream_tables({m: 2 * rows[idx]["n_modes"] for (idx, _), ms in masters.items()
@@ -131,8 +128,6 @@ def run_mode_scaling(
     combinations so scheme comparisons are paired. The default grid is
     N = 2, 4, 8, 12 modes x both schemes x eta = 1.0, 0.5, 50 repetitions each.
     """
-    _check_inputs([amplitude], n_list=n_list, repetitions=[repetitions])
-
     @functools.lru_cache(maxsize=1)  # one device per (n, rep), shared by its cells
     def draw(n, rep):
         s_true = random_symplectic(n, r_max=r_max, seed=derive_seed(seed, _DEV, n, rep))
@@ -166,8 +161,6 @@ def run_unitary_scaling(
     passivity or loss-recovery checks are counted in ``dropped``. The default
     grid is N = 2, 4, 8 modes x both schemes at eta = 1.0, 50 repetitions each.
     """
-    _check_inputs([amplitude], n_list=n_list, repetitions=[repetitions])
-
     @functools.lru_cache(maxsize=1)  # one device per (n, rep), shared by its cells
     def draw(n, rep):
         u_true = haar_unitary(n, seed=derive_seed(seed, _DEV, n, rep))
@@ -206,8 +199,6 @@ def run_intensity_scaling(
     default grid is amplitudes 10, 31.62, 100 x 1, 10, 100 trials on a 5-mode
     heterodyne device, 20 repetitions each.
     """
-    _check_inputs(amplitude_list, n_modes=[n_modes], trials_list=trials_list,
-                  repetitions=[repetitions])
     s_true = random_symplectic(n_modes, r_max=r_max, seed=derive_seed(seed, _DEV))
     model = DeviceModel(s_true, eta=eta)
 
@@ -248,7 +239,6 @@ def run_phase_error_study(
     """
     if not 0 <= _real(phi_max) < math.pi / 4:
         raise ValueError("phi_max must lie in [0, pi/4)")
-    _check_inputs([amplitude], trials_list=trials_list, repetitions=[repetitions])
     s_true = random_symplectic(1, r_max=r_max, seed=derive_seed(seed, _DEV))
     device = SimulatedDevice(DeviceModel(s_true, eta=1.0))
     target = s_true[0, 0]

@@ -81,16 +81,16 @@ INVOCATIONS: list[tuple[list[str], str | None]] = [
 ]
 
 
-def write_outputs(outdir: str) -> None:
-    """Run every invocation from inside ``outdir``: relative paths, so each
-    ``.meta.json`` records the same argv wherever it is written."""
+def write_outputs(outdir: str, invocations=INVOCATIONS) -> None:
+    """Run ``invocations`` (every one by default) from inside ``outdir``: relative
+    paths, so each ``.meta.json`` records the same argv wherever it is written."""
     from gausstomo.cli import main
 
     os.makedirs(outdir, exist_ok=True)
     cwd = os.getcwd()
     os.chdir(outdir)
     try:
-        for argv, stdout in INVOCATIONS:
+        for argv, stdout in invocations:
             with contextlib.ExitStack() as stack:
                 if stdout is not None:
                     stack.enter_context(contextlib.redirect_stdout(

@@ -157,8 +157,11 @@ def test_reconstruct_malformed_json(tmp_path, capsys):
      r"n_modes must be an integer >= 1, got 1\.0"),
     (lambda obj: {**obj, "S": {"kind": "symplectic"}}, "matrix JSON is missing field 'n_modes'"),
     (lambda obj: [obj], "device file must be a JSON object, got list"),
+    # a bare symplectic matrix whose S S^T overflows float64: no RuntimeWarning either
+    (lambda obj: matrix_to_json(np.diag([1e160, 1e-160]), "symplectic"),
+     r"device covariance S S\^T overflows float64"),
 ], ids=["eta-null", "eta-bool", "eta-str", "eta-missing", "gamma-str", "S-number",
-        "n-modes-null", "n-modes-float", "S-fields-missing", "array"])
+        "n-modes-null", "n-modes-float", "S-fields-missing", "array", "covariance-overflows"])
 def test_reconstruct_malformed_device_is_usage_error(tmp_path, capsys, edit, message):
     dev, _ = write_device(tmp_path, n=1, seed=0)
     dev.write_text(json.dumps(edit(json.loads(dev.read_text()))))

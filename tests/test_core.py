@@ -71,6 +71,16 @@ def test_is_symplectic_rotation():
     assert is_symplectic(rot)
 
 
+# (S, symplectic?): diag(1e160, 1e-160) is, though S S^T overflows; the second matrix's
+# S J S^T overflows, and a check that overflows finds it not symplectic, with no warning
+@pytest.mark.parametrize("s, symplectic", [
+    (np.diag([1e160, 1e-160]), True),
+    (np.array([[1e200, 1e200], [0.0, 1e-200]]), False),
+], ids=["cov-overflows", "check-overflows"])
+def test_is_symplectic_at_the_edge_of_the_float_range(s, symplectic):
+    assert is_symplectic(s) is symplectic
+
+
 @pytest.mark.parametrize("bad", [np.eye(3), np.zeros((2, 4))])
 def test_is_symplectic_rejects_bad_shapes(bad):
     with pytest.raises(ValueError):

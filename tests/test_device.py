@@ -47,6 +47,16 @@ def test_device_model_rejects_non_symplectic():
         DeviceModel(2.0 * np.eye(2))
 
 
+# one clean error and no RuntimeWarning where S S^T, or the symplectic check S J S^T, overflows
+@pytest.mark.parametrize("s, message", [
+    (np.diag([1e160, 1e-160]), "device covariance S S^T overflows float64"),
+    ([[1e200, 1e200], [0.0, 1e-200]], "device matrix is not symplectic"),
+], ids=["cov-overflows", "check-overflows"])
+def test_device_model_rejects_a_matrix_whose_products_overflow(s, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DeviceModel(s)
+
+
 @pytest.mark.parametrize("eta", [0.0, 1.2])
 def test_device_model_rejects_bad_eta(eta):
     with pytest.raises(ValueError):

@@ -279,13 +279,20 @@ def probe_count(monkeypatch):
         (lambda: run_intensity_scaling([10.0], [1], shots=math.inf, repetitions=0),
          "repetitions"),
         (lambda: run_phase_error_study(0.05, [1], repetitions=0), "repetitions"),
-        (lambda: run_mode_scaling([2, -1], shots=math.inf, repetitions=1), "n_list"),
-        (lambda: run_unitary_scaling([2, 0], shots=math.inf, repetitions=1), "n_list"),
-        (lambda: run_intensity_scaling([10.0], [1], shots=math.inf, n_modes=0), "n_modes"),
+        # a count is checked off each CSV row, so the message names the row's column
+        (lambda: run_mode_scaling([2, -1], shots=math.inf, repetitions=1),
+         "^n_modes must be an integer >= 1, got -1$"),
+        (lambda: run_unitary_scaling([2, 0], shots=math.inf, repetitions=1),
+         "^n_modes must be an integer >= 1, got 0$"),
+        # the intensity runner draws its one device before the sweep builds any row
+        (lambda: run_intensity_scaling([10.0], [1], shots=math.inf, n_modes=0),
+         "^number of modes must be an integer >= 1, got 0$"),
         (lambda: run_intensity_scaling([10.0], [2, 0], shots=math.inf, repetitions=1),
-         "trials_list"),
-        (lambda: run_phase_error_study(0.05, [2, 0], repetitions=1), "trials_list"),
-        (lambda: run_mode_scaling([2, 1.5], shots=math.inf, repetitions=1), "n_list"),
+         "^trials must be an integer >= 1, got 0$"),
+        (lambda: run_phase_error_study(0.05, [2, 0], repetitions=1),
+         "^trials must be an integer >= 1, got 0$"),
+        (lambda: run_mode_scaling([2, 1.5], shots=math.inf, repetitions=1),
+         "^n_modes must be an integer >= 1, got 1.5$"),
         (lambda: run_phase_error_study(0.05, [1], repetitions=2.5), "repetitions"),
         # every amplitude and scheme of a grid is checked too, not only the first cell's
         (lambda: run_intensity_scaling(amplitude_list=(10.0, -1.0), trials_list=(1,),
@@ -307,12 +314,25 @@ def probe_count(monkeypatch):
          "^the amplitude axis of the intensity grid is empty$"),
         (lambda: run_phase_error_study(0.05, trials_list=[], repetitions=1),
          "^the trials axis of the phase-error grid is empty$"),
+        # a bad value in the last row of a multi-value axis, and a bool amplitude
+        (lambda: run_mode_scaling([2, 4, 0], shots=math.inf, repetitions=1),
+         "^n_modes must be an integer >= 1, got 0$"),
+        (lambda: run_unitary_scaling([2, 4, 0], shots=math.inf, repetitions=1),
+         "^n_modes must be an integer >= 1, got 0$"),
+        (lambda: run_intensity_scaling([10.0], (1, 2, 0), shots=math.inf, repetitions=1),
+         "^trials must be an integer >= 1, got 0$"),
+        (lambda: run_phase_error_study(0.05, (1, 2, 0), repetitions=1),
+         "^trials must be an integer >= 1, got 0$"),
+        (lambda: run_mode_scaling([2], amplitude=True, shots=math.inf, repetitions=1),
+         "^probe amplitude must be finite and > 0, got True$"),
     ],
     ids=["mode-reps", "unitary-reps", "intensity-reps", "phase-reps", "mode-n", "unitary-n",
          "intensity-n", "intensity-trials", "phase-trials", "mode-n-float", "phase-reps-float",
          "intensity-negative-amplitude", "intensity-inf-amplitude", "intensity-scheme",
          "mode-scheme", "unitary-scheme", "mode-amplitude", "unitary-amplitude",
-         "phase-amplitude", "mode-empty", "unitary-empty", "intensity-empty", "phase-empty"],
+         "phase-amplitude", "mode-empty", "unitary-empty", "intensity-empty", "phase-empty",
+         "mode-n-last", "unitary-n-last", "intensity-trials-last", "phase-trials-last",
+         "mode-bool-amplitude"],
 )
 def test_runners_reject_bad_counts_before_any_probe(sweep, match, probe_count):
     with pytest.raises(ValueError, match=match):
