@@ -31,10 +31,11 @@ and :meth:`SimulatedDevice.probe_and_measure` return their means, to the same
 bits, through one sampler that never holds them all: it draws the same normals
 in blocks of about 256 KiB and reduces each as it is drawn, adding the running
 sum to the next block's first shot (IEEE addition commutes, so the bits are
-NumPy's row-by-row sum); a homodyne setting that fits one block draws its X
-then its P shots as one (2, shots, N) block.
+NumPy's row-by-row sum); at N = 1, where NumPy sums a column pairwise, the
+blocks are the leaves of that split. A setting of N > 1 that fits one block is
+drawn as one, homodyne's X then its P shots as one (2, shots, N) block.
 A model tiles each scheme's factors once down a block of at most 4096 values,
-one row at N = 1; :func:`measure` hands the sampler one row, which it
+one row at N = 1; :func:`measure` tiles one row, which the sampler
 broadcasts. No model is written after it is built.
 """
 
@@ -191,7 +192,7 @@ class DeviceModel:
             raise ValueError("device covariance S S^T overflows float64")
         cov.flags.writeable = False
         object.__setattr__(self, "_cov", cov)
-        tiles = {scheme: _tiles(_draw_factors(cov, scheme)) for scheme in SCHEMES}
+        tiles = {scheme: _tiles(_draw_factors(cov, scheme), _TILE_VALUES) for scheme in SCHEMES}
         object.__setattr__(self, "_tiles", tiles)
         object.__setattr__(self, "_sqrt_eta", np.sqrt(self.eta))
 
@@ -255,10 +256,10 @@ _BLOCK_VALUES = 1 << 15
 _TILE_VALUES = 1 << 12
 
 
-def _tiles(factors) -> tuple | np.ndarray:
-    """Read-only ``factors`` of a scheme repeated down a block of at most ``_TILE_VALUES`` values
+def _tiles(factors, values: int) -> tuple | np.ndarray:
+    """Read-only ``factors`` of a scheme repeated down a block of at most ``values`` values
     (one row at N = 1, all its sampler reads); homodyne's (2, N) stack as one (2, rows, N)."""
-    rows = 1 if factors[0].size == 1 else max(1, _TILE_VALUES // factors[-1].size)
+    rows = 1 if factors[0].size == 1 else max(1, values // factors[-1].size)
     hom = isinstance(factors, np.ndarray)
     tiles = np.repeat(factors[:, None], rows, 1) if hom else tuple(
         np.repeat(f[None], rows, 0) for f in factors)
@@ -267,25 +268,35 @@ def _tiles(factors) -> tuple | np.ndarray:
     return tiles
 
 
+def _pairwise(k: int, rows: int, leaf) -> np.ndarray:
+    """The column sums of ``k`` shots as NumPy sums a column: above 128 values, the sums of two
+    halves, the first ``k // 2`` rounded down to a multiple of 8. ``leaf(k)`` forms the next
+    ``k`` shots in stream order once the split reaches at most ``rows``; each column is summed,
+    in a flat array."""
+    if k > rows:
+        half = k // 2 - k // 2 % 8
+        return _pairwise(half, rows, leaf) + _pairwise(k - half, rows, leaf)
+    return np.array([column.sum() for column in leaf(k).reshape(k, -1).T])
+
+
 def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
              tiles) -> QuadratureSampleMeans:
     """The X and P means of ``m`` shots per quadrature around the output ``mean``, drawn in
     blocks of about ``_BLOCK_VALUES`` values, each formed by two passes, ``z *= scale`` (a
     prefix of ``config.scheme``'s ``tiles``, or their first row if taller) and ``z += loc``:
-    one block if all fit, else a running sum carried across blocks continues NumPy's
-    row-by-row sum. By :func:`_measure_one` at N = 1; views of ``mean`` when ``m`` is 0."""
+    one block if all fit at N > 1, else a running sum carried across blocks continues NumPy's
+    row-by-row sum, and at N = 1 the blocks are the leaves of :func:`_pairwise`, at least 128
+    shots unless fewer remain. Views of ``mean`` when ``m`` is 0."""
     n = mean.size // 2
     if not m:
         return QuadratureSampleMeans(mean[:n], mean[n:], m)
-    if n == 1:
-        return _measure_one(mean, m, config, tiles)
     scheme, mx, mp = config.scheme, mean[:n], mean[n:]
     rng = _stream(config.seed, config._words)
-    if 2 * m * n <= _BLOCK_VALUES:  # one block: homodyne's X then P shots, or the joint shots
+    if n > 1 and 2 * m * n <= _BLOCK_VALUES:  # one block: homodyne's X then P, or joint shots
         head = slice(m if m <= len(tiles[0]) else 1)
         if scheme == HOMODYNE:
             z, scale, loc = rng.standard_normal((2, m, n)), tiles[:, head], mean.reshape(2, 1, n)
-        else:
+        else:  # P's loc through temporaries: in place it timed slower at N = 2-12
             z, loc, scale = rng.standard_normal((m, n, 2)), np.empty((m, n, 2)), tiles[1][head]
             loc[:, :, 0] = mx
             loc[:, :, 1] = np.multiply(z[:, :, 0], tiles[0][head]) + mp
@@ -293,61 +304,38 @@ def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
         z += loc  # heterodyne P: l22 z1 + (l21 z0 + mp), the closed form commuted
         sums = (np.add.reduce(z, 1) if scheme == HOMODYNE else np.add.reduce(z, 0).T) / m
         return QuadratureSampleMeans(sums[0], sums[1], m)
-    rows = min(m, max(1, _BLOCK_VALUES // tiles[-1][0].size))
-    tiles = [tile[:1] for tile in tiles]  # blocks taller than the tiles read their first row
+    rows = min(m, max(128 if n == 1 else 1, _BLOCK_VALUES // tiles[-1][0].size))
+    # blocks taller than the tiles read their first row
     if scheme == HOMODYNE:  # all X blocks, then all P; a (1, N) loc stays whole in loc[:k]
-        passes = zip((mx[None], mp[None]), tiles)
+        buf, passes = np.empty((rows, n)), zip((mx[None], mp[None]), tiles[:, :1])
     else:  # one pass of joint shots; P's loc is filled per block
-        (l21, scale), tmp, loc = tiles, np.empty((rows, n)), np.empty((rows, n, 2))
-        loc[:, :, 0] = mx
+        l21, scale = (tile[:1] for tile in tiles)
+        buf, loc = np.empty((rows, n, 2)), np.empty((rows, n, 2))
+        loc[..., 0] = mx
         passes = [(loc, scale)]
+
+    def block(k, loc, scale):  # the next k shots, z *= scale and z += loc, in buf
+        z = rng.standard_normal(out=buf[:k])
+        if scheme == HETERODYNE:  # P's loc, l21 z0 + mp
+            p = np.multiply(z[..., 0], l21, out=loc[:k, ..., 1])
+            np.add(p, mp, out=p)
+        z *= scale
+        z += loc[:k]  # heterodyne P: l22 z1 + (l21 z0 + mp), the closed form commuted
+        return z
+
     sums = []
     for loc, scale in passes:
-        buf = np.empty((rows, *scale.shape[1:]))
-        for start in range(0, m, rows):
-            k = min(rows, m - start)
-            z = rng.standard_normal(out=buf[:k])
-            if scheme == HETERODYNE:  # P's loc, l21 z0 + mp
-                t = np.multiply(z[:, :, 0], l21, out=tmp[:k])
-                loc[:k, :, 1] = np.add(t, mp, out=t)
-            z *= scale
-            z += loc[:k]
-            if start:  # the running sum joins the first shot: z0 + total is total + z0
-                z[0] += total
-            total = np.add.reduce(z, 0)
+        if n == 1:
+            total = _pairwise(m, rows, lambda k: block(k, loc, scale))
+        else:
+            for start in range(0, m, rows):
+                z = block(min(rows, m - start), loc, scale)
+                if start:  # the running sum joins the first shot: z0 + total is total + z0
+                    z[0] += total
+                total = np.add.reduce(z, 0)
         sums.append(total / m)
-    x, p = sums if scheme == HOMODYNE else sums[0].T
+    x, p = sums if scheme == HOMODYNE else sums[0].reshape(n, 2).T
     return QuadratureSampleMeans(x, p, m)
-
-
-def _measure_one(mean: np.ndarray, m: int, config: MeasurementConfig,
-                 tiles) -> QuadratureSampleMeans:
-    """:func:`_measure` at N = 1. NumPy sums a column pairwise: above 128 values, the sums of two
-    halves, the first ``k // 2`` rounded down to a multiple of 8. The shots are drawn in stream
-    order in that split's leaves, at most a block but not split below 128, each column summed."""
-    het = config.scheme == HETERODYNE
-    rows = min(m, max(128, _BLOCK_VALUES // (1 + het)))
-    buf, rng = np.empty((rows, 1 + het)), _stream(config.seed, config._words)
-    a, b = (tile[0] for tile in tiles)  # homodyne sx, sp; heterodyne l21, (l11, l22)
-
-    def pairwise(k, loc, scale):
-        if k > rows:
-            half = k // 2 - k // 2 % 8
-            return pairwise(half, loc, scale) + pairwise(k - half, loc, scale)
-        z = rng.standard_normal(out=buf[:k])
-        if het:  # P's loc, l21 z0 + mp
-            loc = loc[:k]
-            np.multiply(z[:, 0], a, out=loc[:, 1])
-            loc[:, 1] += mean[1]
-        z *= scale
-        z += loc  # heterodyne P: l22 z1 + (l21 z0 + mp), the closed form commuted
-        return np.array([column.sum() for column in z.T])
-
-    if het:  # one pass of joint shots
-        loc = np.empty((rows, 2))
-        loc[:, 0] = mean[0]
-        return QuadratureSampleMeans(*(pairwise(m, loc, b[0]) / m)[:, None], m)
-    return QuadratureSampleMeans(pairwise(m, mean[:1], a) / m, pairwise(m, mean[1:], b) / m, m)
 
 
 def sample_quadratures(
@@ -377,8 +365,7 @@ def sample_quadratures(
 
 def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSampleMeans:
     """A state's 2N quadrature means: exact if analytic, else :func:`sample_quadratures`' means."""
-    factors = _draw_factors(state.cov, config.scheme)  # one-row tiles: each block broadcasts them
-    tiles = factors[:, None] if config.scheme == HOMODYNE else tuple(f[None] for f in factors)
+    tiles = _tiles(_draw_factors(state.cov, config.scheme), 1)  # one row: each block broadcasts it
     return _measure(state.mean.copy(), config.shots_per_quadrature, config, tiles)
 
 

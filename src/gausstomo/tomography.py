@@ -222,6 +222,7 @@ def reconstruct_unitary(
     probes = [_probe(j, amplitude, 0.0) for j in range(1, n + 1)]
     with np.errstate(over="ignore", invalid="ignore"):  # one scope per reconstruction
         means = _probe_settings(device, probes, config)
+        # divided here: 1j * p / scale divides a complex, and rounds unlike 1j * (p / scale)
         u_tilde = means[:n] / scale - 1j * means[n:] / scale
     _check_finite(np.isfinite(u_tilde), "u_tilde")
 
@@ -317,8 +318,10 @@ def default_detection_tol(amplitudes: list[float], config: MeasurementConfig) ->
     is not tripped by roundoff.
 
     Raises:
-        ValueError: an amplitude not finite and > 0.
+        ValueError: no amplitude, or an amplitude not finite and > 0.
     """
+    if not len(amplitudes):
+        raise ValueError("need at least one probe amplitude")
     worst_se = max(_mean_stderr(config) / _probe_scale(amp) for amp in amplitudes)
     return max(STRUCTURAL_TOL, 5.0 * worst_se)
 
@@ -341,12 +344,11 @@ def detect_non_gaussian(
     """
     if len(amplitudes) < 2:
         raise ValueError("need at least two probe amplitudes")
-    for amplitude in amplitudes:  # each is a number before it is compared
-        _probe_scale(amplitude)
+    default_tol = default_detection_tol(amplitudes, config)  # checks each amplitude, in order
     if len(set(float(a) for a in amplitudes)) != len(amplitudes):
         raise ValueError("probe amplitudes must be distinct")
     if tol is None:
-        tol = default_detection_tol(amplitudes, config)
+        tol = default_tol
     elif not 0 <= _real(tol) < math.inf:
         raise ValueError(f"detection tolerance must be finite and >= 0, got {tol!r}")
     ratios = probe_ratios(device, amplitudes, config)

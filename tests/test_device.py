@@ -514,11 +514,20 @@ def test_each_path_returns_frozen_means_and_counts_its_setting(monkeypatch, n, s
                         lambda *args: _CountingStream(stream(*args), fills))
     per_setting = config.shots_per_quadrature * (2 if scheme == HOMODYNE else 1)
     got = []
-    for calls in (1, 2):
+    gc.collect()
+    gc.disable()  # a reference cycle would leave a setting's buffers to the cyclic collector
+    try:
+        for calls in (1, 2):
+            fills.clear()
+            got.append(device.probe_and_measure(probe, config))
+            assert fills == draws
+            assert (device.settings_used, device.probes_used) == (calls, calls * per_setting)
         fills.clear()
-        got.append(device.probe_and_measure(probe, config))
+        got.append(measure(state, config))
         assert fills == draws
-        assert (device.settings_used, device.probes_used) == (calls, calls * per_setting)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
     names = [f.name for f in dataclasses.fields(QuadratureSampleMeans)]
     for means in got:
         assert type(means) is QuadratureSampleMeans and list(vars(means)) == names

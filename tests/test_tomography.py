@@ -417,11 +417,12 @@ def test_reconstruction_json_finite_and_analytic():
         lambda dev, a: reconstruct_element_with_phase_error(dev, 1, 1, a, 0.0, ANALYTIC_HOM),
         lambda dev, a: probe_ratios(dev, [1.0, a], ANALYTIC_HET),
         lambda dev, a: default_detection_tol([1.0, a], ANALYTIC_HET),
+        lambda dev, a: default_detection_tol([], ANALYTIC_HET),  # no amplitude at all
     ],
 )
 def test_non_finite_amplitude_rejected(call, amplitude):
     dev = SimulatedDevice(DeviceModel(np.eye(2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="probe amplitude"):
         call(dev, amplitude)
     assert dev.settings_used == 0
 
