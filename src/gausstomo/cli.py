@@ -93,19 +93,15 @@ _int_list = _list_of(int, "integer")
 _float_list = _list_of(float, "number")
 
 
-def _loss_fraction(text: str) -> float:
+def _eta(text: str) -> float:
+    """A loss fraction L in [0, 1), given as the transmissivity eta = 1 - L."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid loss fraction {text!r}") from None
     if not 0 <= value < 1:
         raise argparse.ArgumentTypeError("loss fraction must be in [0, 1)")
-    return value
-
-
-def _eta(text: str) -> float:
-    """A loss fraction L, given to a runner as the transmissivity eta = 1 - L."""
-    return 1.0 - _loss_fraction(text)
+    return 1.0 - value
 
 
 # Flags of the experiment runners. Each stores the runner keyword named by its
@@ -156,7 +152,7 @@ def _build_parser() -> _Parser:
     p_rec.add_argument("--shots", type=_shots, default=100,
                        help="shots per probe setting, or 'inf' for exact means")
     p_rec.add_argument("--amplitude", type=float, default=1000.0)
-    p_rec.add_argument("--loss", type=_loss_fraction, default=None,
+    p_rec.add_argument("--loss", dest="eta", type=_eta, default=None,
                        help="loss fraction L, sets transmissivity eta = 1 - L "
                             "(default: the eta stored in the device file)")
     p_rec.add_argument("--seed", type=int, default=0)
@@ -216,7 +212,7 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_device(path: str, loss: float | None) -> DeviceModel:
+def _load_device(path: str, eta: float | None) -> DeviceModel:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     _check_fields(obj, (), "device file")
@@ -224,13 +220,13 @@ def _load_device(path: str, loss: float | None) -> DeviceModel:
         model = device_from_json(obj)
     else:
         model = DeviceModel(matrix_from_json(obj, expect_kind="symplectic"))
-    if loss is not None:
-        model = DeviceModel(model.s, eta=1.0 - loss, cubic_gamma=model.cubic_gamma)
+    if eta is not None:
+        model = DeviceModel(model.s, eta=eta, cubic_gamma=model.cubic_gamma)
     return model
 
 
 def _cmd_reconstruct(args) -> int:
-    model = _load_device(args.device, args.loss)
+    model = _load_device(args.device, args.eta)
     config = MeasurementConfig(scheme=args.scheme, shots=args.shots, seed=args.seed)
     result = reconstruct_symplectic(SimulatedDevice(model), args.amplitude, config)
     f_value = scaled_frobenius(model.s, result.s_recon)

@@ -78,13 +78,13 @@ def symplectic_form(n: int) -> np.ndarray:
 
 
 # an N-mode array of each kind has shape N times these factors; any other kind (2, 2)
-_SHAPE_FACTORS = {"mean": (2,), "unitary-real": (1, 1), "unitary-imag": (1, 1)}
+_SHAPE_FACTORS = {"mean": (2,), "unitary": (1, 1), "unitary-real": (1, 1), "unitary-imag": (1, 1)}
 
 
 def _check_shape(a: np.ndarray, kind: str, n: int | None = None) -> int:
     """``a`` must have the shape of an N-mode ``kind``, N = ``n`` >= 1, or read off the first
-    axis if ``n`` is None: (2N,) for a mean, (N, N) for a unitary part, (2N, 2N) for any other
-    kind (a matrix). Returns N."""
+    axis if ``n`` is None: (2N,) for a mean, (N, N) for a unitary (no JSON kind) or its parts,
+    (2N, 2N) for any other kind (a matrix). Returns N."""
     factors = _SHAPE_FACTORS.get(kind, (2, 2))
     if n is None:
         n = a.shape[0] // factors[0] if a.ndim else 0
@@ -113,15 +113,14 @@ def embed_unitary(u: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     symplectic and orthogonal.
 
     Args:
-        u: complex N x N matrix, unitary within ``tol``.
+        u: complex N x N matrix, N >= 1, unitary within ``tol``.
 
     Raises:
-        ValueError: if ``u`` is not square or not unitary within ``tol``.
+        ValueError: if ``u`` is not N x N with N >= 1, or not unitary within ``tol``.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"unitary must be square, got shape {u.shape}")
-    residual = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    n = _check_shape(u, "unitary")
+    residual = np.max(np.abs(u @ u.conj().T - np.eye(n)))
     if not residual <= tol:
         raise ValueError(f"matrix is not unitary: residual {residual:.3e}, tolerance {tol:.1e}")
     re, im = u.real, u.imag
@@ -259,23 +258,19 @@ def apply_uniform_loss(eta: float, state: GaussianState) -> GaussianState:
 def scaled_frobenius(a: np.ndarray, b: np.ndarray, n_modes: int | None = None) -> float:
     """Frobenius norm of ``a - b`` divided by the number of modes.
 
-    For the default ``n_modes=None`` the matrices are 2N x 2N and N is half
-    the dimension. Pass ``n_modes`` explicitly to apply the same metric to an
-    N x N complex matrix difference.
+    For the default ``n_modes=None`` the matrices are 2N x 2N, N >= 1, as
+    :func:`_check_shape` checks a ``"matrix"``, and N is half the dimension. Pass
+    ``n_modes`` explicitly to apply the same metric to an N x N complex matrix difference.
 
     Raises:
-        ValueError: on shape mismatch, odd dimension with ``n_modes`` unset, or bad ``n_modes``.
+        ValueError: on shape mismatch, a non-2N x 2N shape without ``n_modes``, or bad ``n_modes``.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if n_modes is None:
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
-            raise ValueError(
-                "n_modes must be given explicitly for matrices that are not 2N x 2N"
-            )
-        n_modes = a.shape[0] // 2
+        n_modes = _check_shape(a, "matrix")
     _check_index(n_modes, "n_modes", 1)
     return float(np.linalg.norm(a - b) / n_modes)
 

@@ -206,11 +206,10 @@ def run_intensity_scaling(
         return [derive_seed(seed, _MEAS, *idx, rep, trial) for trial in range(trials_list[idx[1]])]
 
     def error(idx, rep, configs):
-        amplitude, tilde_sum = amplitude_list[idx[0]], np.zeros((2 * n_modes, 2 * n_modes))
+        amplitude = amplitude_list[idx[0]]
         with np.errstate(over="ignore", invalid="ignore"):  # estimate_eta rejects an overflow
-            for config in configs:
-                tilde_sum += measure_attenuated_matrix(SimulatedDevice(model), amplitude, config)
-            tilde_avg = tilde_sum / len(configs)
+            tilde_avg = sum(measure_attenuated_matrix(SimulatedDevice(model), amplitude, config)
+                            for config in configs) / len(configs)
         return scaled_frobenius(s_true, tilde_avg / math.sqrt(estimate_eta(tilde_avg)))
 
     return _sweep(

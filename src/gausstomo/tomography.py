@@ -255,6 +255,9 @@ def _phase_error_elements(device: ProbeableDevice, i: int, j: int, amplitude: fl
     i, j = _check_index(i, "element index i", 1), _check_index(j, "element index j", 1)
     if i > n or j > n:
         raise ValueError(f"element indices ({i}, {j}) out of range 1..{n}")
+    # one probe_and_measure per phase, not _probe_settings (15-30 % slower on the scan), each
+    # with ``config`` unchanged: the phase-error study is analytic and the public entry issues
+    # one phase, so no two sampled settings share a stream
     with np.errstate(over="ignore", invalid="ignore"):  # one context per scan, not per probe
         estimates = [float(device.probe_and_measure(_probe(j, amplitude, phi), config)
                            .x_means[i - 1] / scale) for phi in phis]

@@ -25,7 +25,8 @@ from gausstomo import (
     vacuum_state,
 )
 from gausstomo.core import _real
-from gausstomo.device import HETERODYNE, DeviceModel, MeasurementConfig, ProbeSpec, SimulatedDevice
+from gausstomo.device import (HETERODYNE, DeviceModel, MeasurementConfig, ProbeSpec,
+                              SimulatedDevice, cubic_phase_mean_map)
 from gausstomo.experiments import run_mode_scaling, run_phase_error_study
 from gausstomo.randgen import derive_seed, haar_unitary, random_symplectic
 from gausstomo.tomography import (
@@ -433,16 +434,20 @@ def test_matrix_to_json_rejects_a_shape_of_no_mode_count(kind, shape):
     (lambda: GaussianState(mean=np.zeros(2), cov=np.eye(4)),
      "covariance data has shape (4, 4), expected (2, 2) for N = 1"),
     (lambda: estimate_eta(np.eye(3)), "s_tilde data has shape (3, 3), expected (2, 2) for N = 1"),
+    (lambda: embed_unitary(np.zeros((2, 3))),
+     "unitary data has shape (2, 3), expected (2, 2) for N = 2"),
+    # an empty matrix once failed inside NumPy's reduction, with NumPy's message
+    (lambda: embed_unitary(np.zeros((0, 0))), "unitary data has shape (0, 0), expected N >= 1 modes"),
+    (lambda: cubic_phase_mean_map(0.1, np.zeros(4)),
+     "mean data has shape (4,), expected (2,) for N = 1"),
+    (lambda: scaled_frobenius(np.eye(3), np.zeros((3, 3))),
+     "matrix data has shape (3, 3), expected (2, 2) for N = 1"),
 ], ids=["matrix_from_json", "is_symplectic", "extract_unitary", "apply_symplectic", "state-mean", "state-cov",
-        "estimate_eta"])
+        "estimate_eta", "embed_unitary-2x3", "embed_unitary-0x0", "cubic_phase_mean_map",
+        "scaled_frobenius"])
 def test_every_mode_shaped_input_is_checked_by_the_one_shape_rule(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
-
-
-def test_embed_unitary_rejects_a_non_square_matrix():
-    with pytest.raises(ValueError, match=r"^unitary must be square, got shape \(2, 3\)$"):
-        embed_unitary(np.zeros((2, 3)))
 
 
 def test_unitary_json_parts_must_agree_in_mode_count():

@@ -438,12 +438,6 @@ def test_one_mode_reconstruction_uses_bounded_memory(scheme):
     assert peak < 2**20
 
 
-def test_cubic_phase_mean_map_rejects_a_two_mode_mean():
-    with pytest.raises(ValueError, match=r"^cubic gate acts on a single mode \(mean vector of "
-                                         r"length 2\)$"):
-        cubic_phase_mean_map(0.1, np.zeros(4))
-
-
 def test_sample_quadratures_has_no_analytic_outcomes():
     state = evolve(DeviceModel(np.eye(2)), ProbeSpec(1, 1.0))
     with pytest.raises(ValueError, match=r"^analytic backend has no sample outcomes; "
