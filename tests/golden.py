@@ -18,12 +18,12 @@
 * 2 detect verdicts, analytic and at 100 shots, from standard output
 
 Run as a script, it writes them into OUTDIR, in one process through
-``gausstomo.cli.main``, with the package imported from PYTHONPATH:
+``gausstomo.cli.main``, with the package imported from PYTHONPATH, absolute so
+that one list serves two trees whose outputs CI compares with ``diff -r``:
 
     PYTHONPATH="$PWD/src" python tests/golden.py OUTDIR
 
-``.github/outputs.sh`` does so, so that one list serves two trees whose
-outputs are compared with ``diff -r``; ``test_golden.py`` compares each file's
+``test_golden.py`` compares their bytes with a fresh process's, and each file's
 SHA-256 with ``golden.json``. Run with ``--manifest`` instead of OUTDIR, it
 prints this platform's ``golden.json`` entry.
 """

@@ -97,6 +97,17 @@ def test_reconstruct_loss_override(tmp_path, capsys):
     assert obj["eta_hat"] == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("scheme", ["homodyne", "heterodyne"])
+def test_reconstruct_loss_flag_equals_device_eta_byte_for_byte(tmp_path, scheme):
+    # --loss L on a file without eta and a device file's "eta": 1 - L are one device
+    s = matrix_to_json(random_symplectic(2, seed=1), "symplectic")
+    for name, obj, loss in (("bare", s, ["--loss", "0.5"]), ("lossy", {"S": s, "eta": 0.5}, [])):
+        (tmp_path / name).write_text(json.dumps(obj))
+        assert main(["reconstruct", "--device", str(tmp_path / name), *loss, "--scheme", scheme,
+                     "--shots", "100", "--out", str(tmp_path / f"{name}.out")]) == 0
+    assert (tmp_path / "bare.out").read_bytes() == (tmp_path / "lossy.out").read_bytes()
+
+
 def test_reconstruct_accepts_bare_matrix(tmp_path, capsys):
     from gausstomo import matrix_to_json
 
@@ -206,13 +217,22 @@ def test_bad_seed_is_usage_error_naming_seed(tmp_path, capsys, command, seed, me
     ("experiment mode-scaling --modes , --out OUT", "argument --modes: empty list"),
     ("reconstruct --device DEVICE --loss abc --out OUT",
      "argument --loss: invalid loss fraction 'abc'"),
-], ids=["generate-modes-0", "mode-scaling-empty-modes", "reconstruct-loss-not-a-number"])
-def test_bad_flag_value_is_usage_error_naming_the_flag(tmp_path, capsys, command, message):
+    # parsed, then rejected by the sweep under its CSV column's name
+    ("experiment mode-scaling --modes 2,0 --reps 1 --out OUT",
+     "n_modes must be an integer >= 1, got 0"),
+], ids=["generate-modes-0", "mode-scaling-empty-modes", "reconstruct-loss-not-a-number",
+        "mode-scaling-modes-0"])
+def test_bad_flag_value_is_usage_error_naming_the_flag(tmp_path, capsys, monkeypatch, command,
+                                                       message):
+    monkeypatch.setattr(SimulatedDevice, "probe_and_measure", mock.Mock(side_effect=AssertionError))
     dev, _ = write_device(tmp_path, n=1)
     argv = command.replace("OUT", str(tmp_path / "out")).replace("DEVICE", str(dev)).split()
     code, stdout, err = run(argv, capsys)
     assert code == 1 and stdout == ""
     assert err.endswith(f": error: {message}\n")
+    *usage, last = err.splitlines()
+    # argparse prints its usage above its own errors; an error of the command is one line
+    assert usage == [] if last.startswith("gausstomo: ") else usage[0].startswith("usage: ")
     assert list(tmp_path.iterdir()) == [dev]
 
 
@@ -490,20 +510,27 @@ _OVERFLOW = ["--gamma", "0.1", "--amplitudes", "1e308,1", "--shots", "100"]
     (["detect", "--gamma", "0.1", "--amplitudes", "1e-310,1", "--shots", "100"], 1),
     (["reconstruct", "--device", "s1.json", "--amplitude", "1e-310", "--shots", "100",
       "--out", "r.json"], 2),
+    # a malformed device file, and a symplectic S whose S S^T overflows float64
+    (["reconstruct", "--device", "bad.json", "--out", "r.json"], 1),
+    (["reconstruct", "--device", "big.json", "--shots", "100", "--out", "r.json"], 1),
 ], ids=["detect-heterodyne", "detect-homodyne", "detect-analytic", "reconstruct-heterodyne",
-        "reconstruct-homodyne", "detect-tiny", "reconstruct-tiny"])
+        "reconstruct-homodyne", "detect-tiny", "reconstruct-tiny", "device-malformed",
+        "device-covariance-overflows"])
 def test_overflowed_means_fail_in_one_line_without_a_warning(tmp_path, argv, code):
     # -W error: a RuntimeWarning would be a traceback; a cubic gate or an N = 1 sum overflows
-    (tmp_path / "s1.json").write_text(json.dumps(matrix_to_json(random_symplectic(1, seed=1),
-                                                                "symplectic")))
+    devices = {"s1.json": matrix_to_json(random_symplectic(1, seed=1), "symplectic"),
+               "bad.json": {"S": 5, "eta": 1.0},
+               "big.json": matrix_to_json(np.diag([1e160, 1e-160]), "symplectic")}
+    for name, obj in devices.items():
+        (tmp_path / name).write_text(json.dumps(obj))
     src = os.path.dirname(os.path.dirname(gausstomo.__file__))
     done = subprocess.run([sys.executable, "-W", "error", "-m", "gausstomo.cli", *argv],
                           cwd=tmp_path, capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == code
     assert done.stdout == "" and len(done.stderr.splitlines()) == 1, done.stderr
-    assert done.stderr.startswith("gausstomo: ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.json"]  # nothing written
+    assert done.stderr.startswith("gausstomo: error: " if code == 1 else "gausstomo: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(devices)  # nothing written
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,12 +1,12 @@
-"""Every output byte of ``golden.INVOCATIONS``, on each platform ``golden.json`` pins,
-and every number of a few of them within a bound under another BLAS kernel.
+"""Every output byte of ``golden.INVOCATIONS``, again in a fresh process and on each platform
+``golden.json`` pins; every number of a few of them within a bound under another BLAS kernel.
 
 The bytes depend on the NumPy version, the BLAS kernel and the CPU features
-NumPy dispatches on; on a platform the manifest does not list, the test is
-skipped with its fingerprint in the reason. Regenerate an entry with
+NumPy dispatches on; on a platform the manifest does not list, its test is
+skipped with the fingerprint in the reason. Regenerate an entry with
 ``PYTHONPATH=src python tests/golden.py --manifest`` on a tree whose outputs
 are known good. Across OpenBLAS kernels the numbers agree to roundoff, and the
-second test bounds it wherever OpenBLAS can switch kernels.
+last test bounds it wherever OpenBLAS can switch kernels.
 """
 
 import csv
@@ -24,17 +24,32 @@ import golden
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
 
-def test_output_bytes_match_the_manifest(tmp_path):
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """SHA-256 of every golden output, written in this process, by name."""
+    outdir = str(tmp_path_factory.mktemp("golden"))
+    golden.write_outputs(outdir)
+    return golden.digests(outdir)
+
+
+def test_output_bytes_match_the_manifest(written):
     fingerprint = golden.fingerprint()
     with open(MANIFEST, encoding="utf-8") as fh:
         platforms = json.load(fh)["platforms"]
     expected = next((p["sha256"] for p in platforms if p["fingerprint"] == fingerprint), None)
     if expected is None:
         pytest.skip(f"no golden bytes for this platform: {json.dumps(fingerprint)}")
-    golden.write_outputs(str(tmp_path))
-    got = golden.digests(str(tmp_path))
-    assert sorted(got) == sorted(expected)
-    assert [name for name in expected if got[name] != expected[name]] == []
+    assert sorted(written) == sorted(expected)
+    assert [name for name in expected if written[name] != expected[name]] == []
+
+
+def test_output_bytes_repeat_in_a_fresh_process(written, tmp_path):
+    """On every platform, a fresh interpreter writes every output again byte for byte: none
+    reads a clock, a buffer row it has not written or state an earlier call left behind."""
+    assert _write_elsewhere(tmp_path, golden.INVOCATIONS) == golden.fingerprint()
+    again = golden.digests(str(tmp_path))
+    assert sorted(again) == sorted(written)
+    assert next((name for name in written if again[name] != written[name]), None) is None
 
 
 # The cross-kernel bounds: at least 10x the largest change measured under OpenBLAS's
@@ -58,6 +73,17 @@ import golden
 golden.write_outputs(sys.argv[1], json.loads(sys.argv[2]))
 print(json.dumps(golden.fingerprint()))
 """
+
+
+def _write_elsewhere(outdir, invocations, **env) -> dict:
+    """Write ``invocations``' outputs into ``outdir`` in a fresh interpreter importing this
+    package, with this process's environment updated by ``env``; return its fingerprint."""
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(gausstomo.__file__)))
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join((src_dir, tests_dir))}
+    done = subprocess.run([sys.executable, "-c", SUBPROCESS, str(outdir), json.dumps(invocations)],
+                          env=env, capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def _assert_near(a, b, bound, scale, what):
@@ -114,13 +140,7 @@ def test_outputs_under_another_blas_kernel_agree_to_roundoff(tmp_path):
     kernel = next(k for k in KERNELS if k != core)
     here, there = tmp_path / "here", tmp_path / "there"
     golden.write_outputs(str(here), CROSS_KERNEL)
-    tests_dir = os.path.dirname(os.path.abspath(__file__))
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(gausstomo.__file__)))
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
-           "PYTHONPATH": os.pathsep.join((src_dir, tests_dir))}
-    done = subprocess.run([sys.executable, "-c", SUBPROCESS, str(there), json.dumps(CROSS_KERNEL)],
-                          env=env, capture_output=True, text=True, check=True)
-    ran = json.loads(done.stdout.splitlines()[-1])["blas_core"]
+    ran = _write_elsewhere(there, CROSS_KERNEL, OPENBLAS_CORETYPE=kernel)["blas_core"]
     if ran != kernel:
         pytest.skip(f"OPENBLAS_CORETYPE={kernel} runs the {ran} kernel on this CPU")
     assert sorted(os.listdir(here)) == sorted(os.listdir(there))
