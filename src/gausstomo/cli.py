@@ -23,7 +23,6 @@ from . import __version__
 from .core import (
     NotPassiveError,
     _check_fields,
-    matrix_from_json,
     matrix_to_json,
     scaled_frobenius,
     unitary_to_json,
@@ -216,10 +215,7 @@ def _load_device(path: str, eta: float | None) -> DeviceModel:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     _check_fields(obj, (), "device file")
-    if "S" in obj:
-        model = device_from_json(obj)
-    else:
-        model = DeviceModel(matrix_from_json(obj, expect_kind="symplectic"))
+    model = device_from_json(obj if "S" in obj else {"S": obj, "eta": 1.0})  # a bare S: lossless
     if eta is not None:
         model = DeviceModel(model.s, eta=eta, cubic_gamma=model.cubic_gamma)
     return model
@@ -256,7 +252,6 @@ def _cmd_experiment(args, argv: list[str]) -> int:
 def _cmd_detect(args) -> int:
     model = DeviceModel(
         s=[[1.0, 0.0], [0.0, 1.0]],
-        eta=1.0,
         cubic_gamma=args.gamma if args.gamma != 0 else None,
     )
     config = MeasurementConfig(scheme=args.scheme, shots=args.shots, seed=args.seed)

@@ -48,9 +48,8 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
-        _check_shape(cov, "covariance", _check_shape(mean, "mean"))
+        mean, n = _array(self.mean, "mean")
+        mean, cov = mean.copy("K"), _array(self.cov, "covariance", n)[0].copy("K")
         if not np.isfinite(cov).all():  # a NaN passes the symmetry check, an inf warns in it
             raise ValueError("covariance matrix has non-finite entries")
         if np.max(np.abs(cov - cov.T)) > STRUCTURAL_TOL:
@@ -81,17 +80,30 @@ def symplectic_form(n: int) -> np.ndarray:
 _SHAPE_FACTORS = {"mean": (2,), "unitary": (1, 1), "unitary-real": (1, 1), "unitary-imag": (1, 1)}
 
 
-def _check_shape(a: np.ndarray, kind: str, n: int | None = None) -> int:
-    """``a`` must have the shape of an N-mode ``kind``, N = ``n`` >= 1, or read off the first
-    axis if ``n`` is None: (2N,) for a mean, (N, N) for a unitary (no JSON kind) or its parts,
-    (2N, 2N) for any other kind (a matrix). Returns N."""
+def _array(a, kind: str, n: int | None = None) -> tuple[np.ndarray, int]:
+    """``a`` read as an N-mode ``kind`` array, and N. Its entries must be real numbers (complex
+    for a unitary), not the bools, strings or None NumPy would read as numbers; its shape that of
+    N = ``n`` >= 1 modes, or N is read off the first axis: (2N,) for a mean, (N, N) for a unitary
+    (no JSON kind) or its parts, else (2N, 2N). An ndarray of numbers pays one dtype test, any
+    other input one scan of its entries' types."""
+    unitary = kind == "unitary"  # the one kind whose entries may be complex
+    numbers = "iufc" if unitary else "iuf"  # their dtype kinds
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in numbers):
+        try:  # each entry's type, in order of first appearance; a ragged nesting holds a list
+            types = dict.fromkeys(map(type, (a := np.array(a, dtype=object)).flat))
+        except ValueError:  # a nesting too ragged for NumPy to hold even as objects
+            types = (list,)
+        if bad := [t for t in types if np.dtype(t).kind not in numbers]:
+            raise ValueError(f"{kind} data must hold {'complex' if unitary else 'real'} "
+                             f"numbers, got an entry of type {bad[0].__name__}")
+    a = np.asarray(a, dtype=complex if unitary else float)
     factors = _SHAPE_FACTORS.get(kind, (2, 2))
     if n is None:
         n = a.shape[0] // factors[0] if a.ndim else 0
     if n < 1 or a.shape != (shape := tuple(factor * n for factor in factors)):
         expected = f"{shape} for N = {n}" if n >= 1 else "N >= 1 modes"
         raise ValueError(f"{kind} data has shape {a.shape}, expected {expected}")
-    return n
+    return a, n
 
 
 def is_symplectic(s: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
@@ -100,8 +112,8 @@ def is_symplectic(s: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     Raises:
         ValueError: if ``s`` is not square with even dimension.
     """
-    s = np.asarray(s, dtype=float)
-    j = symplectic_form(_check_shape(s, "matrix"))
+    s, n = _array(s, "matrix")
+    j = symplectic_form(n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product is not symplectic
         return bool(np.max(np.abs(s @ j @ s.T - j)) <= tol)
 
@@ -118,8 +130,7 @@ def embed_unitary(u: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     Raises:
         ValueError: if ``u`` is not N x N with N >= 1, or not unitary within ``tol``.
     """
-    u = np.asarray(u, dtype=complex)
-    n = _check_shape(u, "unitary")
+    u, n = _array(u, "unitary")
     residual = np.max(np.abs(u @ u.conj().T - np.eye(n)))
     if not residual <= tol:
         raise ValueError(f"matrix is not unitary: residual {residual:.3e}, tolerance {tol:.1e}")
@@ -140,8 +151,7 @@ def extract_unitary(s: np.ndarray, tol: float = PASSIVE_BLOCK_TOL) -> np.ndarray
         NotPassiveError: if the block symmetry is violated beyond ``tol``,
             which signals an active (e.g. squeezing) transformation.
     """
-    s = np.asarray(s, dtype=float)
-    n = _check_shape(s, "matrix")
+    s, n = _array(s, "matrix")
     a, b = s[:n, :n], s[:n, n:]
     c, d = s[n:, :n], s[n:, n:]
     asym = max(np.max(np.abs(a - d)), np.max(np.abs(b + c)))
@@ -182,16 +192,21 @@ def coherent_probe_state(n: int, mode_j: int, amplitude: float, phase: float) ->
 
 def _check_probe(amplitude: float, phase: float) -> None:
     """A coherent probe's amplitude must be finite and >= 0, its phase finite."""
-    if not 0 <= _real(amplitude) < math.inf:
-        raise ValueError(f"probe amplitude must be finite and >= 0, got {amplitude!r}")
-    if not math.isfinite(_real(phase)):
-        raise ValueError(f"probe phase must be finite, got {phase!r}")
+    _check_real(amplitude, "probe amplitude", 0)
+    _check_real(phase, "probe phase")
 
 
 def _check_eta(eta: float) -> None:
     """A power transmissivity must be in (0, 1]."""
     if not 0 < _real(eta) <= 1:
         raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
+
+
+def _check_real(value, name: str, low: float = -math.inf) -> None:
+    """``value`` must be a real number, not a bool, finite and >= ``low``."""
+    if not (math.isfinite(real := _real(value)) and real >= low):
+        bound = f" and >= {low}" if low > -math.inf else ""
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
 def _check_index(value, name: str, low: int) -> int:
@@ -233,8 +248,7 @@ def _coherent_mean(n: int, mode_j: int, amplitude: float, phase: float, gain=1.0
 
 def apply_symplectic(s: np.ndarray, state: GaussianState) -> GaussianState:
     """Evolve a state through a symplectic map: mean -> S mean, cov -> S cov S^T."""
-    s = np.asarray(s, dtype=float)
-    _check_shape(s, "matrix", state.n_modes)
+    s, _ = _array(s, "matrix", state.n_modes)
     return GaussianState(mean=s @ state.mean, cov=s @ state.cov @ s.T)
 
 
@@ -258,21 +272,15 @@ def apply_uniform_loss(eta: float, state: GaussianState) -> GaussianState:
 def scaled_frobenius(a: np.ndarray, b: np.ndarray, n_modes: int | None = None) -> float:
     """Frobenius norm of ``a - b`` divided by the number of modes.
 
-    For the default ``n_modes=None`` the matrices are 2N x 2N, N >= 1, as
-    :func:`_check_shape` checks a ``"matrix"``, and N is half the dimension. Pass
-    ``n_modes`` explicitly to apply the same metric to an N x N complex matrix difference.
+    For the default ``n_modes=None`` both are real 2N x 2N matrices, N >= 1, and N is half the
+    dimension. Pass ``n_modes`` explicitly to apply the same metric to N x N complex matrices.
 
     Raises:
-        ValueError: on shape mismatch, a non-2N x 2N shape without ``n_modes``, or bad ``n_modes``.
+        ValueError: on an entry or shape :func:`_array` rejects, or on bad ``n_modes``.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if n_modes is None:
-        n_modes = _check_shape(a, "matrix")
-    _check_index(n_modes, "n_modes", 1)
-    return float(np.linalg.norm(a - b) / n_modes)
+    kind = "matrix" if n_modes is None else "unitary"
+    a, n = _array(a, kind, n_modes if n_modes is None else _check_index(n_modes, "n_modes", 1))
+    return float(np.linalg.norm(a - _array(b, kind, n)[0]) / n)
 
 
 MATRIX_KINDS = ("symplectic", "unitary-real", "unitary-imag", "covariance", "mean")
@@ -288,8 +296,7 @@ def matrix_to_json(a: np.ndarray, kind: str) -> dict:
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
-    a = np.asarray(a, dtype=float)
-    n = _check_shape(a, kind)
+    a, n = _array(a, kind)
     return {"kind": kind, "n_modes": n, "ordering": ORDERING, "data": a.tolist()}
 
 
@@ -303,14 +310,12 @@ def matrix_from_json(obj: dict, expect_kind: str | None = None) -> np.ndarray:
         raise ValueError(f"expected matrix kind {expect_kind!r}, found {kind!r}")
     if obj["ordering"] != ORDERING:
         raise ValueError(f"unsupported quadrature ordering {obj['ordering']!r}")
-    a = np.asarray(obj["data"], dtype=float)
-    _check_shape(a, kind, _check_index(obj["n_modes"], "n_modes", 1))
-    return a
+    return _array(obj["data"], kind, _check_index(obj["n_modes"], "n_modes", 1))[0]
 
 
 def unitary_to_json(u: np.ndarray) -> dict:
     """Encode a complex unitary as paired real/imag matrix dicts."""
-    u = np.asarray(u, dtype=complex)
+    u, _ = _array(u, "unitary")
     return {
         "real": matrix_to_json(u.real, "unitary-real"),
         "imag": matrix_to_json(u.imag, "unitary-imag"),

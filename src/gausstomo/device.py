@@ -48,12 +48,12 @@ import numpy as np
 
 from .core import (
     GaussianState,
-    STRUCTURAL_TOL,
+    _array,
     _check_eta,
     _check_fields,
     _check_index,
     _check_probe,
-    _check_shape,
+    _check_real,
     _coherent_mean,
     _real,
     is_symplectic,
@@ -174,12 +174,11 @@ class DeviceModel:
     _sqrt_eta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = np.array(self.s, dtype=float)
-        if not is_symplectic(s, STRUCTURAL_TOL):
+        s = _array(self.s, "symplectic")[0].copy("K")  # the model's own, read-only below
+        if not is_symplectic(s):
             raise ValueError("device matrix is not symplectic")
         if self.cubic_gamma is not None:
-            if not math.isfinite(_real(self.cubic_gamma)):
-                raise ValueError(f"cubic_gamma must be finite, got {self.cubic_gamma!r}")
+            _check_real(self.cubic_gamma, "cubic_gamma")
             if s.shape != (2, 2):
                 raise ValueError("cubic gate is only supported for single-mode devices")
         _check_eta(self.eta)
@@ -205,11 +204,10 @@ class DeviceModel:
 def cubic_phase_mean_map(gamma: float, mean: np.ndarray) -> np.ndarray:
     """Mean-field action of a cubic phase gate on a single-mode mean vector.
 
-    X is unchanged; P picks up ``3 gamma X^2``, evaluated at the mean, which must have shape (2,).
+    X is unchanged; P picks up ``3 gamma X^2``, gamma finite, at the mean, which has shape (2,).
     """
-    mean = np.asarray(mean, dtype=float)
-    _check_shape(mean, "mean", 1)
-    x, p = mean
+    _check_real(gamma, "cubic_gamma")
+    (x, p), _ = _array(mean, "mean", 1)
     return np.array([x, p + 3.0 * gamma * x * x])
 
 
@@ -296,10 +294,10 @@ def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
         head = slice(m if m <= len(tiles[0]) else 1)
         if scheme == HOMODYNE:
             z, scale, loc = rng.standard_normal((2, m, n)), tiles[:, head], mean.reshape(2, 1, n)
-        else:  # P's loc through temporaries: in place it timed slower at N = 2-12
+        else:  # P's loc, l21 z0 + mp, formed in place as in a streamed block
             z, loc, scale = rng.standard_normal((m, n, 2)), np.empty((m, n, 2)), tiles[1][head]
             loc[:, :, 0] = mx
-            loc[:, :, 1] = np.multiply(z[:, :, 0], tiles[0][head]) + mp
+            np.add(np.multiply(z[:, :, 0], tiles[0][head], out=loc[:, :, 1]), mp, out=loc[:, :, 1])
         z *= scale
         z += loc  # heterodyne P: l22 z1 + (l21 z0 + mp), the closed form commuted
         sums = (np.add.reduce(z, 1) if scheme == HOMODYNE else np.add.reduce(z, 0).T) / m
@@ -364,7 +362,8 @@ def sample_quadratures(
 
 
 def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSampleMeans:
-    """A state's 2N quadrature means: exact if analytic, else :func:`sample_quadratures`' means."""
+    """A state's 2N quadrature means: exact if analytic, else :func:`sample_quadratures`' means.
+    A mean that overflows warns, or not, as the caller's ``numpy.errstate`` says."""
     tiles = _tiles(_draw_factors(state.cov, config.scheme), 1)  # one row: each block broadcasts it
     return _measure(state.mean.copy(), config.shots_per_quadrature, config, tiles)
 
@@ -390,6 +389,8 @@ class SimulatedDevice:
     def probe_and_measure(
         self, probe: ProbeSpec, config: MeasurementConfig
     ) -> QuadratureSampleMeans:
+        """One setting's means, as :func:`measure` gives them for the probe's output state; a
+        mean that overflows warns, or not, as the caller's ``numpy.errstate`` says."""
         mean = _output_mean(self.model, probe)  # fresh: the analytic means are views of it
         self.settings_used += 1
         if config.analytic:  # exact means here: via _measure's m = 0 views, 9-24 % slower

@@ -20,7 +20,7 @@ import functools
 
 import numpy as np
 
-from .core import _check_index, _real, embed_unitary
+from .core import _check_index, _check_real, embed_unitary
 
 DEFAULT_R_MAX = 0.5
 
@@ -165,8 +165,7 @@ def random_symplectic(
         seed: integer seed >= 0, None, or a NumPy Generator, BitGenerator or SeedSequence.
     """
     _check_index(n, "number of modes", 1)
-    if not 0 <= _real(r_max) < np.inf:
-        raise ValueError(f"r_max must be finite and >= 0, got {r_max!r}")
+    _check_real(r_max, "r_max", 0)
     rng = _rng(seed)
     k1 = embed_unitary(_haar_unitary(n, rng))
     r = rng.uniform(-r_max, r_max, size=n)

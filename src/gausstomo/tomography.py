@@ -27,7 +27,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import (STRUCTURAL_TOL, NotPassiveError, _check_index, _check_shape, _real,
+from .core import (STRUCTURAL_TOL, NotPassiveError, _array, _check_index, _check_real, _real,
                    matrix_to_json)
 from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans, _probe
 from .randgen import _setting_streams
@@ -104,8 +104,7 @@ def estimate_eta(s_tilde: np.ndarray) -> float:
         LossRecoveryError: if an entry is not finite, the determinant is not
             positive, or the recovered transmissivity is not finite and > 0.
     """
-    s_tilde = np.asarray(s_tilde, dtype=float)
-    n = _check_shape(s_tilde, "s_tilde")
+    s_tilde, n = _array(s_tilde, "s_tilde")
     _check_finite(np.isfinite(s_tilde), "s_tilde")
     sign, logabsdet = np.linalg.slogdet(s_tilde)
     if not sign > 0:
@@ -116,9 +115,11 @@ def estimate_eta(s_tilde: np.ndarray) -> float:
 
 
 def _probe_scale(amplitude: float) -> float:
-    """``sqrt(2) * amplitude``: a measured mean over this is a matrix element."""
-    if not 0 < _real(amplitude) < math.inf:
-        raise ValueError(f"probe amplitude must be finite and > 0, got {amplitude!r}")
+    """``sqrt(2) * amplitude``: a measured mean over this is a matrix element. An amplitude below
+    2**-1022, the smallest normal float64, is rejected: its means lose digits, or overflow."""
+    if not 2.0**-1022 <= (real := _real(amplitude)) < math.inf:
+        normal = ", and not subnormal" if 0 < real < 2.0**-1022 else ""
+        raise ValueError(f"probe amplitude must be finite and > 0{normal}, got {amplitude!r}")
     return SQRT2 * amplitude
 
 
@@ -246,10 +247,10 @@ def reconstruct_unitary(
 
 def _phase_error_elements(device: ProbeableDevice, i: int, j: int, amplitude: float, phis,
                           config: MeasurementConfig) -> list[float]:
-    """Estimates of element (i, j), one ``probe_and_measure`` per phase error in ``phis``; the
-    inputs are checked first, ``phis`` as one array, and a non-finite estimate raises."""
+    """Estimates of element (i, j), one ``probe_and_measure`` per phase error in ``phis`` (floats);
+    the inputs are checked first, ``phis`` at once, and a non-finite estimate raises."""
     scale = _probe_scale(amplitude)
-    if not np.all(np.abs(phis := np.asarray(phis, dtype=float)) < math.pi / 4):
+    if not np.all(np.abs(phis) < math.pi / 4):
         raise ValueError("phase error must satisfy |phi| < pi/4")
     n = device.n_modes
     i, j = _check_index(i, "element index i", 1), _check_index(j, "element index j", 1)
@@ -286,7 +287,7 @@ def reconstruct_element_with_phase_error(
         amplitude: coherent probe amplitude, finite and > 0.
         phi: phase-modulation error in radians, |phi| < pi/4.
     """
-    return _phase_error_elements(device, i, j, amplitude, [_real(phi)], config)[0]
+    return _phase_error_elements(device, i, j, amplitude, [float(_real(phi))], config)[0]
 
 
 def probe_ratios(
@@ -352,8 +353,7 @@ def detect_non_gaussian(
         raise ValueError("probe amplitudes must be distinct")
     if tol is None:
         tol = default_tol
-    elif not 0 <= _real(tol) < math.inf:
-        raise ValueError(f"detection tolerance must be finite and >= 0, got {tol!r}")
+    _check_real(tol, "detection tolerance", 0)
     ratios = probe_ratios(device, amplitudes, config)
     spread = max(ratios) - min(ratios)
     return spread > tol, ratios

@@ -155,6 +155,14 @@ def test_reconstruct_malformed_json(tmp_path, capsys):
     assert code == 1
 
 
+def _with_data(obj: dict, data: list) -> dict:
+    """A device dict whose S holds ``data``."""
+    return {**obj, "S": {**obj["S"], "data": data}}
+
+
+_NOT_REAL = "symplectic data must hold real numbers, got an entry of type"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda obj: {**obj, "eta": None}, r"transmissivity must be in \(0, 1\], got None"),
     (lambda obj: {**obj, "eta": True}, r"transmissivity must be in \(0, 1\], got True"),
@@ -168,11 +176,17 @@ def test_reconstruct_malformed_json(tmp_path, capsys):
      r"n_modes must be an integer >= 1, got 1\.0"),
     (lambda obj: {**obj, "S": {"kind": "symplectic"}}, "matrix JSON is missing field 'n_modes'"),
     (lambda obj: [obj], "device file must be a JSON object, got list"),
+    # NumPy reads true and "1" as 1.0, so these identities once reconstructed with exit 0
+    (lambda obj: _with_data(obj, [[True, False], [False, True]]), f"{_NOT_REAL} bool"),
+    (lambda obj: _with_data(obj, [["1", "0"], ["0", "1"]]), f"{_NOT_REAL} str"),
+    (lambda obj: _with_data(obj, [[1.0, 0.0], [0.0, None]]), f"{_NOT_REAL} NoneType"),
+    (lambda obj: _with_data(obj, [[1.0, False], [0.0, 1.0]])["S"], f"{_NOT_REAL} bool"),
     # a bare symplectic matrix whose S S^T overflows float64: no RuntimeWarning either
     (lambda obj: matrix_to_json(np.diag([1e160, 1e-160]), "symplectic"),
      r"device covariance S S\^T overflows float64"),
 ], ids=["eta-null", "eta-bool", "eta-str", "eta-missing", "gamma-str", "S-number",
-        "n-modes-null", "n-modes-float", "S-fields-missing", "array", "covariance-overflows"])
+        "n-modes-null", "n-modes-float", "S-fields-missing", "array", "S-entry-bool",
+        "S-entry-str", "S-entry-null", "bare-S-entry-bool", "covariance-overflows"])
 def test_reconstruct_malformed_device_is_usage_error(tmp_path, capsys, edit, message):
     dev, _ = write_device(tmp_path, n=1, seed=0)
     dev.write_text(json.dumps(edit(json.loads(dev.read_text()))))
@@ -506,10 +520,10 @@ _OVERFLOW = ["--gamma", "0.1", "--amplitudes", "1e308,1", "--shots", "100"]
       "--out", "r.json"], 2),
     (["reconstruct", "--device", "s1.json", "--amplitude", "1e308", "--shots", "100",
       "--scheme", "homodyne", "--out", "r.json"], 2),
-    # a subnormal amplitude: the division of each mean by it overflows
+    # a subnormal amplitude, rejected before any probe
     (["detect", "--gamma", "0.1", "--amplitudes", "1e-310,1", "--shots", "100"], 1),
     (["reconstruct", "--device", "s1.json", "--amplitude", "1e-310", "--shots", "100",
-      "--out", "r.json"], 2),
+      "--out", "r.json"], 1),
     # a malformed device file, and a symplectic S whose S S^T overflows float64
     (["reconstruct", "--device", "bad.json", "--out", "r.json"], 1),
     (["reconstruct", "--device", "big.json", "--shots", "100", "--out", "r.json"], 1),

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -448,6 +449,82 @@ def test_matrix_to_json_rejects_a_shape_of_no_mode_count(kind, shape):
 def test_every_mode_shaped_input_is_checked_by_the_one_shape_rule(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# every public function that takes a mode-shaped array: a call with the array, its kind and a
+# valid value, which a bad entry replaces
+_ARRAY_SITES = {
+    "GaussianState": (lambda a: GaussianState(mean=np.zeros(2), cov=a), "covariance", np.eye(2)),
+    "is_symplectic": (is_symplectic, "matrix", np.eye(2)),
+    "embed_unitary": (embed_unitary, "unitary", np.eye(2)),
+    "extract_unitary": (extract_unitary, "matrix", np.eye(2)),
+    "apply_symplectic": (lambda a: apply_symplectic(a, vacuum_state(1)), "matrix", np.eye(2)),
+    "scaled_frobenius": (lambda a: scaled_frobenius(np.eye(2), a), "matrix", np.eye(2)),
+    "matrix_to_json": (lambda a: matrix_to_json(a, "symplectic"), "symplectic", np.eye(2)),
+    "matrix_from_json": (
+        lambda a: matrix_from_json({**matrix_to_json(np.eye(2), "symplectic"), "data": a}),
+        "symplectic", np.eye(2)),
+    "unitary_to_json": (unitary_to_json, "unitary", np.eye(2)),
+    "DeviceModel": (DeviceModel, "symplectic", np.eye(2)),
+    "cubic_phase_mean_map": (lambda a: cubic_phase_mean_map(0.1, a), "mean", np.zeros(2)),
+    "estimate_eta": (estimate_eta, "s_tilde", np.eye(2)),
+}
+
+
+def _with_first(valid: np.ndarray, entry) -> list:
+    """``valid`` as nested lists, its first entry replaced by ``entry``."""
+    data = valid.tolist()
+    row = data[0] if valid.ndim == 2 else data
+    row[0] = entry
+    return data
+
+
+# a list: NumPy reads True and "1" as 1.0 and None as NaN, even beside floats; a ragged
+# nesting holds a list where a number belongs
+_BAD_LISTS = {
+    "bool": (lambda valid: _with_first(valid, True), "bool"),
+    "str": (lambda valid: _with_first(valid, "1"), "str"),
+    "none": (lambda valid: _with_first(valid, None), "NoneType"),
+    "ragged": (lambda valid: _with_first(valid, [0.0, 0.0]), "list"),
+    "complex": (lambda valid: _with_first(valid, 1 + 0.5j), "complex"),
+    # an ndarray of another dtype is read entry by entry too
+    "bool-array": (lambda valid: valid.astype(bool), "bool"),
+    "str-array": (lambda valid: valid.astype(str), "str"),
+    "object-array": (lambda valid: np.array(_with_first(valid, None), dtype=object), "NoneType"),
+    "complex-array": (lambda valid: valid * (1 + 0.5j), "complex"),
+}
+
+
+@pytest.mark.parametrize("call, kind, valid, bad, entry", [
+    pytest.param(call, kind, valid, bad, entry, id=f"{site}-{bad_id}")
+    for site, (call, kind, valid) in _ARRAY_SITES.items()
+    for bad_id, (bad, entry) in _BAD_LISTS.items()
+    if not (kind == "unitary" and bad_id.startswith("complex"))  # a unitary is complex
+])
+def test_an_array_entry_that_is_not_a_number_is_rejected_by_kind(tmp_path, monkeypatch, call, kind,
+                                                                 valid, bad, entry):
+    monkeypatch.chdir(tmp_path)
+    number = "complex" if kind == "unitary" else "real"
+    with warnings.catch_warnings(), \
+            mock.patch.object(SimulatedDevice, "probe_and_measure", side_effect=AssertionError):
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{kind} data must hold {number} numbers, got an "
+                                             f"entry of type {entry}$"):
+            call(bad(valid))
+        call(valid)  # the valid value passes
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
+def test_an_array_reads_each_real_number_type():
+    data = [[np.float32(1.0), 0], [np.int64(0), 1.0]]
+    for s in (data, np.array(data, dtype=object), np.eye(2, dtype=np.float32),
+              np.eye(2, dtype=np.int8), [np.array([1.0, 0.0]), (0, 1)]):
+        assert DeviceModel(s).s.tobytes() == np.eye(2).tobytes()
+    assert unitary_from_json(unitary_to_json([[1j, 0], [0, 1]]))[0, 0] == 1j
+    with pytest.raises(ValueError, match="^unitary-real data must hold real numbers, got an entry"
+                                         " of type NoneType$"):
+        unitary_from_json({**unitary_to_json(np.eye(1)),
+                           "real": {**matrix_to_json(np.eye(1), "unitary-real"), "data": [[None]]}})
 
 
 def test_unitary_json_parts_must_agree_in_mode_count():

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -55,6 +56,24 @@ def test_device_model_rejects_non_symplectic():
 def test_device_model_rejects_a_matrix_whose_products_overflow(s, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         DeviceModel(s)
+
+
+# a direct probe_and_measure or measure call overflows under the caller's numpy.errstate: a
+# scope per setting would cost about a quarter of an analytic probe, and every reconstruction
+# holds one scope that ignores the overflow and rejects what comes back
+@pytest.mark.parametrize("shots", [math.inf, 100], ids=["analytic", "sampled"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_direct_call_that_overflows_follows_the_callers_errstate(scheme, shots):
+    config = MeasurementConfig(scheme, shots, seed=0)
+    device = SimulatedDevice(DeviceModel(random_symplectic(3, seed=7)))
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        state = coherent_probe_state(3, 1, 1.7e308, 0.0)
+        for got in (device.probe_and_measure(ProbeSpec(1, 1.7e308), config),
+                    measure(state, config)):
+            assert not np.isfinite(np.concatenate((got.x_means, got.p_means))).all()
+    with np.errstate(over="warn", invalid="ignore"), pytest.warns(RuntimeWarning, match="overflow"):
+        device.probe_and_measure(ProbeSpec(1, 1.7e308), config)
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.2])
@@ -136,6 +155,16 @@ def test_cubic_phase_mean_map_values():
     np.testing.assert_allclose(out, [SQRT2, 0.6], atol=1e-12)
     out = cubic_phase_mean_map(0.1, np.array([2.0 * SQRT2, 0.0]))
     np.testing.assert_allclose(out, [2.0 * SQRT2, 2.4], atol=1e-12)
+
+
+# one finite-real rule and one message for a cubic gate's strength, wherever it is taken
+@pytest.mark.parametrize("gamma", [True, np.True_, math.nan, math.inf, -math.inf, "0.1", 1j])
+def test_cubic_phase_mean_map_takes_the_device_gamma_rule(gamma):
+    message = f"^cubic_gamma must be finite, got {re.escape(repr(gamma))}$"
+    with pytest.raises(ValueError, match=message):
+        cubic_phase_mean_map(gamma, [1.0, 2.0])
+    with pytest.raises(ValueError, match=message):
+        DeviceModel(np.eye(2), cubic_gamma=gamma)
 
 
 def test_evolve_cubic_gamma_zero_matches_plain():

@@ -141,11 +141,12 @@ def test_intensity_analytic_exact():
         assert rec.scheme == HETERODYNE
 
 
-def test_intensity_tiny_amplitude_drops_every_repetition_without_a_warning():
-    # each averaged estimate overflows, and a sum of two holds inf - inf
-    records = run_intensity_scaling([1e-310], [1, 2], shots=100, seed=11, n_modes=2,
-                                    repetitions=2)
-    assert [r.dropped for r in records] == [2, 2]
+def test_intensity_rejects_a_subnormal_amplitude_before_any_probe(probe_count):
+    with pytest.raises(ValueError, match=r"^probe amplitude must be finite and > 0, and not "
+                                         r"subnormal, got 1e-310$"):
+        run_intensity_scaling([1.0, 1e-310], [1, 2], shots=100, seed=11, n_modes=2,
+                              repetitions=2)
+    assert probe_count == []
 
 
 def test_intensity_amplitude_scaling():

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -455,26 +456,35 @@ def test_unitary_non_finite_eta_hat_is_loss_recovery_error():
         reconstruct_unitary(device, 1e-300, config)
 
 
-# At 1e-310, a subnormal, each shot-noise mean divided by sqrt(2) a overflows:
-# the division runs inside the reconstruction's one overflow scope, so nothing
-# warns, and the non-finite entries are named before any determinant is taken.
+_SUBNORMAL = r"^probe amplitude must be finite and > 0, and not subnormal, got "
+
+
+# Below 2**-1022 a mean loses digits (analytic reconstructions of
+# random_symplectic(3, seed=7) at eta = 0.5 were off by F = 3e-14 at 1e-310 and
+# by 2.8e-4 at 1e-320) or, with shot noise divided by sqrt(2) a, overflows: a
+# subnormal amplitude is rejected before any probe; 2**-1022 is not.
+@pytest.mark.parametrize("reconstruct, shots", [
+    (reconstruct_symplectic, 100), (reconstruct_symplectic, math.inf), (reconstruct_unitary, 100),
+], ids=["symplectic", "analytic", "unitary"])
 @pytest.mark.parametrize("scheme", [HOMODYNE, HETERODYNE])
-def test_tiny_amplitude_names_the_non_finite_entries(scheme):
-    config = MeasurementConfig(scheme, 100, seed=0)
-    with pytest.raises(LossRecoveryError, match=r"^s_tilde has \d+ non-finite entries"):
-        reconstruct_symplectic(make_device(2, seed=0), 1e-310, config)
-
-
-def test_unitary_tiny_amplitude_names_the_non_finite_entries():
-    device = SimulatedDevice(DeviceModel(np.eye(4)))
-    with pytest.raises(LossRecoveryError, match=r"^u_tilde has 4 non-finite entries"):
-        reconstruct_unitary(device, 1e-310, MeasurementConfig(HETERODYNE, 100))
+@pytest.mark.parametrize("amplitude", [1e-310, 1e-320, 5e-324])
+def test_a_subnormal_amplitude_is_rejected_before_any_probe(reconstruct, shots, scheme,
+                                                            amplitude):
+    device = SimulatedDevice(DeviceModel(embed_unitary(haar_unitary(3, seed=7)), eta=0.5))
+    with pytest.raises(ValueError, match=_SUBNORMAL + re.escape(repr(amplitude)) + "$"):
+        reconstruct(device, amplitude, MeasurementConfig(scheme, shots, seed=0))
+    assert device.settings_used == 0
+    reconstruct(device, 2.0**-1022, ANALYTIC_HET)
 
 
 def test_probe_ratios_rejects_a_tiny_amplitude_without_a_warning():
+    device = cubic_device(0.1)
     config = MeasurementConfig(scheme=HETERODYNE, shots=100, seed=0)
-    with pytest.raises(ValueError, match=r"1e-310 gives a non-finite ratio"):
-        probe_ratios(cubic_device(0.1), [1e-310, 1.0], config)
+    for check in (lambda: probe_ratios(device, [1.0, 1e-310], config),
+                  lambda: default_detection_tol([1.0, 1e-310], config)):
+        with pytest.raises(ValueError, match=_SUBNORMAL + r"1e-310$"):
+            check()
+    assert device.settings_used == 0
 
 
 def test_estimate_eta_names_the_non_finite_entries():
