@@ -215,10 +215,8 @@ def _load_device(path: str, eta: float | None) -> DeviceModel:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     _check_fields(obj, (), "device file")
-    model = device_from_json(obj if "S" in obj else {"S": obj, "eta": 1.0})  # a bare S: lossless
-    if eta is not None:
-        model = DeviceModel(model.s, eta=eta, cubic_gamma=model.cubic_gamma)
-    return model
+    obj = obj if "S" in obj else {"S": obj, "eta": 1.0}  # a bare S: lossless
+    return device_from_json(obj if eta is None else {**obj, "eta": eta})  # --loss replaces eta
 
 
 def _cmd_reconstruct(args) -> int:

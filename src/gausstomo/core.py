@@ -26,6 +26,7 @@ import numpy as np
 STRUCTURAL_TOL = 1e-9
 _SQRT2 = np.sqrt(2.0)  # of a coherent mean; a NumPy float, so its products keep NumPy types
 _BOOLS = (bool, np.bool_)  # no count, index, seed or real input is a bool
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float, which any int compares with exactly
 
 # Block asymmetry admitted when reading a unitary out of a reconstructed
 # (hence noisy) passive symplectic matrix.
@@ -96,7 +97,11 @@ def _array(a, kind: str, n: int | None = None) -> tuple[np.ndarray, int]:
         if bad := [t for t in types if np.dtype(t).kind not in numbers]:
             raise ValueError(f"{kind} data must hold {'complex' if unitary else 'real'} "
                              f"numbers, got an entry of type {bad[0].__name__}")
-    a = np.asarray(a, dtype=complex if unitary else float)
+    try:
+        a = np.asarray(a, dtype=complex if unitary else float)
+    except OverflowError:  # a Python int beyond float64's range
+        raise ValueError(f"{kind} data must hold {'complex' if unitary else 'real'} numbers, "
+                         "got an entry beyond float64's range") from None
     factors = _SHAPE_FACTORS.get(kind, (2, 2))
     if n is None:
         n = a.shape[0] // factors[0] if a.ndim else 0
@@ -220,10 +225,11 @@ def _check_index(value, name: str, low: int) -> int:
 
 
 def _real(value):
-    """``value`` if it is a real number and not a bool, else NaN, which fails every range check."""
-    if isinstance(value, float):  # float and np.float64, before the slower ABC check
-        return value
-    return value if isinstance(value, numbers.Real) and not isinstance(value, _BOOLS) else math.nan
+    """``value`` if a float, or a non-bool real within float64's range; else NaN, failing checks."""
+    if isinstance(value, (float, np.float32, np.float16)):  # np.float64 too; a float32 would cast
+        return value  # the bound below to inf and warn; an inf or NaN fails every check anyway
+    real = isinstance(value, numbers.Real) and not isinstance(value, _BOOLS)
+    return value if real and -_FLOAT_MAX <= value <= _FLOAT_MAX else math.nan  # an int stays exact
 
 
 def _check_fields(obj, fields: tuple[str, ...], what: str) -> None:

@@ -13,6 +13,7 @@ import pytest
 
 import gausstomo
 from gausstomo import (
+    DeviceModel,
     SimulatedDevice,
     extract_unitary,
     is_symplectic,
@@ -98,14 +99,23 @@ def test_reconstruct_loss_override(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scheme", ["homodyne", "heterodyne"])
-def test_reconstruct_loss_flag_equals_device_eta_byte_for_byte(tmp_path, scheme):
-    # --loss L on a file without eta and a device file's "eta": 1 - L are one device
+def test_reconstruct_loss_flag_equals_device_eta_byte_for_byte(tmp_path, monkeypatch, scheme):
+    # --loss L replaces a file's eta, if any, before its one decode, so the file's own eta is
+    # never read: each file with --loss L is one device, built once, with a file of "eta": 1 - L
     s = matrix_to_json(random_symplectic(2, seed=1), "symplectic")
-    for name, obj, loss in (("bare", s, ["--loss", "0.5"]), ("lossy", {"S": s, "eta": 0.5}, [])):
+    built, post_init = [], DeviceModel.__post_init__  # one entry per DeviceModel built
+    monkeypatch.setattr(DeviceModel, "__post_init__", lambda self: (built.append(self),
+                                                                    post_init(self)))
+    loss = ["--loss", "0.5"]
+    files = {"lossy": ({"S": s, "eta": 0.5}, []), "bare": (s, loss),
+             "eta-missing": ({"S": s}, loss), "eta-out-of-range": ({"S": s, "eta": 2.0}, loss)}
+    for name, (obj, flags) in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
-        assert main(["reconstruct", "--device", str(tmp_path / name), *loss, "--scheme", scheme,
+        built.clear()
+        assert main(["reconstruct", "--device", str(tmp_path / name), *flags, "--scheme", scheme,
                      "--shots", "100", "--out", str(tmp_path / f"{name}.out")]) == 0
-    assert (tmp_path / "bare.out").read_bytes() == (tmp_path / "lossy.out").read_bytes()
+        assert len(built) == 1
+        assert (tmp_path / f"{name}.out").read_bytes() == (tmp_path / "lossy.out").read_bytes()
 
 
 def test_reconstruct_accepts_bare_matrix(tmp_path, capsys):
@@ -184,9 +194,13 @@ _NOT_REAL = "symplectic data must hold real numbers, got an entry of type"
     # a bare symplectic matrix whose S S^T overflows float64: no RuntimeWarning either
     (lambda obj: matrix_to_json(np.diag([1e160, 1e-160]), "symplectic"),
      r"device covariance S S\^T overflows float64"),
+    # a 400-digit int, which NumPy cannot read as a float64
+    (lambda obj: _with_data(obj, [[10**399, 0.0], [0.0, 1.0]]),
+     "symplectic data must hold real numbers, got an entry beyond float64's range"),
 ], ids=["eta-null", "eta-bool", "eta-str", "eta-missing", "gamma-str", "S-number",
         "n-modes-null", "n-modes-float", "S-fields-missing", "array", "S-entry-bool",
-        "S-entry-str", "S-entry-null", "bare-S-entry-bool", "covariance-overflows"])
+        "S-entry-str", "S-entry-null", "bare-S-entry-bool", "covariance-overflows",
+        "S-entry-huge-int"])
 def test_reconstruct_malformed_device_is_usage_error(tmp_path, capsys, edit, message):
     dev, _ = write_device(tmp_path, n=1, seed=0)
     dev.write_text(json.dumps(edit(json.loads(dev.read_text()))))

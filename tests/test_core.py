@@ -480,18 +480,20 @@ def _with_first(valid: np.ndarray, entry) -> list:
 
 
 # a list: NumPy reads True and "1" as 1.0 and None as NaN, even beside floats; a ragged
-# nesting holds a list where a number belongs
+# nesting holds a list where a number belongs; NumPy overflows on an int beyond float64's range
 _BAD_LISTS = {
-    "bool": (lambda valid: _with_first(valid, True), "bool"),
-    "str": (lambda valid: _with_first(valid, "1"), "str"),
-    "none": (lambda valid: _with_first(valid, None), "NoneType"),
-    "ragged": (lambda valid: _with_first(valid, [0.0, 0.0]), "list"),
-    "complex": (lambda valid: _with_first(valid, 1 + 0.5j), "complex"),
+    "bool": (lambda valid: _with_first(valid, True), "of type bool"),
+    "str": (lambda valid: _with_first(valid, "1"), "of type str"),
+    "none": (lambda valid: _with_first(valid, None), "of type NoneType"),
+    "ragged": (lambda valid: _with_first(valid, [0.0, 0.0]), "of type list"),
+    "complex": (lambda valid: _with_first(valid, 1 + 0.5j), "of type complex"),
+    "huge-int": (lambda valid: _with_first(valid, 10**399), "beyond float64's range"),  # 400 digits
     # an ndarray of another dtype is read entry by entry too
-    "bool-array": (lambda valid: valid.astype(bool), "bool"),
-    "str-array": (lambda valid: valid.astype(str), "str"),
-    "object-array": (lambda valid: np.array(_with_first(valid, None), dtype=object), "NoneType"),
-    "complex-array": (lambda valid: valid * (1 + 0.5j), "complex"),
+    "bool-array": (lambda valid: valid.astype(bool), "of type bool"),
+    "str-array": (lambda valid: valid.astype(str), "of type str"),
+    "object-array": (lambda valid: np.array(_with_first(valid, None), dtype=object),
+                     "of type NoneType"),
+    "complex-array": (lambda valid: valid * (1 + 0.5j), "of type complex"),
 }
 
 
@@ -509,7 +511,7 @@ def test_an_array_entry_that_is_not_a_number_is_rejected_by_kind(tmp_path, monke
             mock.patch.object(SimulatedDevice, "probe_and_measure", side_effect=AssertionError):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{kind} data must hold {number} numbers, got an "
-                                             f"entry of type {entry}$"):
+                                             f"entry {entry}$"):
             call(bad(valid))
         call(valid)  # the valid value passes
     assert list(tmp_path.iterdir()) == []  # nothing written

@@ -41,6 +41,8 @@ from gausstomo.device import _draw_factors
 from gausstomo.experiments import run_mode_scaling
 
 SQRT2 = math.sqrt(2.0)
+# ints beyond float64's range, where every real input is rejected by its own message
+HUGE = [pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
 
 
 def test_device_model_rejects_non_symplectic():
@@ -158,7 +160,7 @@ def test_cubic_phase_mean_map_values():
 
 
 # one finite-real rule and one message for a cubic gate's strength, wherever it is taken
-@pytest.mark.parametrize("gamma", [True, np.True_, math.nan, math.inf, -math.inf, "0.1", 1j])
+@pytest.mark.parametrize("gamma", [True, np.True_, math.nan, math.inf, -math.inf, *HUGE, "0.1", 1j])
 def test_cubic_phase_mean_map_takes_the_device_gamma_rule(gamma):
     message = f"^cubic_gamma must be finite, got {re.escape(repr(gamma))}$"
     with pytest.raises(ValueError, match=message):
@@ -357,9 +359,9 @@ def test_device_model_rejects_non_finite_gamma(gamma):
         DeviceModel(np.eye(2), cubic_gamma=gamma)
 
 
-@pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, *HUGE])
 def test_probe_spec_rejects_non_finite_amplitude(amplitude):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^probe amplitude must be finite and >= 0, got "):
         ProbeSpec(mode_j=1, amplitude=amplitude)
 
 
@@ -474,9 +476,9 @@ def test_sample_quadratures_has_no_analytic_outcomes():
         sample_quadratures(state, MeasurementConfig(HETERODYNE, math.inf))
 
 
-@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf, *HUGE])
 def test_probe_spec_rejects_non_finite_phase(phase):
-    with pytest.raises(ValueError, match="phase"):
+    with pytest.raises(ValueError, match="^probe phase must be finite, got "):
         ProbeSpec(mode_j=1, amplitude=1.0, phase=phase)
 
 

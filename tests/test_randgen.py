@@ -14,6 +14,10 @@ from gausstomo import DEFAULT_R_MAX, derive_seed, haar_unitary, is_symplectic, r
 from gausstomo import randgen
 
 
+# ints beyond float64's range, where every real input is rejected by its own message
+HUGE = [pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
+
+
 def test_haar_unitary_single_mode_is_phase():
     u = haar_unitary(1, seed=0)
     assert u.shape == (1, 1)
@@ -88,9 +92,9 @@ def test_derive_seed_stable_and_distinct():
     assert 0 <= derive_seed(3, 4) < 2**64
 
 
-@pytest.mark.parametrize("r_max", [float("nan"), float("inf"), -0.1])
+@pytest.mark.parametrize("r_max", [float("nan"), float("inf"), -0.1, *HUGE])
 def test_random_symplectic_rejects_bad_r_max(r_max):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^r_max must be finite and >= 0, got "):
         random_symplectic(2, r_max=r_max, seed=0)
 
 

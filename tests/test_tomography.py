@@ -39,6 +39,8 @@ from gausstomo.experiments import run_mode_scaling
 
 ANALYTIC_HET = MeasurementConfig(scheme=HETERODYNE, shots=math.inf)
 ANALYTIC_HOM = MeasurementConfig(scheme=HOMODYNE, shots=math.inf)
+# ints beyond float64's range, where every real input is rejected by its own message
+HUGE = [pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
 
 
 def make_device(n, eta=1.0, seed=0):
@@ -347,6 +349,10 @@ def test_phase_error_validation():
         reconstruct_element_with_phase_error(dev, 0, 1, 1.0, 0.0, ANALYTIC_HOM)
     with pytest.raises(ValueError):
         reconstruct_element_with_phase_error(dev, 1, 3, 1.0, 0.0, ANALYTIC_HOM)
+    for phi in (10**400, -10**400):  # beyond float64's range: no OverflowError
+        with pytest.raises(ValueError, match=r"^phase error must satisfy \|phi\| < pi/4$"):
+            reconstruct_element_with_phase_error(dev, 1, 1, 1.0, phi, ANALYTIC_HOM)
+    assert dev.settings_used == 0
 
 
 def cubic_device(gamma):
@@ -408,7 +414,8 @@ def test_reconstruction_json_finite_and_analytic():
     np.testing.assert_allclose(np.array(obj["s_recon"]["data"]), analytic.s_recon)
 
 
-@pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+# 10**400 is beyond float64's range, so it would overflow sqrt(2) a (-10**400 is negative)
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, HUGE[0]])
 @pytest.mark.parametrize(
     "call",
     [
@@ -433,9 +440,9 @@ def test_default_tol_rejects_zero_amplitude():
         default_detection_tol([0.0, 1.0], MeasurementConfig(scheme=HETERODYNE, shots=100))
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3, *HUGE])
 def test_detect_rejects_bad_tol(tol):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^detection tolerance must be finite and >= 0, got "):
         detect_non_gaussian(cubic_device(0.1), [1.0, 2.0], ANALYTIC_HET, tol=tol)
 
 
