@@ -27,6 +27,7 @@ STRUCTURAL_TOL = 1e-9
 _SQRT2 = np.sqrt(2.0)  # of a coherent mean; a NumPy float, so its products keep NumPy types
 _BOOLS = (bool, np.bool_)  # no count, index, seed or real input is a bool
 _FLOAT_MAX = float(np.finfo(float).max)  # a Python float, which any int compares with exactly
+_MAX_MODES = 2**29  # the least N whose (2N, 2N) float64 array holds 2**63 bytes
 
 # Block asymmetry admitted when reading a unitary out of a reconstructed
 # (hence noisy) passive symplectic matrix.
@@ -71,7 +72,7 @@ def symplectic_form(n: int) -> np.ndarray:
     Args:
         n: number of modes, >= 1.
     """
-    _check_index(n, "number of modes", 1)
+    _check_index(n, "number of modes", 1, _MAX_MODES)
     eye = np.eye(n)
     zero = np.zeros((n, n))
     return np.block([[zero, eye], [-eye, zero]])
@@ -169,7 +170,7 @@ def extract_unitary(s: np.ndarray, tol: float = PASSIVE_BLOCK_TOL) -> np.ndarray
 
 def vacuum_state(n: int) -> GaussianState:
     """The n-mode vacuum: zero mean, identity covariance."""
-    _check_index(n, "number of modes", 1)
+    _check_index(n, "number of modes", 1, _MAX_MODES)
     return GaussianState(mean=np.zeros(2 * n), cov=np.eye(2 * n))
 
 
@@ -189,7 +190,7 @@ def coherent_probe_state(n: int, mode_j: int, amplitude: float, phase: float) ->
         ValueError: if ``mode_j`` is not an integer or out of range, or
             ``amplitude`` or ``phase`` is out of range or not finite.
     """
-    _check_index(n, "number of modes", 1)
+    _check_index(n, "number of modes", 1, _MAX_MODES)
     _check_index(mode_j, "mode index", 1)
     _check_probe(amplitude, phase)
     return GaussianState(mean=_coherent_mean(n, mode_j, amplitude, phase), cov=np.eye(2 * n))
@@ -214,14 +215,15 @@ def _check_real(value, name: str, low: float = -math.inf) -> None:
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
-def _check_index(value, name: str, low: int) -> int:
-    """``value`` as an int: an integer (``operator.index``), not a bool, and >= ``low``."""
+def _check_index(value, name: str, low: int, high: float = math.inf) -> int:
+    """``value`` as an int: an integer (``operator.index``), not a bool, in [``low``, ``high``)."""
     try:  # not contextlib.suppress: per probe, its object would cost several times the check
-        if (index := operator.index(None if isinstance(value, _BOOLS) else value)) >= low:
+        if low <= (index := operator.index(None if isinstance(value, _BOOLS) else value)) < high:
             return index
     except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        index = low
+    below = f" and < {high}" if index >= high else ""
+    raise ValueError(f"{name} must be an integer >= {low}{below}, got {value!r}")
 
 
 def _real(value):

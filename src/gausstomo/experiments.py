@@ -7,8 +7,9 @@ a repeated grid value gets its own row. Seeds are derived per repetition and
 cell, so a run is bit-reproducible from its master seed, and the scaling
 runners share each repetition's random device across every scheme and loss
 to sharpen comparisons. Before its first probe, the sweep checks every input once, off the
-cells' CSV rows, naming the column at fault, and derives every master seed and, in one
-table pass, 2N streams per finite-shot master of N modes (see :mod:`gausstomo.randgen`).
+cells' CSV rows, naming the column at fault, derives every master seed in one table pass
+and 2N streams per finite-shot master of N modes in another (see :mod:`gausstomo.randgen`).
+An intensity cell issues the 2N settings of each of its T trials as one plan.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import NotPassiveError, _check_index, _real, embed_unitary, scaled_frobenius
+from .core import _MAX_MODES, NotPassiveError, _check_index, _real, embed_unitary, scaled_frobenius
 from .device import HETERODYNE, HOMODYNE, DeviceModel, MeasurementConfig, SCHEMES, SimulatedDevice
-from .randgen import DEFAULT_R_MAX, _stream_tables, derive_seed, haar_unitary, random_symplectic
+from .randgen import (DEFAULT_R_MAX, _seed_words, _stream_tables, derive_seed, haar_unitary,
+                      random_symplectic)
 from .tomography import (
     LossRecoveryError,
+    _attenuated_sum,
     _phase_error_elements,
     _probe_scale,
     estimate_eta,
-    measure_attenuated_matrix,
     reconstruct_symplectic,
     reconstruct_unitary,
 )
@@ -62,7 +64,7 @@ class ExperimentRecord:
 
 def _sweep(
     experiment_id: str, axes: dict[str, Sequence], repetitions: int,
-    seeds: Callable[[tuple[int, ...], int], list[int]],
+    seeds: Callable[[tuple[int, ...], int], list[tuple[int, ...]]],
     error: Callable[[tuple[int, ...], int, list[MeasurementConfig]], float],
     drop_on: tuple[type[Exception], ...] = (), **fixed,
 ) -> list[ExperimentRecord]:
@@ -72,10 +74,11 @@ def _sweep(
     ``fixed`` fields and its swept values, and its config is the row's scheme and shots.
     Each input is checked once, off the rows, by its rule's home, and an error names the row
     field: an empty axis (no row), ``repetitions``, each row's ``n_modes``, ``trials``,
-    ``amplitude`` and config, then its seed (``derive_seed``). ``seeds(idx, rep)`` are its
-    master seeds in one repetition, one per reconstruction; all are built, and 2 * n_modes
-    streams per finite-shot master (the most settings an N-mode reconstruction issues)
-    derived in one table pass, before the first probe. Repetitions run outermost: for every
+    ``amplitude`` and config, then the ``seed``. ``seeds(idx, rep)`` are the index tuples
+    of its master seeds in one repetition, one per reconstruction, master
+    ``derive_seed(seed, *parts)``: all are derived in one table pass, and 2 * n_modes streams
+    per finite-shot master (the most settings an N-mode reconstruction issues) in another,
+    before the first probe. Repetitions run outermost: for every
     ``rep``, every cell's ``error(idx, rep, configs)`` is called in turn with its config
     reseeded to each master, carrying its rows, and a ``drop_on`` exception counts one drop.
     A record is its cell's row with the mean and standard error of the cell's own errors.
@@ -89,11 +92,15 @@ def _sweep(
             for idx in cells}
     _check_index(repetitions, "repetitions", 1)
     for row in rows.values():
-        _check_index(row["n_modes"], "n_modes", 1)
+        _check_index(row["n_modes"], "n_modes", 1, _MAX_MODES)
         _check_index(row["trials"], "trials", 1)
         _probe_scale(row["amplitude"])
     configs = {idx: MeasurementConfig(row["scheme"], row["shots"]) for idx, row in rows.items()}
-    masters = {(idx, rep): seeds(idx, rep) for rep in range(repetitions) for idx in cells}
+    seed = _check_index(fixed["seed"], "seed", 0)
+    parts = {(idx, rep): seeds(idx, rep) for rep in range(repetitions) for idx in cells}
+    flat = np.array([part for ps in parts.values() for part in ps], np.uint64)
+    derived = iter(_seed_words(1, len(flat), seed, *flat.T)[:, 0].tolist())  # derive_seed(seed, *p)
+    masters = {key: [next(derived) for _ in ps] for key, ps in parts.items()}
     table = _stream_tables({m: 2 * rows[idx]["n_modes"] for (idx, _), ms in masters.items()
                             for m in ms if not configs[idx].analytic})  # analytic: no draws
     errors: dict[tuple[int, ...], list[float]] = {idx: [] for idx in cells}
@@ -140,7 +147,7 @@ def run_mode_scaling(
 
     return _sweep(
         "mode-scaling", dict(n_modes=n_list, scheme=schemes, eta=eta_list), repetitions,
-        lambda idx, rep: [derive_seed(seed, _MEAS, n_list[idx[0]], rep, idx[2], idx[1])],
+        lambda idx, rep: [(_MEAS, n_list[idx[0]], rep, idx[2], idx[1])],
         error, (LossRecoveryError,), amplitude=amplitude, shots=shots, trials=1, seed=seed,
     )
 
@@ -174,7 +181,7 @@ def run_unitary_scaling(
 
     return _sweep(
         "unitary-scaling", dict(n_modes=n_list, scheme=schemes, eta=eta_list), repetitions,
-        lambda idx, rep: [derive_seed(seed, _MEAS, n_list[idx[0]], rep, idx[2], idx[1])],
+        lambda idx, rep: [(_MEAS, n_list[idx[0]], rep, idx[2], idx[1])],
         error, (LossRecoveryError, NotPassiveError),
         amplitude=amplitude, shots=shots, trials=1, seed=seed,
     )
@@ -203,13 +210,11 @@ def run_intensity_scaling(
     model = DeviceModel(s_true, eta=eta)
 
     def seeds(idx, rep):
-        return [derive_seed(seed, _MEAS, *idx, rep, trial) for trial in range(trials_list[idx[1]])]
+        return [(_MEAS, *idx, rep, trial) for trial in range(trials_list[idx[1]])]
 
-    def error(idx, rep, configs):
-        amplitude = amplitude_list[idx[0]]
-        with np.errstate(over="ignore", invalid="ignore"):  # estimate_eta rejects an overflow
-            tilde_avg = sum(measure_attenuated_matrix(SimulatedDevice(model), amplitude, config)
-                            for config in configs) / len(configs)
+    def error(idx, rep, configs):  # estimate_eta rejects an average that overflowed
+        tilde_sum = _attenuated_sum(SimulatedDevice(model), amplitude_list[idx[0]], configs)
+        tilde_avg = (0 + tilde_sum) / len(configs)  # 0 +: sum()'s start, -0.0 reads as 0.0
         return scaled_frobenius(s_true, tilde_avg / math.sqrt(estimate_eta(tilde_avg)))
 
     return _sweep(
@@ -251,7 +256,7 @@ def run_phase_error_study(
 
     return _sweep(
         "phase-error", dict(trials=trials_list), repetitions,
-        lambda idx, rep: [derive_seed(seed, _MEAS, *idx, rep)], error,
+        lambda idx, rep: [(_MEAS, *idx, rep)], error,
         n_modes=1, scheme=HOMODYNE, eta=1.0, amplitude=amplitude, shots=math.inf, seed=seed,
     )
 

@@ -4,14 +4,15 @@ All randomness in the package flows through ``numpy.random.default_rng``
 (PCG64), so a fixed seed reproduces bit-identical matrices across runs.
 Seed streams for independent settings or repetitions are derived with
 :func:`derive_seed`, which hashes an index tuple through ``SeedSequence``
-and defines every stream. :func:`_setting_streams` gives each setting k of a
-finite-shot reconstruction its child seed ``derive_seed(master, k)`` and its
-PCG64 seeding words from a table that derives them in one vectorised pass: an
-experiment sweep derives one table for all its masters and hands each
-reconstruction its rows in its config, else the reconstruction derives its own.
-The words travel with the setting's config, and NumPy seeds a fresh PCG64 from
-them. A master of 2**64 or more, which the pass cannot hold, and a caller's own
-config probed directly take ``default_rng``.
+and defines every stream. :func:`_seed_words` replays that hash for many
+tuples in one vectorised pass, whatever the size of their integers: an
+experiment sweep derives all its master seeds in one pass, and
+:func:`_setting_streams` gives each setting k of a finite-shot reconstruction
+its child seed ``derive_seed(master, k)`` and its PCG64 seeding words from a
+table of a second: a sweep derives one table for all its masters and hands
+each reconstruction its rows in its config, else the reconstruction derives
+its own. The words travel with the setting's config, and NumPy seeds a fresh
+PCG64 from them; a caller's own config probed directly takes ``default_rng``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .core import _check_index, _check_real, embed_unitary
+from .core import _MAX_MODES, _check_index, _check_real, embed_unitary
 
 DEFAULT_R_MAX = 0.5
 
@@ -31,9 +32,6 @@ def derive_seed(master: int, *parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# SeedSequence's two running hash constants, h * mult**i mod 2**32 at step i, as uint32 columns
-_MIX, _OUT = (np.array([h * pow(mult, i, 2**32) % 2**32 for i in range(n)], np.uint32)[:, None]
-              for h, mult, n in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 9)))
 _MIX_L, _MIX_R = np.array(0xCA01F9DD, np.uint32), np.array(0x4973F715, np.uint32)
 _OTHERS, _CYCLE = [np.delete(np.arange(4), src) for src in range(4)], np.arange(8) % 4
 
@@ -46,48 +44,62 @@ def _hash(rows: np.ndarray, chain: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for each column ``e`` of
-    a (4, S) uint32 array, each column's words first and zero-padded: its
-    4-word pool hashes a missing word as 0. Each word is a contiguous row."""
-    pool = _hash(entropy, _MIX[:5])
+def _seed_words(n_words: int, size: int, *columns) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words, np.uint64)`` as (size, n_words) rows, for the
+    ``size`` entropies ``e`` that list each column's entry: an int >= 0 shared by all, or a uint64
+    array, split into 32-bit words as SeedSequence splits an int. Each step works on word rows."""
+    blocks = []  # (word row, which entropies hold it); an entropy's unheld words are zeros
+    for c in columns:
+        if isinstance(c, np.ndarray):  # low words, and high words if any is nonzero
+            low, high = np.ascontiguousarray(c, "<u8").view("<u4").reshape(-1, 2).T
+            blocks += [(low, True)] + [(high, high.all() or high != 0)] * bool(high.any())
+        else:  # at least one word
+            words = c.to_bytes((c.bit_length() + 31) // 32 * 4 or 4, "little")
+            blocks += [(w, True) for w in np.frombuffer(words, "<u4")]
+    entropy = np.zeros((max(4, len(blocks)), size), np.uint32)  # the pool hashes no word as 0
+    held = entropy.astype(bool)
+    for row, (words, holds) in enumerate(blocks):
+        entropy[row], held[row] = words, holds
+    if not held[:len(blocks)].all():  # each entropy's words first, its unheld zeros last
+        order = np.argsort(~held, 0, kind="stable")
+        entropy, held = np.take_along_axis(entropy, order, 0), np.take_along_axis(held, order, 0)
+    # SeedSequence's two running hash constants, h * mult**i mod 2**32 at step i, as columns
+    mix, out = (np.array([h] + [mult] * n, np.uint32).cumprod(dtype=np.uint32)[:, None]
+                for h, mult, n in ((0x43B0D7E5, 0x931E8875, 4 * len(entropy)),
+                                   (0x8B51F9DD, 0x58F38DED, 2 * n_words)))
+    pool = _hash(entropy[:4], mix[:5])
+    entropy, held = entropy[4:].copy(), held[4:].copy()  # words past the pool; frees the rest
     for src, dst in enumerate(_OTHERS):
-        value = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], _MIX[4 + 3 * src:8 + 3 * src])
+        value = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], mix[4 + 3 * src:8 + 3 * src])
         pool[dst] = value ^ (value >> 16)
-    words = _hash(pool[_CYCLE[:2 * n_words]], _OUT[:2 * n_words + 1])
+    for row, (extra, holds) in enumerate(zip(entropy, held), 4):  # each mixes into every pool word
+        value = _MIX_L * pool - _MIX_R * _hash(extra, mix[4 * row:4 * row + 5])
+        pool = np.where(holds, value ^ (value >> 16), pool)
+    words = _hash(pool[_CYCLE[:2 * n_words]], out)
     return np.ascontiguousarray(words.T, "<u4").view("<u8").astype(np.uint64, copy=False)
-
-
-def _words32(values: np.ndarray) -> np.ndarray:
-    """Each uint64 value as its (low, high) uint32 words, as SeedSequence splits it: two rows."""
-    return values.astype("<u8").view("<u4").reshape(-1, 2).T
 
 
 def _stream_tables(settings: dict[int, int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """``{master: (children, words)}``: ``children[k] = derive_seed(master, k)`` for each
     ``k < settings[master]``, and ``words[k]`` that child's PCG64 seeding words
-    ``generate_state(4, np.uint64)``, as row views of one pass. Masters are below 2**64."""
+    ``generate_state(4, np.uint64)``, as row views of one pass. One master may have any size,
+    several must be below 2**64."""
     counts = np.fromiter(settings.values(), np.intp, len(settings))
     starts = np.cumsum(counts) - counts
-    entropy = np.zeros((4, counts.sum()), dtype=np.uint32)
-    entropy[:2] = _words32(np.repeat(np.fromiter(settings, np.uint64, len(settings)), counts))
-    entropy[2] = np.arange(entropy.shape[1]) - np.repeat(starts, counts)
-    one_word = entropy[1] == 0  # a master below 2**32 hashes as (m, k), not (m, 0, k)
-    entropy[1, one_word], entropy[2, one_word] = entropy[2, one_word], 0
-    children = _seed_words(entropy, 1)[:, 0]
-    entropy[:2], entropy[2] = _words32(children), 0
-    words = _seed_words(entropy, 4)
+    masters = [*settings]  # the columns live in the call only: freed before the words pass
+    children = _seed_words(1, size := counts.sum(), masters[0] if len(masters) == 1 else
+                           np.repeat(np.array(masters, np.uint64), counts),
+                           (np.arange(size) - np.repeat(starts, counts)).view(np.uint64))[:, 0]
+    words = _seed_words(4, size, children)
     return {master: (children[start:end], words[start:end]) for master, start, end
             in zip(settings, starts.tolist(), (starts + counts).tolist())}
 
 
 def _setting_streams(master: int, count: int, table: tuple | None = None
-                     ) -> list[tuple[int, np.ndarray | None]]:
+                     ) -> list[tuple[int, np.ndarray]]:
     """``(derive_seed(master, k), its PCG64 seeding words)`` for each ``k < count``: read
     from ``table``, ``master``'s rows of :func:`_stream_tables`, which must hold ``count``,
-    else from a pass of its own; a master from 2**64 on gets ``None`` words instead."""
-    if table is None and master >= 2**64:
-        return [(derive_seed(master, k), None) for k in range(count)]
+    else from a pass of its own."""
     children, words = _stream_tables({master: count})[master] if table is None else table
     if len(children) < count:
         raise ValueError(f"a stream table of {len(children)} rows cannot seed {count} settings")
@@ -142,7 +154,7 @@ def haar_unitary(n: int, seed: int | np.random.Generator | None = None) -> np.nd
     Returns:
         Complex n x n array, unitary to double precision.
     """
-    _check_index(n, "number of modes", 1)
+    _check_index(n, "number of modes", 1, _MAX_MODES)
     return _haar_unitary(n, _rng(seed))
 
 
@@ -164,7 +176,7 @@ def random_symplectic(
         r_max: maximum squeezing magnitude, finite and >= 0.
         seed: integer seed >= 0, None, or a NumPy Generator, BitGenerator or SeedSequence.
     """
-    _check_index(n, "number of modes", 1)
+    _check_index(n, "number of modes", 1, _MAX_MODES)
     _check_real(r_max, "r_max", 0)
     rng = _rng(seed)
     k1 = embed_unitary(_haar_unitary(n, rng))

@@ -15,8 +15,10 @@ A reconstruction issues its settings in order and gathers their means in one
 (2N, K) array: column k holds setting k's X means over its P means, and each
 reconstruction reads its matrix off that array. Setting k's config carries its
 own seed stream ``derive_seed(master, k)`` (:func:`gausstomo.randgen._setting_streams`),
-so no setting depends on another's draws. A phase-error scan checks its inputs once,
-then issues one setting per phase. An overflowed mean warns nothing and is rejected.
+so no setting depends on another's draws. Averaged reconstructions, one per master seed,
+are issued as one plan, and their matrices added in order as they are read. A phase-error
+scan checks its inputs once, then issues one setting per phase. An overflowed mean warns
+nothing and is rejected.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 
 from .core import (STRUCTURAL_TOL, NotPassiveError, _array, _check_index, _check_real, _real,
                    matrix_to_json)
-from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans, _probe
+from .device import (_TILE_VALUES, HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans,
+                     _probe)
 from .randgen import _setting_streams
 
 SQRT2 = math.sqrt(2.0)
@@ -124,19 +127,20 @@ def _probe_scale(amplitude: float) -> float:
 
 
 def _probe_settings(device: ProbeableDevice, probes: list[ProbeSpec],
-                    config: MeasurementConfig) -> np.ndarray:
-    """Issue the probe settings in order; returns the (2N, K) array whose column k holds
-    setting k's X means over its P means, non-finite where one overflowed. Each caller issues
-    them and divides them by the probe scale under one overflow scope, so neither warns.
-    Setting k's config is the checked ``config`` reseeded to its own stream (see
-    :func:`_setting_streams`), so the settings could run concurrently."""
-    settings = [config] * len(probes) if config.analytic else [config._reseeded(*stream)
-        for stream in _setting_streams(config.seed, len(probes), config._table)]
-    n = device.n_modes
-    means = np.empty((2 * n, len(probes)))
-    for k, (probe, setting) in enumerate(zip(probes, settings)):
-        got = device.probe_and_measure(probe, setting)
-        means[:n, k], means[n:, k] = got.x_means, got.p_means
+                    configs: list[MeasurementConfig]) -> np.ndarray:
+    """Issue the K probe settings once per config, in order; returns the (2N, T K) array whose
+    column t K + k holds setting k of config t's X means over its P means, non-finite where one
+    overflowed. Each caller issues them and divides them by the probe scale under one overflow
+    scope, so neither warns. Setting k of a config is the checked config reseeded to its own
+    stream (see :func:`_setting_streams`), so the settings could run concurrently."""
+    n, count = device.n_modes, len(probes)
+    means = np.empty((2 * n, count * len(configs)))
+    for t, config in enumerate(configs):  # each config's settings built as it is issued
+        settings = [config] * count if config.analytic else [config._reseeded(*stream)
+            for stream in _setting_streams(config.seed, count, config._table)]
+        for k, (probe, setting) in enumerate(zip(probes, settings), t * count):
+            got = device.probe_and_measure(probe, setting)
+            means[:n, k], means[n:, k] = got.x_means, got.p_means
     return means
 
 
@@ -147,6 +151,27 @@ def _mean_stderr(config: MeasurementConfig) -> float:
         return 0.0
     outcome_var = 0.5 if config.scheme == HOMODYNE else 1.0
     return math.sqrt(outcome_var / config.shots_per_quadrature)
+
+
+def _attenuated_sum(device: ProbeableDevice, amplitude: float,
+                    configs: list[MeasurementConfig]) -> np.ndarray:
+    """The raw attenuated matrices of one 2N-setting reconstruction per config of ``configs``,
+    added in order: one plan, issued a chunk of about ``_TILE_VALUES`` means at a time and
+    reduced onto the running sum, so memory stays O(N**2 + one chunk)."""
+    scale, n = _probe_scale(amplitude), device.n_modes
+    probes = [_probe(j, amplitude, phase)
+              for j in range(1, n + 1) for phase in (0.0, math.pi / 2.0)]
+    per, total = max(1, _TILE_VALUES // (4 * n * n)), -0.0  # t + -0.0 is t, bit for bit
+    with np.errstate(over="ignore", invalid="ignore"):  # one scope per plan
+        for start in range(0, len(configs), per):
+            chunk = configs[start:start + per]
+            means = _probe_settings(device, probes, chunk).reshape(2 * n, len(chunk), n, 2)
+            # each matrix's phase 0 columns, then pi/2, each element divided as its own mean, in
+            # C order: the reduction adds the matrices one by one, as sum() does
+            tildes = np.divide(means.transpose(1, 0, 3, 2), scale, order="C")
+            tildes[0] += total  # the running sum joins the first matrix: t0 + total
+            total = np.add.reduce(tildes, 0)
+    return total.reshape(2 * n, 2 * n)
 
 
 def measure_attenuated_matrix(
@@ -162,13 +187,7 @@ def measure_attenuated_matrix(
     Raises:
         ValueError: amplitude not finite and > 0.
     """
-    scale = _probe_scale(amplitude)
-    probes = [_probe(j, amplitude, phase)
-              for j in range(1, device.n_modes + 1) for phase in (0.0, math.pi / 2.0)]
-    with np.errstate(over="ignore", invalid="ignore"):  # one scope per reconstruction
-        means = _probe_settings(device, probes, config)
-        # phase 0 columns, then pi/2, each element divided as its own mean
-        return np.hstack((means[:, 0::2], means[:, 1::2])) / scale
+    return _attenuated_sum(device, amplitude, [config])
 
 
 def reconstruct_symplectic(
@@ -222,7 +241,7 @@ def reconstruct_unitary(
     n = device.n_modes
     probes = [_probe(j, amplitude, 0.0) for j in range(1, n + 1)]
     with np.errstate(over="ignore", invalid="ignore"):  # one scope per reconstruction
-        means = _probe_settings(device, probes, config)
+        means = _probe_settings(device, probes, [config])
         # divided here: 1j * p / scale divides a complex, and rounds unlike 1j * (p / scale)
         u_tilde = means[:n] / scale - 1j * means[n:] / scale
     _check_finite(np.isfinite(u_tilde), "u_tilde")
@@ -307,7 +326,7 @@ def probe_ratios(
     scales = [_probe_scale(amp) for amp in amplitudes]
     probes = [_probe(1, amp, 0.0) for amp in amplitudes]
     with np.errstate(over="ignore", invalid="ignore"):  # one scope for every amplitude
-        ratios = (_probe_settings(device, probes, config)[device.n_modes] / scales).tolist()
+        ratios = (_probe_settings(device, probes, [config])[device.n_modes] / scales).tolist()
     for amp, ratio in zip(amplitudes, ratios):
         if not math.isfinite(ratio):
             raise ValueError(f"probe amplitude {amp} gives a non-finite ratio {ratio}")

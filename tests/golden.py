@@ -12,8 +12,8 @@
 * 6 reconstructions at N = 1 (2 settings), both schemes at 100, 10**4 and
   100003 shots; at 100003 the shots are drawn in several leaves of NumPy's
   pairwise split, where a tree drawing one block of every shot has one
-* 2 reconstructions at N = 3, seeds 2**64 - 1 (the largest master a stream
-  table holds) and 2**64 (the smallest that takes default_rng)
+* 2 reconstructions at N = 3, seeds 2**64 - 1 (the largest one-word-pair
+  master) and 2**64 (the smallest of three words)
 * the four README experiments at reduced --reps: 4 CSV and 4 .meta.json files
 * 2 detect verdicts, analytic and at 100 shots, from standard output
 

@@ -248,8 +248,11 @@ def test_bad_seed_is_usage_error_naming_seed(tmp_path, capsys, command, seed, me
     # parsed, then rejected by the sweep under its CSV column's name
     ("experiment mode-scaling --modes 2,0 --reps 1 --out OUT",
      "n_modes must be an integer >= 1, got 0"),
+    # parsed, then rejected by the mode-count rule before any array is allocated
+    (f"generate --kind symplectic --modes 1{'0' * 400} --out OUT",
+     f"number of modes must be an integer >= 1 and < 536870912, got 1{'0' * 400}"),
 ], ids=["generate-modes-0", "mode-scaling-empty-modes", "reconstruct-loss-not-a-number",
-        "mode-scaling-modes-0"])
+        "mode-scaling-modes-0", "generate-modes-401-digits"])
 def test_bad_flag_value_is_usage_error_naming_the_flag(tmp_path, capsys, monkeypatch, command,
                                                        message):
     monkeypatch.setattr(SimulatedDevice, "probe_and_measure", mock.Mock(side_effect=AssertionError))

@@ -573,9 +573,15 @@ def test_extract_unitary_rejects_nan():
     lambda n: coherent_probe_state(n, 1, 1.0, 0.0),
 ], ids=["random_symplectic", "haar_unitary", "symplectic_form", "vacuum_state",
         "coherent_probe_state"])
-@pytest.mark.parametrize("n", [1.5, 2.0, "2", None])
+@pytest.mark.parametrize("n", [
+    1.5, 2.0, "2", None,
+    # from 2**29 on, a (2N, 2N) float64 array holds 2**63 bytes: rejected before any allocation
+    pytest.param(2**29, id="2^29"), pytest.param(2**40, id="2^40"),
+    pytest.param(10**400, id="10^400"),
+])
 def test_mode_count_must_be_an_integer(build, n):
-    with pytest.raises(ValueError, match="number of modes must be an integer"):
+    bound = " and < 536870912" if isinstance(n, int) else ""
+    with pytest.raises(ValueError, match=f"^number of modes must be an integer >= 1{bound}, got"):
         build(n)
     build(np.int64(2))  # a NumPy integer is a count
 

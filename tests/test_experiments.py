@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,10 +19,11 @@ from gausstomo import (
     SimulatedDevice,
     derive_seed,
     experiments,
+    measure_attenuated_matrix,
     random_symplectic,
     reconstruct_symplectic,
 )
-from gausstomo import randgen
+from gausstomo import randgen, tomography
 from gausstomo.experiments import (
     ExperimentRecord,
     records_to_csv,
@@ -326,6 +328,9 @@ def probe_count(monkeypatch):
          "^trials must be an integer >= 1, got 0$"),
         (lambda: run_mode_scaling([2], amplitude=True, shots=math.inf, repetitions=1),
          "^probe amplitude must be finite and > 0, got True$"),
+        # a mode count whose (2N, 2N) float64 array would hold 2**63 bytes
+        (lambda: run_mode_scaling([2, 2**29], shots=math.inf, repetitions=1),
+         "^n_modes must be an integer >= 1 and < 536870912, got 536870912$"),
     ],
     ids=["mode-reps", "unitary-reps", "intensity-reps", "phase-reps", "mode-n", "unitary-n",
          "intensity-n", "intensity-trials", "phase-trials", "mode-n-float", "phase-reps-float",
@@ -333,7 +338,7 @@ def probe_count(monkeypatch):
          "mode-scheme", "unitary-scheme", "mode-amplitude", "unitary-amplitude",
          "phase-amplitude", "mode-empty", "unitary-empty", "intensity-empty", "phase-empty",
          "mode-n-last", "unitary-n-last", "intensity-trials-last", "phase-trials-last",
-         "mode-bool-amplitude"],
+         "mode-bool-amplitude", "mode-n-huge"],
 )
 def test_runners_reject_bad_counts_before_any_probe(sweep, match, probe_count):
     with pytest.raises(ValueError, match=match):
@@ -493,6 +498,116 @@ def test_sweep_streams_give_the_bytes_of_derive_seed_and_default_rng(
     assert seeded == [None] * drawing
 
 
+# one small sweep per runner at a given seed, with its number of master seeds
+MASTER_SWEEPS = [
+    pytest.param(lambda seed: run_mode_scaling([1, 3], schemes=(HOMODYNE, HETERODYNE),
+                                               eta_list=(1.0, 0.6), amplitude=200.0, shots=7,
+                                               repetitions=2, seed=seed),
+                 2 * 2 * 2 * 2, id="mode"),
+    pytest.param(lambda seed: run_unitary_scaling([2, 3], schemes=(HOMODYNE, HETERODYNE),
+                                                  amplitude=200.0, shots=9, repetitions=2,
+                                                  seed=seed),
+                 2 * 2 * 2, id="unitary"),
+    pytest.param(lambda seed: run_intensity_scaling([10.0, 30.0], [1, 3], shots=20, seed=seed,
+                                                    n_modes=2, scheme=HOMODYNE, repetitions=2),
+                 2 * 2 * (1 + 3), id="intensity"),
+    pytest.param(lambda seed: run_phase_error_study(0.05, [1, 10], seed=seed, repetitions=2),
+                 2 * 2, id="phase"),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64, 10**399 + 2**70 + 3], ids=["0", "2^64", "400-digit"])
+@pytest.mark.parametrize("sweep, masters", MASTER_SWEEPS)
+def test_sweep_master_seeds_are_derive_seeds_at_any_seed_size(monkeypatch, sweep, masters, seed):
+    """The sweep derives its master seeds in one pass, and the CSV is the bytes of deriving
+    each one with ``derive_seed``."""
+    passed = records_to_csv(sweep(seed))
+    passes = []
+
+    def per_master(n_words, size, master, *columns):  # the oracle: one derive_seed per master
+        passes.append(size)
+        return np.array([[derive_seed(master, *map(int, parts))] for parts in zip(*columns)],
+                        np.uint64)
+
+    monkeypatch.setattr(experiments, "_seed_words", per_master)
+    assert records_to_csv(sweep(seed)) == passed
+    assert passes == [masters]
+
+
+def _per_trial_sum(device, amplitude, configs):
+    """The per-trial path, the oracle of an intensity cell's plan: each trial's own
+    reconstruction, its matrix added to the sum in trial order."""
+    return sum(measure_attenuated_matrix(device, amplitude, config) for config in configs)
+
+
+# (scheme, shots): the fewest shots of each scheme, 100 shots and exact means
+PLAN_BUDGETS = [(HETERODYNE, 1), (HOMODYNE, 2), (HETERODYNE, 100), (HOMODYNE, 100),
+                (HETERODYNE, math.inf), (HOMODYNE, math.inf)]
+PLAN_IDS = ["heterodyne-1", "homodyne-2", "heterodyne-100", "homodyne-100", "heterodyne-inf",
+            "homodyne-inf"]
+
+
+@pytest.mark.parametrize("scheme, shots", PLAN_BUDGETS, ids=PLAN_IDS)
+@pytest.mark.parametrize("n_modes", [1, 2, 5])
+def test_intensity_plan_gives_the_bytes_of_the_per_trial_path(monkeypatch, probe_count, n_modes,
+                                                              scheme, shots):
+    """A cell's trials go out as one plan, here in chunks of two trials; its CSV is the
+    per-trial path's, from the same settings. At 1.5e308 the means overflow: every
+    repetition of those cells is dropped."""
+    monkeypatch.setattr(tomography, "_TILE_VALUES", 2 * 4 * n_modes**2)
+
+    def run():
+        return run_intensity_scaling([10.0, 1.5e308], [1, 5], shots=shots, seed=35,
+                                     n_modes=n_modes, scheme=scheme, repetitions=2)
+
+    planned = run()
+    settings = 2 * 2 * (1 + 5) * 2 * n_modes
+    assert len(probe_count) == settings
+    assert [record.dropped for record in planned[2:]] == [2, 2]
+    monkeypatch.setattr(experiments, "_attenuated_sum", _per_trial_sum)
+    assert records_to_csv(run()) == records_to_csv(planned)
+    assert len(probe_count) == 2 * settings
+
+
+@pytest.mark.parametrize("scheme, shots", PLAN_BUDGETS, ids=PLAN_IDS)
+@pytest.mark.parametrize("n_modes", [1, 2, 5])
+@pytest.mark.parametrize("trials, per_chunk", [(1, None), (5, 2), (20, None)],
+                         ids=["1-trial", "5-trials-in-chunks-of-2", "20-trials-in-one-chunk"])
+def test_a_plan_of_trials_is_the_per_trial_sum(monkeypatch, trials, per_chunk, n_modes, scheme,
+                                               shots):
+    """The plan's sum equals the per-trial sum bit for bit (after ``sum``'s leading 0), across
+    chunks and within one of more than 8 matrices, where a pairwise sum would round otherwise,
+    and spends the same settings and probes on its device."""
+    if per_chunk:
+        monkeypatch.setattr(tomography, "_TILE_VALUES", per_chunk * 4 * n_modes**2)
+    model = DeviceModel(random_symplectic(n_modes, seed=36), eta=0.8)
+    masters = [derive_seed(36, trial) for trial in range(trials)]
+    table = randgen._stream_tables({master: 2 * n_modes for master in masters})
+    configs = [MeasurementConfig(scheme, shots)._reseeded(m, table=table[m]) for m in masters]
+    planned, per_trial = SimulatedDevice(model), SimulatedDevice(model)
+    got = tomography._attenuated_sum(planned, 10.0, configs)
+    assert np.array_equal(0 + got, _per_trial_sum(per_trial, 10.0, configs))
+    per_setting = configs[0].shots_per_quadrature * (2 if scheme == HOMODYNE else 1)
+    assert (planned.settings_used, planned.probes_used) == (
+        per_trial.settings_used, per_trial.probes_used) == (
+        trials * 2 * n_modes, trials * 2 * n_modes * per_setting)
+
+
+def test_a_plans_memory_does_not_grow_with_its_trials():
+    model = DeviceModel(random_symplectic(5, seed=37))
+    config = MeasurementConfig(HETERODYNE, math.inf)
+    peaks = []
+    for trials in (10**3, 10**4):
+        configs = [config] * trials
+        tracemalloc.start()
+        try:
+            tomography._attenuated_sum(SimulatedDevice(model), 10.0, configs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 16 * 1024, peaks
+
+
 @pytest.mark.parametrize("sweep, settings, drawing", SWEEPS)
 def test_sweep_issues_one_probe_per_setting(monkeypatch, sweep, settings, drawing):
     calls = []
@@ -570,8 +685,7 @@ def test_sweep_built_config_draws_the_same_means_on_another_thread(monkeypatch):
 
     def redraw(out):
         for model, amplitude, config, _ in calls:
-            out.append(experiments.measure_attenuated_matrix(SimulatedDevice(model), amplitude,
-                                                             config))
+            out.append(measure_attenuated_matrix(SimulatedDevice(model), amplitude, config))
 
     here, there = [], []
     thread = threading.Thread(target=redraw, args=(there,))
@@ -584,8 +698,7 @@ def test_sweep_built_config_draws_the_same_means_on_another_thread(monkeypatch):
         native = dataclasses.replace(config)  # the same seed, carrying no rows
         assert native._table is None
         assert np.array_equal(
-            experiments.measure_attenuated_matrix(SimulatedDevice(model), amplitude, native),
-            s_tilde)
+            measure_attenuated_matrix(SimulatedDevice(model), amplitude, native), s_tilde)
 
 
 @pytest.mark.parametrize("runner", [run_mode_scaling, run_unitary_scaling],
@@ -613,7 +726,7 @@ def test_runner_rejects_a_shot_budget_above_2_to_the_53_before_any_probe(monkeyp
         run_intensity_scaling([10.0], [1], shots=shots, repetitions=1)
 
 
-@pytest.mark.parametrize("seed", [1.5, "7", -2])
+@pytest.mark.parametrize("seed", [1.5, "7", -2, True])
 @pytest.mark.parametrize(
     "runner",
     [

@@ -300,7 +300,7 @@ def test_attenuated_matrix_equals_per_column_reference(count, eta, seed, scheme,
 
 @pytest.mark.parametrize("seed", [2**64 - 1, 2**64, 2**70], ids=["2^64-1", "2^64", "2^70"])
 def test_wide_reconstruction_at_large_seeds_equals_per_column_reference(monkeypatch, seed):
-    # a master from 2**64 on does not fit the table pass and takes the native path
+    # a master of any size takes the one table pass
     tables = []
     stream_tables = randgen._stream_tables
     monkeypatch.setattr(randgen, "_stream_tables", lambda s: tables.append(s) or stream_tables(s))
@@ -309,4 +309,4 @@ def test_wide_reconstruction_at_large_seeds_equals_per_column_reference(monkeypa
     config = MeasurementConfig(HETERODYNE, 20, seed=seed)
     got = reconstruct_symplectic(SimulatedDevice(model), 5.0, config).s_tilde
     assert np.array_equal(got, _per_column_attenuated_matrix(model, 5.0, config))
-    assert tables == ([{seed: 2 * n}] if seed < 2**64 else [])
+    assert tables == [{seed: 2 * n}]

@@ -153,6 +153,31 @@ def test_sweep_streams_match_derive_seed_and_default_rng(settings_per_master):
             randgen._setting_streams(master, count + 1, tables[master])
 
 
+# masters across the word boundaries SeedSequence splits an int at, and beyond 2**64
+MASTERS = st.one_of(st.integers(0, 2**70),
+                    st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**40]))
+# one to four tuples of zero to eight parts, each of one word or two
+PARTS = st.integers(0, 8).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 2**33)] * n), min_size=1, max_size=4))
+
+
+@settings(max_examples=60)
+@given(master=MASTERS, parts=PARTS, count=st.integers(1, 12))
+@example(master=2**32 - 1, parts=[(2**32 - 1, 2**32, 0, 7, 2**33)], count=1)
+@example(master=10**40, parts=[(), ()], count=3)
+@example(master=2**64, parts=[(1, 2**32), (2**32, 1), (0, 0)], count=12)
+def test_seed_pass_replays_derive_seed_bit_for_bit(master, parts, count):
+    """One pass gives ``derive_seed(master, *p)`` for every tuple ``p``, tuples whose parts
+    take one word or two side by side, and a stream table of rows for any master."""
+    columns = np.array(parts, np.uint64).T
+    derived = randgen._seed_words(1, len(parts), master, *columns)[:, 0].tolist()
+    assert derived == [derive_seed(master, *p) for p in parts]
+    children, words = randgen._stream_tables({master: count})[master]
+    assert children.tolist() == [derive_seed(master, k) for k in range(count)]
+    for child, row in zip(children.tolist(), words):
+        assert row.tolist() == np.random.SeedSequence(child).generate_state(4, np.uint64).tolist()
+
+
 def test_stream_outside_a_sweep_is_a_fresh_generator():
     for master, count in itertools.product((7, 2**40 + 3), range(1, 16)):
         # a table pass of its own, however few the settings
@@ -179,12 +204,12 @@ def test_replayed_stream_restarts_at_every_read():
         np.testing.assert_array_equal(replayed.standard_normal(8), expected)
 
 
-@pytest.mark.parametrize("master, table_words", [(2**64 - 1, True), (2**64, False)],
-                         ids=["2^64-1", "2^64"])
-def test_a_master_takes_table_words_below_2_to_the_64_only(master, table_words):
+@pytest.mark.parametrize("master", [2**64 - 1, 2**64, 10**40, 10**399],
+                         ids=["2^64-1", "2^64", "10^40", "400-digit"])
+def test_a_master_of_any_size_takes_table_words(master):
     streams = randgen._setting_streams(master, 3)
     assert [child for child, _ in streams] == [derive_seed(master, k) for k in range(3)]
-    assert all((words is not None) == table_words for _, words in streams)
+    assert all(words is not None for _, words in streams)
     for child, words in streams:
         assert (randgen._stream(child, words).bit_generator.state
                 == np.random.default_rng(child).bit_generator.state)
