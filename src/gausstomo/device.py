@@ -14,15 +14,16 @@ Measurement schemes and their sampling statistics (vacuum covariance = I):
   ``(sigma_block + I) / 2``; the extra vacuum unit is the noise penalty of
   the joint measurement.
 
-With ``shots=math.inf`` the measurement is analytic: a setting returns its
-exact output means before any sampler runs. This is the oracle backend.
+With ``shots=math.inf`` the measurement is analytic: :func:`measure` and a setting
+return exact output means before any sampling factor is formed. This is the oracle
+backend. A covariance without real, finite sampling factors raises before any draw.
 
 Every coherent probe has vacuum covariance and uniform loss maps vacuum to
 vacuum, so the output covariance ``S S^T`` and its sampling factors are the
 same for every setting: a :class:`DeviceModel` forms ``S S^T`` directly, once,
-and each setting propagates only its mean. A setting's shots come from
-``default_rng(config.seed)``, or from a fresh generator seeded with the stream
-words its config carries (:mod:`gausstomo.randgen`).
+and each setting propagates only its mean. A setting's shots come from a fresh
+PCG64 generator, seeded from ``config.seed`` as ``default_rng`` seeds it, or from
+the stream words its config carries (:mod:`gausstomo.randgen`).
 
 :func:`sample_quadratures` draws raw outcomes in closed form: one ``rng.normal``
 call per homodyne quadrature, X first; for heterodyne one (shots, N, 2)
@@ -233,19 +234,20 @@ def evolve(model: DeviceModel, probe: ProbeSpec) -> GaussianState:
 def _draw_factors(cov: np.ndarray, scheme: str) -> np.ndarray | tuple[np.ndarray, ...]:
     """Per-mode factors of a scheme's draws: homodyne the (2, N) stack of X and P standard
     deviations; heterodyne ``l21`` and the (N, 2) stack of ``l11, l22``, the Cholesky factors
-    (l11, l21, l22) of each mode's (block + I)/2."""
+    (l11, l21, l22) of each mode's (block + I)/2. A factor that is not finite raises."""
     n = cov.shape[0] // 2
-    xx = np.diagonal(cov[:n, :n])
-    pp = np.diagonal(cov[n:, n:])
-    if scheme == HOMODYNE:
-        return np.sqrt(np.stack((xx, pp)) / 2.0)
-    # the Schur complement is at least 1/(4 a) for any PSD block: the square roots are safe
-    xp = (np.diagonal(cov[:n, n:]) + np.diagonal(cov[n:, :n])) / 2.0
-    a = (xx + 1.0) / 2.0
-    b = xp / 2.0
-    d = (pp + 1.0) / 2.0
-    l11 = np.sqrt(a)
-    return b / l11, np.stack((l11, np.sqrt(d - b * b / a)), 1)
+    xx, pp = np.diagonal(cov[:n, :n]), np.diagonal(cov[n:, n:])
+    with np.errstate(all="ignore"):  # a factor that is not finite raises below, not warns
+        if scheme == HOMODYNE:
+            factors = np.sqrt(np.stack((xx, pp)) / 2.0)
+        else:  # the Schur complement is at least 1/(4 a) for a PSD block: the roots are real
+            a, d = (xx + 1.0) / 2.0, (pp + 1.0) / 2.0
+            b = (np.diagonal(cov[:n, n:]) + np.diagonal(cov[n:, :n])) / 2.0 / 2.0  # xp / 2
+            l11 = np.sqrt(a)
+            factors = b / l11, np.stack((l11, np.sqrt(d - b * b / a)), 1)
+    if not all(np.isfinite(f).all() for f in factors):  # homodyne's rows, heterodyne's pair
+        raise ValueError(f"covariance has no real, finite {scheme} sampling factors")
+    return factors
 
 
 # float64 outcomes per block of the mean reduction: 256 KiB stay in cache from draw to sum
@@ -284,10 +286,8 @@ def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
     prefix of ``config.scheme``'s ``tiles``, or their first row if taller) and ``z += loc``:
     one block if all fit at N > 1, else a running sum carried across blocks continues NumPy's
     row-by-row sum, and at N = 1 the blocks are the leaves of :func:`_pairwise`, at least 128
-    shots unless fewer remain. Views of ``mean`` when ``m`` is 0."""
+    shots unless fewer remain."""
     n = mean.size // 2
-    if not m:
-        return QuadratureSampleMeans(mean[:n], mean[n:], m)
     scheme, mx, mp = config.scheme, mean[:n], mean[n:]
     rng = _stream(config.seed, config._words)
     if n > 1 and 2 * m * n <= _BLOCK_VALUES:  # one block: homodyne's X then P, or joint shots
@@ -364,6 +364,8 @@ def sample_quadratures(
 def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSampleMeans:
     """A state's 2N quadrature means: exact if analytic, else :func:`sample_quadratures`' means.
     A mean that overflows warns, or not, as the caller's ``numpy.errstate`` says."""
+    if config.analytic:  # exact means, views of a fresh copy, before any factor is formed
+        return QuadratureSampleMeans(*state.mean.copy().reshape(2, -1), 0)
     tiles = _tiles(_draw_factors(state.cov, config.scheme), 1)  # one row: each block broadcasts it
     return _measure(state.mean.copy(), config.shots_per_quadrature, config, tiles)
 
@@ -393,7 +395,7 @@ class SimulatedDevice:
         mean that overflows warns, or not, as the caller's ``numpy.errstate`` says."""
         mean = _output_mean(self.model, probe)  # fresh: the analytic means are views of it
         self.settings_used += 1
-        if config.analytic:  # exact means here: via _measure's m = 0 views, 9-24 % slower
+        if config.analytic:  # exact means, as measure() returns them
             n = mean.size // 2
             return QuadratureSampleMeans(mean[:n], mean[n:], 0)
         m = config.shots_per_quadrature  # a probe per homodyne outcome or heterodyne shot

@@ -262,9 +262,9 @@ def run_phase_error_study(
 
 
 def _format_cell(value) -> str:
-    """A float, NumPy's too, as the repr of the Python float it equals; ``inf`` if infinite."""
+    """A float, NumPy's too, as the repr of the Python float it equals."""
     if isinstance(value, (float, np.floating)):
-        return "inf" if math.isinf(value) else repr(float(value))
+        return repr(float(value))
     return str(value)
 
 

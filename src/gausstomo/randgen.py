@@ -1,18 +1,18 @@
 """Seeded generation of Haar-random unitaries and random symplectic matrices.
 
-All randomness in the package flows through ``numpy.random.default_rng``
-(PCG64), so a fixed seed reproduces bit-identical matrices across runs.
-Seed streams for independent settings or repetitions are derived with
-:func:`derive_seed`, which hashes an index tuple through ``SeedSequence``
-and defines every stream. :func:`_seed_words` replays that hash for many
-tuples in one vectorised pass, whatever the size of their integers: an
-experiment sweep derives all its master seeds in one pass, and
-:func:`_setting_streams` gives each setting k of a finite-shot reconstruction
-its child seed ``derive_seed(master, k)`` and its PCG64 seeding words from a
-table of a second: a sweep derives one table for all its masters and hands
-each reconstruction its rows in its config, else the reconstruction derives
-its own. The words travel with the setting's config, and NumPy seeds a fresh
-PCG64 from them; a caller's own config probed directly takes ``default_rng``.
+All randomness in the package flows through PCG64 generators, so a fixed
+seed reproduces bit-identical matrices across runs. Seed streams for
+independent settings or repetitions are derived with :func:`derive_seed`,
+which hashes an index tuple through ``SeedSequence`` and defines every stream.
+:func:`_seed_words` replays that hash for many tuples in one vectorised pass,
+whatever the size of their integers: an experiment sweep derives all its
+master seeds in one pass, and :func:`_stream_tables` gives each setting k of a
+finite-shot reconstruction its child seed ``derive_seed(master, k)`` and its
+PCG64 seeding words, as rows of a second: a sweep derives one table for all its
+masters and hands each reconstruction its rows in its config, else the
+reconstruction derives its own. The words travel with the setting's config, and
+:func:`_stream` seeds a fresh PCG64 from them; a caller's own config probed
+directly seeds it from its seed, as ``default_rng`` does.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ import numpy as np
 from .core import _MAX_MODES, _check_index, _check_real, embed_unitary
 
 DEFAULT_R_MAX = 0.5
+# a draw's S J S^T - J carries roundoff of about c eps e^(2 r_max), c <= 0.3 measured up to
+# N = 64; at 6, even c = 16 gives 5.8e-10 < STRUCTURAL_TOL: every draw passes DeviceModel
+_R_MAX_LIMIT = 6.0
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -95,17 +98,6 @@ def _stream_tables(settings: dict[int, int]) -> dict[int, tuple[np.ndarray, np.n
             in zip(settings, starts.tolist(), (starts + counts).tolist())}
 
 
-def _setting_streams(master: int, count: int, table: tuple | None = None
-                     ) -> list[tuple[int, np.ndarray]]:
-    """``(derive_seed(master, k), its PCG64 seeding words)`` for each ``k < count``: read
-    from ``table``, ``master``'s rows of :func:`_stream_tables`, which must hold ``count``,
-    else from a pass of its own."""
-    children, words = _stream_tables({master: count})[master] if table is None else table
-    if len(children) < count:
-        raise ValueError(f"a stream table of {len(children)} rows cannot seed {count} settings")
-    return list(zip(children[:count].tolist(), words[:count]))
-
-
 @functools.cache
 def _table_seed() -> type:
     """An ``ISeedSequence`` whose ``generate_state(4, np.uint64)`` is a contiguous table row,
@@ -122,11 +114,9 @@ def _table_seed() -> type:
 
 
 def _stream(seed: int, words: np.ndarray | None) -> np.random.Generator:
-    """``default_rng(seed)``; given ``seed``'s PCG64 seeding ``words``, the same fresh
-    generator seeded from them, without deriving them again."""
-    if words is None:
-        return np.random.default_rng(seed)
-    return np.random.Generator(np.random.PCG64(_table_seed()(words)))
+    """``default_rng(seed)``, a fresh ``Generator(PCG64(seed))``; given ``seed``'s PCG64
+    seeding ``words``, the same generator seeded from them, without deriving them again."""
+    return np.random.Generator(np.random.PCG64(seed if words is None else _table_seed()(words)))
 
 
 def _rng(seed) -> np.random.Generator:
@@ -173,11 +163,13 @@ def random_symplectic(
 
     Args:
         n: number of modes, >= 1.
-        r_max: maximum squeezing magnitude, finite and >= 0.
+        r_max: maximum squeezing magnitude, in [0, 6]; past 6, roundoff breaks the symplectic form.
         seed: integer seed >= 0, None, or a NumPy Generator, BitGenerator or SeedSequence.
     """
     _check_index(n, "number of modes", 1, _MAX_MODES)
     _check_real(r_max, "r_max", 0)
+    if r_max > _R_MAX_LIMIT:  # past it, roundoff can break a draw's symplectic form
+        raise ValueError(f"r_max must be <= {_R_MAX_LIMIT}, got {r_max!r}")
     rng = _rng(seed)
     k1 = embed_unitary(_haar_unitary(n, rng))
     r = rng.uniform(-r_max, r_max, size=n)

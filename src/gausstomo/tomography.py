@@ -14,11 +14,11 @@ imaginary parts of one unitary column, halving the number of settings.
 A reconstruction issues its settings in order and gathers their means in one
 (2N, K) array: column k holds setting k's X means over its P means, and each
 reconstruction reads its matrix off that array. Setting k's config carries its
-own seed stream ``derive_seed(master, k)`` (:func:`gausstomo.randgen._setting_streams`),
-so no setting depends on another's draws. Averaged reconstructions, one per master seed,
-are issued as one plan, and their matrices added in order as they are read. A phase-error
-scan checks its inputs once, then issues one setting per phase. An overflowed mean warns
-nothing and is rejected.
+own seed stream ``derive_seed(master, k)``, row k of a stream table
+(:func:`gausstomo.randgen._stream_tables`), so no setting depends on another's draws.
+Averaged reconstructions, one per master seed, are issued as one plan, and their matrices
+added in order as they are read. A phase-error scan checks its inputs once, then issues one
+setting per phase. An overflowed mean warns nothing and is rejected.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from typing import Protocol
 
 import numpy as np
 
+from . import randgen
 from .core import (STRUCTURAL_TOL, NotPassiveError, _array, _check_index, _check_real, _real,
                    matrix_to_json)
 from .device import (_TILE_VALUES, HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans,
                      _probe)
-from .randgen import _setting_streams
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,13 +131,17 @@ def _probe_settings(device: ProbeableDevice, probes: list[ProbeSpec],
     """Issue the K probe settings once per config, in order; returns the (2N, T K) array whose
     column t K + k holds setting k of config t's X means over its P means, non-finite where one
     overflowed. Each caller issues them and divides them by the probe scale under one overflow
-    scope, so neither warns. Setting k of a config is the checked config reseeded to its own
-    stream (see :func:`_setting_streams`), so the settings could run concurrently."""
+    scope, so neither warns. Setting k of a finite-shot config is the checked config reseeded
+    to row k of its stream table, so the settings could run concurrently."""
     n, count = device.n_modes, len(probes)
     means = np.empty((2 * n, count * len(configs)))
     for t, config in enumerate(configs):  # each config's settings built as it is issued
-        settings = [config] * count if config.analytic else [config._reseeded(*stream)
-            for stream in _setting_streams(config.seed, count, config._table)]
+        settings = [config] * count
+        if not config.analytic:  # the rows it carries, else a table pass of its own
+            rows = config._table or randgen._stream_tables({config.seed: count})[config.seed]
+            if (held := len(rows[0])) < count:
+                raise ValueError(f"a stream table of {held} rows cannot seed {count} settings")
+            settings = map(config._reseeded, rows[0][:count].tolist(), rows[1])
         for k, (probe, setting) in enumerate(zip(probes, settings), t * count):
             got = device.probe_and_measure(probe, setting)
             means[:n, k], means[n:, k] = got.x_means, got.p_means

@@ -251,8 +251,17 @@ def test_bad_seed_is_usage_error_naming_seed(tmp_path, capsys, command, seed, me
     # parsed, then rejected by the mode-count rule before any array is allocated
     (f"generate --kind symplectic --modes 1{'0' * 400} --out OUT",
      f"number of modes must be an integer >= 1 and < 536870912, got 1{'0' * 400}"),
+    # past 6, roundoff can break a draw's symplectic form; past about 709, exp overflows and
+    # warns: a warning here is an error, so the message would differ
+    ("generate --kind symplectic --modes 2 --r-max 6.000001 --out OUT",
+     "r_max must be <= 6.0, got 6.000001"),
+    ("generate --kind symplectic --modes 2 --r-max 800 --out OUT",
+     "r_max must be <= 6.0, got 800.0"),
+    ("experiment mode-scaling --modes 4 --reps 5 --shots inf --r-max 10 --out OUT",
+     "r_max must be <= 6.0, got 10.0"),
 ], ids=["generate-modes-0", "mode-scaling-empty-modes", "reconstruct-loss-not-a-number",
-        "mode-scaling-modes-0", "generate-modes-401-digits"])
+        "mode-scaling-modes-0", "generate-modes-401-digits", "generate-r-max-past-6",
+        "generate-r-max-800", "mode-scaling-r-max-10"])
 def test_bad_flag_value_is_usage_error_naming_the_flag(tmp_path, capsys, monkeypatch, command,
                                                        message):
     monkeypatch.setattr(SimulatedDevice, "probe_and_measure", mock.Mock(side_effect=AssertionError))

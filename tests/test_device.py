@@ -50,11 +50,13 @@ def test_device_model_rejects_non_symplectic():
         DeviceModel(2.0 * np.eye(2))
 
 
-# one clean error and no RuntimeWarning where S S^T, or the symplectic check S J S^T, overflows
+# one clean error and no RuntimeWarning where S S^T, the symplectic check S J S^T, or the
+# heterodyne sampling factors (the Schur complement's b * b) overflow
 @pytest.mark.parametrize("s, message", [
     (np.diag([1e160, 1e-160]), "device covariance S S^T overflows float64"),
     ([[1e200, 1e200], [0.0, 1e-200]], "device matrix is not symplectic"),
-], ids=["cov-overflows", "check-overflows"])
+    ([[1e100, 0.0], [1e100, 1e-100]], "covariance has no real, finite heterodyne sampling factors"),
+], ids=["cov-overflows", "check-overflows", "factors-overflow"])
 def test_device_model_rejects_a_matrix_whose_products_overflow(s, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         DeviceModel(s)
@@ -76,6 +78,35 @@ def test_a_direct_call_that_overflows_follows_the_callers_errstate(scheme, shots
             assert not np.isfinite(np.concatenate((got.x_means, got.p_means))).all()
     with np.errstate(over="warn", invalid="ignore"), pytest.warns(RuntimeWarning, match="overflow"):
         device.probe_and_measure(ProbeSpec(1, 1.7e308), config)
+
+
+# a covariance whose variance is negative: homodyne's sigma_xx / 2 or heterodyne's
+# (sigma_xx + 1) / 2 has no real square root
+NO_REAL_FACTORS = [(HOMODYNE, -0.5), (HETERODYNE, -3.0), (HETERODYNE, -1.0)]
+
+
+@pytest.mark.parametrize("scheme, xx", NO_REAL_FACTORS)
+@pytest.mark.parametrize("sample", [measure, sample_quadratures], ids=["measure", "sample"])
+def test_a_covariance_without_real_factors_raises_before_any_draw(monkeypatch, sample, scheme,
+                                                                   xx):
+    state = GaussianState(mean=[1.0, 0.0, 2.0, 0.0], cov=np.diag([xx, 1.0, 1.0, 1.0]))
+    monkeypatch.setattr(device_module, "_stream", lambda seed, words: object())  # cannot draw
+    message = f"^covariance has no real, finite {scheme} sampling factors$"
+    with pytest.raises(ValueError, match=message):
+        sample(state, MeasurementConfig(scheme, 100, seed=0))
+
+
+@pytest.mark.parametrize("scheme, xx", NO_REAL_FACTORS)
+def test_analytic_measure_forms_no_sampling_factor(monkeypatch, scheme, xx):
+    # exact means come first: no factor is formed, so none warns or raises
+    state = GaussianState(mean=[1.0, 0.0, 2.0, 0.0], cov=np.diag([xx, 1.0, 1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = measure(state, MeasurementConfig(scheme, math.inf))
+    assert got.x_means.tolist() == [1.0, 0.0] and got.p_means.tolist() == [2.0, 0.0]
+    assert got.shots_used_per_quadrature == 0
+    monkeypatch.setattr(device_module, "_draw_factors", None)
+    assert measure(state, MeasurementConfig(scheme, math.inf)).x_means.tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.2])

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 import gausstomo
 from gausstomo import DEFAULT_R_MAX, derive_seed, haar_unitary, is_symplectic, random_symplectic
-from gausstomo import randgen
+from gausstomo import randgen, tomography
+from gausstomo.device import HETERODYNE, DeviceModel, MeasurementConfig, ProbeSpec, SimulatedDevice
 
 
 # ints beyond float64's range, where every real input is rejected by its own message
@@ -85,6 +87,22 @@ def test_random_symplectic_default_squeeze_range():
     assert DEFAULT_R_MAX == 0.5
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
+def test_draws_at_the_largest_r_max_pass_device_model(n):
+    assert randgen._R_MAX_LIMIT == 6.0  # the bound README and CI name
+    for seed in range(20):
+        DeviceModel(random_symplectic(n, r_max=randgen._R_MAX_LIMIT, seed=seed))
+
+
+@pytest.mark.parametrize("r_max", [np.nextafter(6.0, 7.0), 9, 800.0, np.float32(6.5)],
+                         ids=["next-float", "int-9", "800", "float32"])
+def test_random_symplectic_rejects_r_max_past_the_bound_before_any_draw(monkeypatch, r_max):
+    monkeypatch.setattr(randgen, "_rng", None)  # no generator is made
+    message = rf"^r_max must be <= 6\.0, got {re.escape(repr(r_max))}$"
+    with pytest.raises(ValueError, match=message):
+        random_symplectic(2, r_max=r_max, seed=0)
+
+
 def test_derive_seed_stable_and_distinct():
     assert derive_seed(0, 1, 2) == derive_seed(0, 1, 2)
     assert derive_seed(0, 1, 2) != derive_seed(0, 2, 1)
@@ -119,14 +137,12 @@ def test_pinned_streams(master, k, child, state, inc):
     assert derive_seed(master, k) == child
     pcg = {"state": state, "inc": inc}
     assert np.random.default_rng(child).bit_generator.state["state"] == pcg
-    table = randgen._stream_tables({master: k + 1})[master]
-    from_sweep = randgen._setting_streams(master, k + 1, table)[k]
-    own_table = randgen._setting_streams(master, k + 1)[k]
-    for seed, words in (from_sweep, own_table):
-        assert seed == child and words is not None
-        replayed = randgen._stream(seed, words)
-        assert replayed is not randgen._stream(seed, words)  # a new generator at every call
-        assert replayed.bit_generator.state["state"] == pcg
+    children, words = randgen._stream_tables({master: k + 1})[master]
+    assert children[k] == child
+    replayed = randgen._stream(child, words[k])
+    assert replayed is not randgen._stream(child, words[k])  # a new generator at every call
+    assert replayed.bit_generator.state["state"] == pcg
+    assert randgen._stream(child, None).bit_generator.state["state"] == pcg
 
 
 @settings(max_examples=40)
@@ -140,17 +156,21 @@ def test_sweep_streams_match_derive_seed_and_default_rng(settings_per_master):
         children, word_rows = tables[master]  # row views of the one pass, not Python lists
         assert children.shape == (count,) and word_rows.shape == (count, 4)
         assert children.base is not None and word_rows.base is not None
-        streams = randgen._setting_streams(master, count, tables[master])
-        for k, (child, words) in enumerate(streams):
+        for k, (child, words) in enumerate(zip(children.tolist(), word_rows)):
             assert child == derive_seed(master, k)
             assert words.shape == (4,) and np.shares_memory(words, word_rows)  # a row view
+            seeded = np.random.SeedSequence(child).generate_state(4, np.uint64)
+            assert words.tolist() == seeded.tolist()
             replayed = randgen._stream(child, words)
             assert replayed is not randgen._stream(child, words)  # a new generator at every call
             native = np.random.default_rng(child)
             assert replayed.bit_generator.state == native.bit_generator.state
-        # past the table: no stream, rather than one derived another way
+        # past the table: no stream, rather than one derived another way, and no probe
+        device = SimulatedDevice(DeviceModel(np.eye(2)))
+        config = MeasurementConfig(HETERODYNE, 1)._reseeded(master, table=tables[master])
         with pytest.raises(ValueError, match=f"table of {count} rows cannot seed {count + 1}"):
-            randgen._setting_streams(master, count + 1, tables[master])
+            tomography._probe_settings(device, [ProbeSpec(1, 1.0)] * (count + 1), [config])
+        assert device.settings_used == 0
 
 
 # masters across the word boundaries SeedSequence splits an int at, and beyond 2**64
@@ -181,10 +201,9 @@ def test_seed_pass_replays_derive_seed_bit_for_bit(master, parts, count):
 def test_stream_outside_a_sweep_is_a_fresh_generator():
     for master, count in itertools.product((7, 2**40 + 3), range(1, 16)):
         # a table pass of its own, however few the settings
-        streams = randgen._setting_streams(master, count)
-        assert [child for child, _ in streams] == [derive_seed(master, k) for k in range(count)]
-        for child, words in streams:
-            assert words is not None
+        children, word_rows = randgen._stream_tables({master: count})[master]
+        assert children.tolist() == [derive_seed(master, k) for k in range(count)]
+        for child, words in zip(children.tolist(), word_rows):
             assert (randgen._stream(child, words).bit_generator.state
                     == np.random.default_rng(child).bit_generator.state)
     fresh = randgen._stream(5, None)  # a caller's own seed: default_rng
@@ -196,8 +215,8 @@ def test_stream_outside_a_sweep_is_a_fresh_generator():
 def test_replayed_stream_restarts_at_every_read():
     child = derive_seed(11, 0)
     expected = np.random.default_rng(child).standard_normal(8)
-    [(seed, words)] = randgen._setting_streams(11, 1, randgen._stream_tables({11: 1})[11])
-    assert seed == child and words is not None
+    [seed], [words] = randgen._stream_tables({11: 1})[11]
+    assert seed == child
     replays = [randgen._stream(seed, words) for _ in range(2)]
     assert replays[0] is not replays[1]
     for replayed in replays:
@@ -207,17 +226,18 @@ def test_replayed_stream_restarts_at_every_read():
 @pytest.mark.parametrize("master", [2**64 - 1, 2**64, 10**40, 10**399],
                          ids=["2^64-1", "2^64", "10^40", "400-digit"])
 def test_a_master_of_any_size_takes_table_words(master):
-    streams = randgen._setting_streams(master, 3)
-    assert [child for child, _ in streams] == [derive_seed(master, k) for k in range(3)]
-    assert all(words is not None for _, words in streams)
-    for child, words in streams:
+    children, word_rows = randgen._stream_tables({master: 3})[master]
+    assert children.tolist() == [derive_seed(master, k) for k in range(3)]
+    for child, words in zip(children.tolist(), word_rows):
+        seeded = np.random.SeedSequence(child).generate_state(4, np.uint64)
+        assert words.tolist() == seeded.tolist()
         assert (randgen._stream(child, words).bit_generator.state
                 == np.random.default_rng(child).bit_generator.state)
 
 
 def test_table_streams_held_at_once_do_not_alias():
-    streams = randgen._setting_streams(3, 2)
-    (s0, w0), (s1, w1) = streams[:2]
+    (s0, s1), (w0, w1) = randgen._stream_tables({3: 2})[3]
+    s0, s1 = int(s0), int(s1)
     a, b = randgen._stream(s0, w0), randgen._stream(s1, w1)
     assert a is not b
     for held, seed in ((a, s0), (b, s1)):  # each draws its own seed's numbers
@@ -232,7 +252,7 @@ def test_package_keeps_no_thread_state():
     for module in modules:
         assert not any(isinstance(value, threading.local) for value in vars(module).values())
     namespace = dict(vars(randgen))
-    [(seed, words)] = randgen._setting_streams(3, 1)
+    [seed], [words] = randgen._stream_tables({3: 1})[3]
     seen = []
     thread = threading.Thread(target=lambda: seen.append(randgen._stream(seed, words)))
     thread.start()
