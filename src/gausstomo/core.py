@@ -40,7 +40,7 @@ class NotPassiveError(ValueError):
 
 @dataclass(frozen=True)
 class GaussianState:
-    """A Gaussian state: mean vector (length 2N) and finite symmetric covariance (2N x 2N).
+    """A Gaussian state: mean (length 2N), finite symmetric covariance (2N x 2N), sigma + iJ >= 0.
 
     Instances are immutable; the arrays are copied and marked read-only so a
     state can be shared freely between threads.
@@ -56,6 +56,9 @@ class GaussianState:
             raise ValueError("covariance matrix has non-finite entries")
         if np.max(np.abs(cov - cov.T)) > STRUCTURAL_TOL:
             raise ValueError("covariance matrix is not symmetric")
+        tol = STRUCTURAL_TOL * max(1.0, np.max(np.abs(cov)))  # roundoff at sigma's scale
+        if np.linalg.eigvalsh(cov + 1j * symplectic_form(n))[0] < -tol:  # uncertainty principle
+            raise ValueError("covariance matrix violates the uncertainty principle sigma + iJ >= 0")
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)

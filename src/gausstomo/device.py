@@ -14,30 +14,29 @@ Measurement schemes and their sampling statistics (vacuum covariance = I):
   ``(sigma_block + I) / 2``; the extra vacuum unit is the noise penalty of
   the joint measurement.
 
-With ``shots=math.inf`` the measurement is analytic: :func:`measure` and a setting
-return exact output means before any sampling factor is formed. This is the oracle
-backend. A covariance without real, finite sampling factors raises before any draw.
+Each mode's outcomes are drawn from the mode's own 2 x 2 block of sigma, independently of the
+other modes: cross-mode correlations are absent, while each mean's variance is right (ROADMAP
+item 16, a joint-law sampler, is the fix). With ``shots=math.inf`` the measurement is analytic:
+:func:`measure` and a setting return exact output means before any sampling factor is formed.
+This is the oracle backend. A sampling factor that is not finite raises before any draw.
 
-Every coherent probe has vacuum covariance and uniform loss maps vacuum to
-vacuum, so the output covariance ``S S^T`` and its sampling factors are the
-same for every setting: a :class:`DeviceModel` forms ``S S^T`` directly, once,
-and each setting propagates only its mean. A setting's shots come from a fresh
-PCG64 generator, seeded from ``config.seed`` as ``default_rng`` seeds it, or from
-the stream words its config carries (:mod:`gausstomo.randgen`).
+Every coherent probe has vacuum covariance and uniform loss maps vacuum to vacuum, so the output
+covariance ``S S^T`` and its sampling factors are the same for every setting: a
+:class:`DeviceModel` forms ``S S^T`` directly, once, and each setting propagates only its mean.
+A setting's shots come from a fresh PCG64 generator, seeded from ``config.seed`` as
+``default_rng`` seeds it, or from the stream words its config carries (:mod:`gausstomo.randgen`).
 
-:func:`sample_quadratures` draws raw outcomes in closed form: one ``rng.normal``
-call per homodyne quadrature, X first; for heterodyne one (shots, N, 2)
-standard-normal draw, mapped by each mode's Cholesky factor. :func:`measure`
-and :meth:`SimulatedDevice.probe_and_measure` return their means, to the same
-bits, through one sampler that never holds them all: it draws the same normals
-in blocks of about 256 KiB and reduces each as it is drawn, adding the running
-sum to the next block's first shot (IEEE addition commutes, so the bits are
-NumPy's row-by-row sum); at N = 1, where NumPy sums a column pairwise, the
-blocks are the leaves of that split. A setting of N > 1 that fits one block is
-drawn as one, homodyne's X then its P shots as one (2, shots, N) block.
-A model tiles each scheme's factors once down a block of at most 4096 values,
-one row at N = 1; :func:`measure` tiles one row, which the sampler
-broadcasts. No model is written after it is built.
+One formula, :func:`_outcomes`, makes drawn standard normals ``z`` outcomes, ``z * scale + loc``
+with heterodyne P's loc ``l21 z0 + mp``. :func:`sample_quadratures` returns all shots' outcomes
+as one block, homodyne X then P as (2, shots, N), heterodyne joint shots as (shots, N, 2); a
+setting of N > 1 whose shots fit one block is drawn the same way. :func:`measure` and
+:meth:`SimulatedDevice.probe_and_measure` return their means, to the same bits, through one
+sampler that never holds them all: it draws the same normals in blocks of about 256 KiB and
+reduces each as it is drawn, adding the running sum to the next block's first shot (IEEE
+addition commutes, so the bits are NumPy's row-by-row sum); at N = 1, where NumPy sums a column
+pairwise, the blocks are the leaves of that split. A model tiles each scheme's factors once down
+a block of at most 4096 values, one row at N = 1; :func:`measure` tiles one row, which every
+block broadcasts. No model is written after it is built.
 """
 
 from __future__ import annotations
@@ -110,6 +109,7 @@ class MeasurementConfig:
     def __post_init__(self):
         _check_scheme(self.scheme)
         object.__setattr__(self, "seed", _check_index(self.seed, "seed", 0))
+        object.__setattr__(self, "analytic", self.shots == math.inf)  # read per setting
         if not self.analytic:
             shots = self.shots  # neither inf (analytic) nor NaN passes 1 <= shots
             # up to 2**53 shots a mean's divisor ``sums / m`` is exact in float64
@@ -121,10 +121,6 @@ class MeasurementConfig:
                 raise ValueError("homodyne needs at least 2 shots to cover both quadratures")
 
     @property
-    def analytic(self) -> bool:
-        return self.shots == math.inf
-
-    @property
     def shots_per_quadrature(self) -> int:
         """Outcomes drawn per quadrature and setting: the floored half of the
         budget for homodyne, all of it for heterodyne, 0 when analytic."""
@@ -132,6 +128,7 @@ class MeasurementConfig:
             return 0
         return self.shots // 2 if self.scheme == HOMODYNE else self.shots
 
+    analytic = False  # shots == math.inf, an attribute set once, not a property per read
     _words = None  # the seed's PCG64 seeding words, when a stream table derived them
     _table = None  # a master seed's rows of a sweep's stream table, for its settings
 
@@ -226,9 +223,13 @@ def evolve(model: DeviceModel, probe: ProbeSpec) -> GaussianState:
     optional cubic gate; returns the output state.
 
     Loss is applied at the input, which is equivalent to uniform loss anywhere
-    inside the device as far as the means are concerned; the covariance is the model's.
+    inside the device as far as the means are concerned; the covariance is the model's own,
+    physical by construction, so the state is built without rechecking it (O(N^3) per probe).
     """
-    return GaussianState(mean=_output_mean(model, probe), cov=model._cov)
+    state, mean = object.__new__(GaussianState), _output_mean(model, probe)
+    mean.flags.writeable = False
+    state.__dict__.update(mean=mean, cov=model._cov)
+    return state
 
 
 def _draw_factors(cov: np.ndarray, scheme: str) -> np.ndarray | tuple[np.ndarray, ...]:
@@ -279,47 +280,50 @@ def _pairwise(k: int, rows: int, leaf) -> np.ndarray:
     return np.array([column.sum() for column in leaf(k).reshape(k, -1).T])
 
 
-def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
-             tiles) -> QuadratureSampleMeans:
-    """The X and P means of ``m`` shots per quadrature around the output ``mean``, drawn in
-    blocks of about ``_BLOCK_VALUES`` values, each formed by two passes, ``z *= scale`` (a
-    prefix of ``config.scheme``'s ``tiles``, or their first row if taller) and ``z += loc``:
-    one block if all fit at N > 1, else a running sum carried across blocks continues NumPy's
-    row-by-row sum, and at N = 1 the blocks are the leaves of :func:`_pairwise`, at least 128
-    shots unless fewer remain."""
+def _outcomes(z: np.ndarray, loc: np.ndarray, scale, l21=None, mp=None) -> np.ndarray:
+    """Drawn standard normals ``z`` made outcomes in place: given heterodyne's ``l21``, P's loc
+    ``l21 z0 + mp`` is formed in ``loc``; then ``z *= scale`` and ``z += loc``."""
+    if l21 is not None:
+        p = np.multiply(z[..., 0], l21, out=loc[..., 1])
+        np.add(p, mp, out=p)
+    z *= scale
+    z += loc
+    return z
+
+
+def _measure(mean: np.ndarray, m: int, config: MeasurementConfig, tiles,
+             raw: bool = False) -> QuadratureSampleMeans | np.ndarray:
+    """The X and P means of ``m`` shots per quadrature around the output ``mean`` (``raw``: their
+    outcomes, as one block), drawn in blocks of about ``_BLOCK_VALUES`` values, each scaled by a
+    prefix of ``config.scheme``'s ``tiles``, or their first row if taller: one block if all fit
+    at N > 1, else a running sum carried across blocks continues NumPy's row-by-row sum, and at
+    N = 1 the blocks are the leaves of :func:`_pairwise`, at least 128 shots unless fewer remain."""
     n = mean.size // 2
     scheme, mx, mp = config.scheme, mean[:n], mean[n:]
     rng = _stream(config.seed, config._words)
-    if n > 1 and 2 * m * n <= _BLOCK_VALUES:  # one block: homodyne's X then P, or joint shots
-        head = slice(m if m <= len(tiles[0]) else 1)
+    if raw or n > 1 and 2 * m * n <= _BLOCK_VALUES:  # one block: X then P, or joint shots
+        head = m if m <= len(tiles[0]) else 1  # rows of the tiles read: all m, or the first
         if scheme == HOMODYNE:
-            z, scale, loc = rng.standard_normal((2, m, n)), tiles[:, head], mean.reshape(2, 1, n)
-        else:  # P's loc, l21 z0 + mp, formed in place as in a streamed block
-            z, loc, scale = rng.standard_normal((m, n, 2)), np.empty((m, n, 2)), tiles[1][head]
+            z = _outcomes(rng.standard_normal((2, m, n)), mean.reshape(2, 1, n), tiles[:, :head])
+        else:  # P's loc formed in place, as in a streamed block
+            z, loc = rng.standard_normal((m, n, 2)), np.empty((m, n, 2))
             loc[:, :, 0] = mx
-            np.add(np.multiply(z[:, :, 0], tiles[0][head], out=loc[:, :, 1]), mp, out=loc[:, :, 1])
-        z *= scale
-        z += loc  # heterodyne P: l22 z1 + (l21 z0 + mp), the closed form commuted
+            z = _outcomes(z, loc, tiles[1][:head], tiles[0][:head], mp)
+        if raw:
+            return z
         sums = (np.add.reduce(z, 1) if scheme == HOMODYNE else np.add.reduce(z, 0).T) / m
         return QuadratureSampleMeans(sums[0], sums[1], m)
     rows = min(m, max(128 if n == 1 else 1, _BLOCK_VALUES // tiles[-1][0].size))
-    # blocks taller than the tiles read their first row
     if scheme == HOMODYNE:  # all X blocks, then all P; a (1, N) loc stays whole in loc[:k]
-        buf, passes = np.empty((rows, n)), zip((mx[None], mp[None]), tiles[:, :1])
+        buf, passes, l21 = np.empty((rows, n)), zip((mx[None], mp[None]), tiles[:, :1]), None
     else:  # one pass of joint shots; P's loc is filled per block
         l21, scale = (tile[:1] for tile in tiles)
         buf, loc = np.empty((rows, n, 2)), np.empty((rows, n, 2))
         loc[..., 0] = mx
         passes = [(loc, scale)]
 
-    def block(k, loc, scale):  # the next k shots, z *= scale and z += loc, in buf
-        z = rng.standard_normal(out=buf[:k])
-        if scheme == HETERODYNE:  # P's loc, l21 z0 + mp
-            p = np.multiply(z[..., 0], l21, out=loc[:k, ..., 1])
-            np.add(p, mp, out=p)
-        z *= scale
-        z += loc[:k]  # heterodyne P: l22 z1 + (l21 z0 + mp), the closed form commuted
-        return z
+    def block(k, loc, scale):  # the next k shots' outcomes, in buf
+        return _outcomes(rng.standard_normal(out=buf[:k]), loc[:k], scale, l21, mp)
 
     sums = []
     for loc, scale in passes:
@@ -336,29 +340,25 @@ def _measure(mean: np.ndarray, m: int, config: MeasurementConfig,
     return QuadratureSampleMeans(x, p, m)
 
 
-def sample_quadratures(
-    state: GaussianState, config: MeasurementConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_quadratures(state: GaussianState,
+                       config: MeasurementConfig) -> tuple[np.ndarray, np.ndarray]:
     """Draw raw quadrature outcomes; arrays of shape (shots_used_per_quadrature, N).
 
     Homodyne X and P come from disjoint halves of the shot budget, heterodyne X
-    and P from the same joint shots, drawn in the closed form the module
-    describes; :func:`measure` returns their means, bit for bit.
+    and P from the same joint shots. They are views of one block of all the shots,
+    formed as :func:`measure` forms a one-block setting, so :func:`measure` returns
+    their means, bit for bit. Different modes' outcomes are drawn independently,
+    from each mode's 2 x 2 block of the covariance: each outcome's variance is right,
+    but cross-mode correlations are absent (ROADMAP item 16 is the fix).
 
     Raises:
         ValueError: for the analytic backend (no outcomes to draw).
     """
     if config.analytic:
         raise ValueError("analytic backend has no sample outcomes; use measure()")
-    n, m = state.mean.size // 2, config.shots_per_quadrature
-    mx, mp = state.mean[:n], state.mean[n:]
-    rng = _stream(config.seed, config._words)
-    if config.scheme == HOMODYNE:
-        sx, sp = _draw_factors(state.cov, HOMODYNE)
-        return rng.normal(mx, sx, (m, n)), rng.normal(mp, sp, (m, n))
-    l21, scale = _draw_factors(state.cov, HETERODYNE)
-    z = rng.standard_normal((m, n, 2))
-    return mx + scale[:, 0] * z[:, :, 0], (mp + l21 * z[:, :, 0]) + scale[:, 1] * z[:, :, 1]
+    tiles = _tiles(_draw_factors(state.cov, config.scheme), 1)
+    z = _measure(state.mean, config.shots_per_quadrature, config, tiles, raw=True)
+    return (z[0], z[1]) if config.scheme == HOMODYNE else (z[..., 0], z[..., 1])
 
 
 def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSampleMeans:

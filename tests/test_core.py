@@ -335,6 +335,31 @@ def test_gaussian_state_rejects_a_non_finite_covariance(bad, entry):
         GaussianState(mean=np.zeros(2), cov=cov)
 
 
+def _squeezed(r, theta):
+    """A single-mode squeezed vacuum's covariance, squeezing ``r`` at angle ``theta``."""
+    rot = np.array([[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]])
+    cov = rot @ np.diag([math.exp(2 * r), math.exp(-2 * r)]) @ rot.T
+    return (cov + cov.T) / 2
+
+
+# sigma + iJ >= 0 within STRUCTURAL_TOL times max(1, max|sigma|): det sigma = 1 is a pure state at
+# the rule's edge, and squeezing 12's roundoff (about -1e-6) is past the unscaled tolerance
+@pytest.mark.parametrize("cov", [np.eye(2), np.diag([2.5, 0.4]), _squeezed(12.0, 0.7)],
+                         ids=["vacuum", "det-one", "squeezed-12"])
+def test_gaussian_state_accepts_a_physical_covariance_within_roundoff(cov):
+    GaussianState(mean=np.zeros(2), cov=cov)
+
+
+# test_device.py's test_gaussian_state_rejects_an_unphysical_covariance holds diag(0.1, 0.1)
+# and a negative variance
+@pytest.mark.parametrize("cov", [np.diag([1.0, 1.0 - 1e-6]), np.diag([3.0, 0.3])],
+                         ids=["just-below-vacuum", "det-0.9"])
+def test_gaussian_state_rejects_a_covariance_below_the_uncertainty_bound(cov):
+    with pytest.raises(ValueError, match=r"^covariance matrix violates the uncertainty "
+                                         r"principle sigma \+ iJ >= 0$"):
+        GaussianState(mean=np.zeros(len(cov)), cov=cov)
+
+
 def test_gaussian_state_leaves_an_overflowed_mean_to_its_reader():
     # an overflowed probe's output state must still build
     state = GaussianState(mean=[math.inf, math.nan], cov=np.eye(2))

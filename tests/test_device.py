@@ -39,6 +39,7 @@ from gausstomo import (
 from gausstomo import device as device_module
 from gausstomo.device import _draw_factors
 from gausstomo.experiments import run_mode_scaling
+from test_properties import _unblocked_outcomes  # the closed-form oracle, not the sampler
 
 SQRT2 = math.sqrt(2.0)
 # ints beyond float64's range, where every real input is rejected by its own message
@@ -81,32 +82,63 @@ def test_a_direct_call_that_overflows_follows_the_callers_errstate(scheme, shots
 
 
 # a covariance whose variance is negative: homodyne's sigma_xx / 2 or heterodyne's
-# (sigma_xx + 1) / 2 has no real square root
+# (sigma_xx + 1) / 2 has no real square root. No state has it, so its factors are formed directly
 NO_REAL_FACTORS = [(HOMODYNE, -0.5), (HETERODYNE, -3.0), (HETERODYNE, -1.0)]
+# a physical state's covariance whose heterodyne factors overflow (the Schur complement's b * b):
+# S S^T of [[1e100, 0], [1e100, 1e-100]]; its homodyne factors are finite
+FACTORS_OVERFLOW = np.full((2, 2), 1e200)
+UNPHYSICAL = r"^covariance matrix violates the uncertainty principle sigma \+ iJ >= 0$"
 
 
 @pytest.mark.parametrize("scheme, xx", NO_REAL_FACTORS)
 @pytest.mark.parametrize("sample", [measure, sample_quadratures], ids=["measure", "sample"])
 def test_a_covariance_without_real_factors_raises_before_any_draw(monkeypatch, sample, scheme,
                                                                    xx):
-    state = GaussianState(mean=[1.0, 0.0, 2.0, 0.0], cov=np.diag([xx, 1.0, 1.0, 1.0]))
+    message = "^covariance has no real, finite {} sampling factors$"
+    with pytest.raises(ValueError, match=message.format(scheme)):
+        _draw_factors(np.diag([xx, 1.0, 1.0, 1.0]), scheme)
+    state = GaussianState(mean=[1.0, 2.0], cov=FACTORS_OVERFLOW)
     monkeypatch.setattr(device_module, "_stream", lambda seed, words: object())  # cannot draw
-    message = f"^covariance has no real, finite {scheme} sampling factors$"
-    with pytest.raises(ValueError, match=message):
-        sample(state, MeasurementConfig(scheme, 100, seed=0))
+    with pytest.raises(ValueError, match=message.format(HETERODYNE)):
+        sample(state, MeasurementConfig(HETERODYNE, 100, seed=0))
 
 
 @pytest.mark.parametrize("scheme, xx", NO_REAL_FACTORS)
 def test_analytic_measure_forms_no_sampling_factor(monkeypatch, scheme, xx):
-    # exact means come first: no factor is formed, so none warns or raises
-    state = GaussianState(mean=[1.0, 0.0, 2.0, 0.0], cov=np.diag([xx, 1.0, 1.0, 1.0]))
+    # the covariance without real factors builds no state; exact means come first, so a state
+    # whose heterodyne factors overflow gets them: no factor is formed, so none warns or raises
+    with pytest.raises(ValueError, match=UNPHYSICAL):
+        GaussianState(mean=[1.0, 0.0, 2.0, 0.0], cov=np.diag([xx, 1.0, 1.0, 1.0]))
+    state = GaussianState(mean=[1.0, 2.0], cov=FACTORS_OVERFLOW)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = measure(state, MeasurementConfig(scheme, math.inf))
-    assert got.x_means.tolist() == [1.0, 0.0] and got.p_means.tolist() == [2.0, 0.0]
+    assert got.x_means.tolist() == [1.0] and got.p_means.tolist() == [2.0]
     assert got.shots_used_per_quadrature == 0
     monkeypatch.setattr(device_module, "_draw_factors", None)
-    assert measure(state, MeasurementConfig(scheme, math.inf)).x_means.tolist() == [1.0, 0.0]
+    assert measure(state, MeasurementConfig(scheme, math.inf)).x_means.tolist() == [1.0]
+
+
+# two covariances no quantum state has, now rejected as the state is built: a negative variance,
+# and a state below vacuum (det sigma = 0.01 < 1), which 100 heterodyne shots used to sample
+@pytest.mark.parametrize("mean, cov, scheme", [
+    ([1.0, 0.0, 2.0, 0.0], np.diag([-0.5, 1.0, 1.0, 1.0]), HOMODYNE),
+    ([1.0, 0.0], np.diag([0.1, 0.1]), HETERODYNE),
+], ids=["negative-variance", "below-vacuum"])
+def test_gaussian_state_rejects_an_unphysical_covariance(mean, cov, scheme):
+    with pytest.raises(ValueError, match=UNPHYSICAL):
+        measure(GaussianState(mean=mean, cov=cov), MeasurementConfig(scheme, 100, seed=0))
+
+
+def test_evolve_checks_no_covariance_per_probe(monkeypatch):
+    # S S^T is physical by construction: evolve's state shares the model's covariance and runs
+    # no O(N^3) check per probe, and its mean is the one GaussianState builds, read-only
+    model, probe = DeviceModel(random_symplectic(3, seed=2), eta=0.6), ProbeSpec(2, 3.0, 0.4)
+    want = GaussianState(mean=device_module._output_mean(model, probe), cov=model._cov)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    got = evolve(model, probe)
+    assert type(got) is GaussianState and got.cov is model._cov
+    assert np.array_equal(got.mean, want.mean) and got.mean.flags.writeable is False
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.2])
@@ -258,7 +290,7 @@ def test_variance_contract_general_state():
 
 def test_heterodyne_preserves_intra_mode_correlation():
     rot = np.array([[math.cos(0.6), math.sin(0.6)], [-math.sin(0.6), math.cos(0.6)]])
-    cov = rot @ np.diag([3.0, 0.3]) @ rot.T
+    cov = rot @ np.diag([3.0, 0.4]) @ rot.T
     state = GaussianState(mean=np.zeros(2), cov=cov)
     x, p = sample_quadratures(state, MeasurementConfig(scheme=HETERODYNE, shots=200_000, seed=5))
     sample_cov = np.cov(x[:, 0], p[:, 0])
@@ -468,7 +500,7 @@ def test_one_mode_means_stream_in_pairwise_leaves(monkeypatch, scheme, shots):
     model = DeviceModel(random_symplectic(1, seed=3), eta=0.7)
     probe = ProbeSpec(1, 10.0, 0.3)
     config = MeasurementConfig(scheme, shots, seed=shots)
-    x, p = sample_quadratures(evolve(model, probe), config)
+    x, p = _unblocked_outcomes(evolve(model, probe), config)
     monkeypatch.setattr(device_module, "_BLOCK_VALUES", 256)
     fills, stream = [], device_module._stream
     monkeypatch.setattr(device_module, "_stream",
@@ -562,7 +594,7 @@ def test_each_path_returns_frozen_means_and_counts_its_setting(monkeypatch, n, s
     if config.analytic:
         x, p = state.mean[:n], state.mean[n:]
     else:
-        x, p = (outcomes.mean(axis=0) for outcomes in sample_quadratures(state, config))
+        x, p = (outcomes.mean(axis=0) for outcomes in _unblocked_outcomes(state, config))
     want = QuadratureSampleMeans(x, p, config.shots_per_quadrature)
     monkeypatch.setattr(device_module, "_BLOCK_VALUES", 60)
     fills, stream = [], device_module._stream

@@ -37,6 +37,7 @@ from gausstomo import (
     reconstruct_unitary,
     sample_quadratures,
     scaled_frobenius,
+    vacuum_state,
 )
 from gausstomo import device as device_module
 from gausstomo.device import _draw_factors
@@ -105,6 +106,25 @@ def test_probe_and_measure_matches_state_composition(n, eta, seed, scheme, data,
     want = _composed_means(model, probe, config)
     assert np.array_equal(got.x_means, want.x_means)
     assert np.array_equal(got.p_means, want.p_means)
+
+
+@settings(max_examples=60)
+@given(n=modes, eta=etas, seed=seeds, mode=modes, r_max=st.floats(min_value=0.0, max_value=6.0),
+       phase=st.floats(min_value=-math.pi, max_value=math.pi),
+       amplitude=st.floats(min_value=0.0, max_value=1e4))
+@example(n=8, eta=0.5, seed=3, mode=8, r_max=6.0, phase=0.3, amplitude=1e4)
+@example(n=1, eta=1.0, seed=4, mode=1, r_max=6.0, phase=-2.0, amplitude=0.0)
+def test_physical_states_obey_the_uncertainty_principle(n, eta, seed, mode, r_max, phase,
+                                                        amplitude):
+    # every state the package makes passes GaussianState's rule sigma + iJ >= 0; evolve builds
+    # its state without rechecking the model's S S^T, so it is rebuilt here to run the rule
+    mode_j = 1 + (mode - 1) % n
+    model = DeviceModel(random_symplectic(n, r_max, seed=seed), eta=eta)
+    probe = coherent_probe_state(n, mode_j, amplitude, phase)
+    states = [vacuum_state(n), probe, evolve(model, ProbeSpec(mode_j, amplitude, phase)),
+              apply_symplectic(model.s, apply_uniform_loss(eta, probe))]
+    for state in states:
+        GaussianState(mean=state.mean, cov=state.cov)
 
 
 def _unblocked_outcomes(state, config):
