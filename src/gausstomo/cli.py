@@ -215,6 +215,8 @@ def _load_device(path: str, eta: float | None) -> DeviceModel:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     _check_fields(obj, (), "device file")
+    if not {"S", "kind"} & obj.keys():  # neither format: a unitary file, say
+        raise ValueError("device file must be a device JSON or a symplectic matrix JSON")
     obj = obj if "S" in obj else {"S": obj, "eta": 1.0}  # a bare S: lossless
     return device_from_json(obj if eta is None else {**obj, "eta": eta})  # --loss replaces eta
 

@@ -56,8 +56,11 @@ class GaussianState:
             raise ValueError("covariance matrix has non-finite entries")
         if np.max(np.abs(cov - cov.T)) > STRUCTURAL_TOL:
             raise ValueError("covariance matrix is not symmetric")
-        tol = STRUCTURAL_TOL * max(1.0, np.max(np.abs(cov)))  # roundoff at sigma's scale
-        if np.linalg.eigvalsh(cov + 1j * symplectic_form(n))[0] < -tol:  # uncertainty principle
+        # sigma + iJ >= 0 scaled by D^-1/2 on both sides, D = diag sigma: entry ij of S sigma S^T
+        # rounds off by at most eps sqrt(sigma_ii sigma_jj), and no physical scaled entry tops 1
+        with np.errstate(all="ignore"):  # a variance <= 0, or an entry past float64, is not finite
+            scaled = (cov + 1j * symplectic_form(n)) * (r := np.diagonal(cov) ** -0.5) * r[:, None]
+        if not np.isfinite(scaled).all() or np.linalg.eigvalsh(scaled)[0] < -STRUCTURAL_TOL:
             raise ValueError("covariance matrix violates the uncertainty principle sigma + iJ >= 0")
         mean.flags.writeable = False
         cov.flags.writeable = False

@@ -34,9 +34,9 @@ setting of N > 1 whose shots fit one block is drawn the same way. :func:`measure
 sampler that never holds them all: it draws the same normals in blocks of about 256 KiB and
 reduces each as it is drawn, adding the running sum to the next block's first shot (IEEE
 addition commutes, so the bits are NumPy's row-by-row sum); at N = 1, where NumPy sums a column
-pairwise, the blocks are the leaves of that split. A model tiles each scheme's factors once down
-a block of at most 4096 values, one row at N = 1; :func:`measure` tiles one row, which every
-block broadcasts. No model is written after it is built.
+pairwise, the blocks are the leaves of that split. One function, :func:`_tiles`, forms a scheme's
+factors, read-only, down a block: a model's once, at most 4096 values and one row at N = 1;
+:func:`measure`'s one row, which every block broadcasts. No model is written after it is built.
 """
 
 from __future__ import annotations
@@ -190,8 +190,7 @@ class DeviceModel:
             raise ValueError("device covariance S S^T overflows float64")
         cov.flags.writeable = False
         object.__setattr__(self, "_cov", cov)
-        tiles = {scheme: _tiles(_draw_factors(cov, scheme), _TILE_VALUES) for scheme in SCHEMES}
-        object.__setattr__(self, "_tiles", tiles)
+        object.__setattr__(self, "_tiles", {k: _tiles(cov, k, _TILE_VALUES) for k in SCHEMES})
         object.__setattr__(self, "_sqrt_eta", np.sqrt(self.eta))
 
     @property
@@ -232,41 +231,35 @@ def evolve(model: DeviceModel, probe: ProbeSpec) -> GaussianState:
     return state
 
 
-def _draw_factors(cov: np.ndarray, scheme: str) -> np.ndarray | tuple[np.ndarray, ...]:
-    """Per-mode factors of a scheme's draws: homodyne the (2, N) stack of X and P standard
-    deviations; heterodyne ``l21`` and the (N, 2) stack of ``l11, l22``, the Cholesky factors
-    (l11, l21, l22) of each mode's (block + I)/2. A factor that is not finite raises."""
-    n = cov.shape[0] // 2
-    xx, pp = np.diagonal(cov[:n, :n]), np.diagonal(cov[n:, n:])
-    with np.errstate(all="ignore"):  # a factor that is not finite raises below, not warns
-        if scheme == HOMODYNE:
-            factors = np.sqrt(np.stack((xx, pp)) / 2.0)
-        else:  # the Schur complement is at least 1/(4 a) for a PSD block: the roots are real
-            a, d = (xx + 1.0) / 2.0, (pp + 1.0) / 2.0
-            b = (np.diagonal(cov[:n, n:]) + np.diagonal(cov[n:, :n])) / 2.0 / 2.0  # xp / 2
-            l11 = np.sqrt(a)
-            factors = b / l11, np.stack((l11, np.sqrt(d - b * b / a)), 1)
-    if not all(np.isfinite(f).all() for f in factors):  # homodyne's rows, heterodyne's pair
-        raise ValueError(f"covariance has no real, finite {scheme} sampling factors")
-    return factors
-
-
 # float64 outcomes per block of the mean reduction: 256 KiB stay in cache from draw to sum
 _BLOCK_VALUES = 1 << 15
 # a model tiles each factor down a block of at most this many values (32 KiB)
 _TILE_VALUES = 1 << 12  # one-row tiles, as measure() has, run the intensity sweep 3-5 % slower
 
 
-def _tiles(factors, values: int) -> tuple | np.ndarray:
-    """Read-only ``factors`` of a scheme repeated down a block of at most ``values`` values
-    (one row at N = 1, all its sampler reads); homodyne's (2, N) stack as one (2, rows, N)."""
-    rows = 1 if factors[0].size == 1 else max(1, values // factors[-1].size)
-    hom = isinstance(factors, np.ndarray)
-    tiles = np.repeat(factors[:, None], rows, 1) if hom else tuple(
-        np.repeat(f[None], rows, 0) for f in factors)
-    for tile in [tiles] if hom else tiles:
+def _tiles(cov: np.ndarray, scheme: str, values: int) -> np.ndarray | tuple[np.ndarray, ...]:
+    """A scheme's per-mode sampling factors of ``cov``, read-only, repeated down a block of at
+    most ``values`` values (one row at N = 1, all its sampler reads): homodyne one (2, rows, N)
+    array of X's and P's standard deviations; heterodyne ``l21`` and the (rows, N, 2) stack of
+    ``l11, l22``, the Cholesky factors (l11, l21, l22) of each mode's (block + I)/2. A state's
+    covariance has real factors, so one that is not finite raises only where they overflow."""
+    n = cov.shape[0] // 2
+    xx, pp = np.diagonal(cov[:n, :n]), np.diagonal(cov[n:, n:])
+    rows = 1 if n == 1 else max(1, values // (n if scheme == HOMODYNE else 2 * n))
+    with np.errstate(all="ignore"):  # a factor that is not finite raises below, not warns
+        if scheme == HOMODYNE:  # X's and P's rows of one array
+            tiles = (np.repeat(np.sqrt(np.stack((xx, pp)) / 2.0)[:, None], rows, 1),)
+        else:  # the Schur complement is at least 1/(4 a) for a PSD block: the roots are real
+            a, d = (xx + 1.0) / 2.0, (pp + 1.0) / 2.0
+            b = (np.diagonal(cov[:n, n:]) + np.diagonal(cov[n:, :n])) / 2.0 / 2.0  # xp / 2
+            l11 = np.sqrt(a)
+            tiles = tuple(np.repeat(f[None], rows, 0)
+                          for f in (b / l11, np.stack((l11, np.sqrt(d - b * b / a)), 1)))
+    for tile in tiles:
+        if not np.isfinite(tile).all():
+            raise ValueError(f"covariance has no real, finite {scheme} sampling factors")
         tile.flags.writeable = False
-    return tiles
+    return tiles[0] if scheme == HOMODYNE else tiles
 
 
 def _pairwise(k: int, rows: int, leaf) -> np.ndarray:
@@ -301,23 +294,25 @@ def _measure(mean: np.ndarray, m: int, config: MeasurementConfig, tiles,
     n = mean.size // 2
     scheme, mx, mp = config.scheme, mean[:n], mean[n:]
     rng = _stream(config.seed, config._words)
-    if raw or n > 1 and 2 * m * n <= _BLOCK_VALUES:  # one block: X then P, or joint shots
-        head = m if m <= len(tiles[0]) else 1  # rows of the tiles read: all m, or the first
+    one = raw or n > 1 and 2 * m * n <= _BLOCK_VALUES  # one block: X then P, or joint shots
+    head = m if one and m <= len(tiles[0]) else 1  # rows of the tiles read: all m, or the first
+    l21, scale = (None, tiles[:, :head]) if scheme == HOMODYNE else (
+        tiles[0][:head], tiles[1][:head])
+    if one:
         if scheme == HOMODYNE:
-            z = _outcomes(rng.standard_normal((2, m, n)), mean.reshape(2, 1, n), tiles[:, :head])
+            z = _outcomes(rng.standard_normal((2, m, n)), mean.reshape(2, 1, n), scale)
         else:  # P's loc formed in place, as in a streamed block
             z, loc = rng.standard_normal((m, n, 2)), np.empty((m, n, 2))
             loc[:, :, 0] = mx
-            z = _outcomes(z, loc, tiles[1][:head], tiles[0][:head], mp)
+            z = _outcomes(z, loc, scale, l21, mp)
         if raw:
             return z
         sums = (np.add.reduce(z, 1) if scheme == HOMODYNE else np.add.reduce(z, 0).T) / m
         return QuadratureSampleMeans(sums[0], sums[1], m)
     rows = min(m, max(128 if n == 1 else 1, _BLOCK_VALUES // tiles[-1][0].size))
     if scheme == HOMODYNE:  # all X blocks, then all P; a (1, N) loc stays whole in loc[:k]
-        buf, passes, l21 = np.empty((rows, n)), zip((mx[None], mp[None]), tiles[:, :1]), None
+        buf, passes = np.empty((rows, n)), zip((mx[None], mp[None]), scale)
     else:  # one pass of joint shots; P's loc is filled per block
-        l21, scale = (tile[:1] for tile in tiles)
         buf, loc = np.empty((rows, n, 2)), np.empty((rows, n, 2))
         loc[..., 0] = mx
         passes = [(loc, scale)]
@@ -356,7 +351,7 @@ def sample_quadratures(state: GaussianState,
     """
     if config.analytic:
         raise ValueError("analytic backend has no sample outcomes; use measure()")
-    tiles = _tiles(_draw_factors(state.cov, config.scheme), 1)
+    tiles = _tiles(state.cov, config.scheme, 1)
     z = _measure(state.mean, config.shots_per_quadrature, config, tiles, raw=True)
     return (z[0], z[1]) if config.scheme == HOMODYNE else (z[..., 0], z[..., 1])
 
@@ -366,7 +361,7 @@ def measure(state: GaussianState, config: MeasurementConfig) -> QuadratureSample
     A mean that overflows warns, or not, as the caller's ``numpy.errstate`` says."""
     if config.analytic:  # exact means, views of a fresh copy, before any factor is formed
         return QuadratureSampleMeans(*state.mean.copy().reshape(2, -1), 0)
-    tiles = _tiles(_draw_factors(state.cov, config.scheme), 1)  # one row: each block broadcasts it
+    tiles = _tiles(state.cov, config.scheme, 1)  # one row: each block broadcasts it
     return _measure(state.mean.copy(), config.shots_per_quadrature, config, tiles)
 
 

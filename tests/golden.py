@@ -1,8 +1,9 @@
 """The CLI outputs whose bytes a change that keeps every answer must not change.
 
-``INVOCATIONS`` lists the ``gausstomo`` command lines that write 37 files:
+``INVOCATIONS`` lists the ``gausstomo`` command lines that write 38 files:
 
 * 3 device files (generate, N = 1, 3 and 16)
+* 1 unitary file (generate --kind unitary, N = 8)
 * 12 reconstructions: N = 3 and 16 x both schemes x shots 3, 100 and inf
 * 2 reconstructions at N = 16, both schemes at 1000 shots: sampling blocks
   taller than a model's factor tiles
@@ -58,6 +59,7 @@ INVOCATIONS: list[tuple[list[str], str | None]] = [
         *(_reconstruct(f"s{n}.json", scheme, shots, f"recon-{n}-{scheme}-{shots}.json")
           for scheme in ("homodyne", "heterodyne") for shots in (3, 100, "inf")))),
     (_generate(1), None),
+    (["generate", "--kind", "unitary", "--modes", "8", "--seed", "7", "--out", "u8.json"], None),
     *((argv, None) for scheme in ("homodyne", "heterodyne") for argv in (
         _reconstruct("s16.json", scheme, 1000, f"recon-16-{scheme}-1000.json"),
         *(_reconstruct("s1.json", scheme, shots, f"recon-1-{scheme}-{shots}.json")
@@ -114,7 +116,8 @@ def digests(outdir: str) -> dict[str, str]:
 def fingerprint() -> dict:
     """What decides the output bits here, as perfbench reads it (``perfbench/worker.py``): the
     NumPy version, the BLAS version and the OpenBLAS kernel it runs, and the CPU features NumPy
-    dispatches on (with AVX512_SKX, _ICL and _SPR disabled, 13 of the 37 files change)."""
+    dispatches on (with AVX512_SKX, _ICL and _SPR disabled, 13 of the 37 files pinned before
+    u8.json change)."""
     import numpy as np
 
     sys.path.insert(0, PERFBENCH)

@@ -211,6 +211,17 @@ def test_reconstruct_malformed_device_is_usage_error(tmp_path, capsys, edit, mes
     assert list(tmp_path.iterdir()) == [dev]
 
 
+def test_reconstruct_from_a_unitary_file_names_both_device_formats(tmp_path, capsys):
+    # generate --kind unitary writes a real and an imag part: neither a device nor a matrix JSON
+    dev = tmp_path / "u.json"
+    assert run(["generate", "--kind", "unitary", "--modes", "2", "--out", str(dev)], capsys)[0] == 0
+    out = tmp_path / "recon.json"
+    code, stdout, err = run(["reconstruct", "--device", str(dev), "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert err == "gausstomo: error: device file must be a device JSON or a symplectic matrix JSON\n"
+    assert list(tmp_path.iterdir()) == [dev]
+
+
 def test_reconstruct_missing_file(tmp_path, capsys):
     code, _, _ = run(["reconstruct", "--device", str(tmp_path / "nope.json")], capsys)
     assert code == 1
@@ -610,6 +621,15 @@ def test_readme_flag_table_matches_parser():
                     _build_parser().parse_args(argv)
             else:
                 assert param.group(1) in vars(_build_parser().parse_args(argv)), (name, flag)
+
+
+def test_readme_python_example_recovers_its_device(capsys):
+    # the one Python block, run as written: it prints eta_hat (about 0.49999) and F (about 2e-4)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
+    eta_hat, f_value = map(float, capsys.readouterr().out.split())
+    assert abs(eta_hat - 0.5) < 1e-3 and f_value < 1e-3
 
 
 def test_cached_parser_does_not_carry_flags_between_calls(tmp_path, monkeypatch, capsys):

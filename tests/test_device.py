@@ -37,7 +37,7 @@ from gausstomo import (
     vacuum_state,
 )
 from gausstomo import device as device_module
-from gausstomo.device import _draw_factors
+from gausstomo.device import _tiles
 from gausstomo.experiments import run_mode_scaling
 from test_properties import _unblocked_outcomes  # the closed-form oracle, not the sampler
 
@@ -96,7 +96,7 @@ def test_a_covariance_without_real_factors_raises_before_any_draw(monkeypatch, s
                                                                    xx):
     message = "^covariance has no real, finite {} sampling factors$"
     with pytest.raises(ValueError, match=message.format(scheme)):
-        _draw_factors(np.diag([xx, 1.0, 1.0, 1.0]), scheme)
+        _tiles(np.diag([xx, 1.0, 1.0, 1.0]), scheme, 1)
     state = GaussianState(mean=[1.0, 2.0], cov=FACTORS_OVERFLOW)
     monkeypatch.setattr(device_module, "_stream", lambda seed, words: object())  # cannot draw
     with pytest.raises(ValueError, match=message.format(HETERODYNE)):
@@ -115,7 +115,7 @@ def test_analytic_measure_forms_no_sampling_factor(monkeypatch, scheme, xx):
         got = measure(state, MeasurementConfig(scheme, math.inf))
     assert got.x_means.tolist() == [1.0] and got.p_means.tolist() == [2.0]
     assert got.shots_used_per_quadrature == 0
-    monkeypatch.setattr(device_module, "_draw_factors", None)
+    monkeypatch.setattr(device_module, "_tiles", None)
     assert measure(state, MeasurementConfig(scheme, math.inf)).x_means.tolist() == [1.0]
 
 
@@ -128,6 +128,14 @@ def test_analytic_measure_forms_no_sampling_factor(monkeypatch, scheme, xx):
 def test_gaussian_state_rejects_an_unphysical_covariance(mean, cov, scheme):
     with pytest.raises(ValueError, match=UNPHYSICAL):
         measure(GaussianState(mean=mean, cov=cov), MeasurementConfig(scheme, 100, seed=0))
+
+
+def test_a_negative_variance_beside_a_large_one_is_unphysical():
+    # a tolerance on the scale of sigma's largest entry (1e12) let this state build, and its
+    # real heterodyne factors drew X outcomes of variance 0.25, below vacuum's 0.5
+    with pytest.raises(ValueError, match=UNPHYSICAL):
+        state = GaussianState(mean=np.zeros(4), cov=np.diag([-0.5, 1e12, 1.0, 1.0]))
+        sample_quadratures(state, MeasurementConfig(HETERODYNE, 100, seed=0))
 
 
 def test_evolve_checks_no_covariance_per_probe(monkeypatch):
@@ -721,7 +729,7 @@ def test_wide_model_tiles_hold_at_most_the_cap():
         tiles = model._tiles[scheme]
         owner = tiles if scheme == HOMODYNE else None
         assert owner is None or owner.flags.owndata
-        for tile, factor in zip(tiles, _draw_factors(model._cov, scheme), strict=True):
+        for tile, factor in zip(tiles, _tiles(model._cov, scheme, 1), strict=True):
             assert tile.base is owner and tile.size <= device_module._TILE_VALUES
             assert np.array_equal(tile, np.broadcast_to(factor, tile.shape))
     assert len(model._tiles[HETERODYNE][0]) == device_module._TILE_VALUES // 128 < 256

@@ -40,7 +40,6 @@ from gausstomo import (
     vacuum_state,
 )
 from gausstomo import device as device_module
-from gausstomo.device import _draw_factors
 from gausstomo import randgen
 
 modes = st.integers(min_value=1, max_value=8)
@@ -130,15 +129,21 @@ def test_physical_states_obey_the_uncertainty_principle(n, eta, seed, mode, r_ma
 def _unblocked_outcomes(state, config):
     """Raw outcomes drawn the unblocked way: one homodyne ``rng.normal`` call
     per quadrature, or one heterodyne ``standard_normal((m, n, 2))`` and the
-    affine map of each mode's Cholesky factor, P summed left to right."""
+    affine map of each mode's Cholesky factor, P summed left to right. The
+    factors are this module's own closed form, not the package's."""
     n, m = state.mean.size // 2, config.shots_per_quadrature
     mx, mp = state.mean[:n], state.mean[n:]
-    factors = _draw_factors(state.cov, config.scheme)
+    cov = state.cov
+    xx, pp = np.diagonal(cov[:n, :n]), np.diagonal(cov[n:, n:])
     rng = np.random.default_rng(config.seed)
-    if config.scheme == HOMODYNE:
-        sx, sp = factors
-        return rng.normal(mx, sx, size=(m, n)), rng.normal(mp, sp, size=(m, n))
-    l21, (l11, l22) = factors[0], factors[1].T
+    if config.scheme == HOMODYNE:  # standard deviations sqrt(sigma_ii / 2)
+        return (rng.normal(mx, np.sqrt(xx / 2.0), size=(m, n)),
+                rng.normal(mp, np.sqrt(pp / 2.0), size=(m, n)))
+    # Cholesky factors of each mode's (block + I) / 2 = [[a, b], [b, d]]
+    a, d = (xx + 1.0) / 2.0, (pp + 1.0) / 2.0
+    b = (np.diagonal(cov[:n, n:]) + np.diagonal(cov[n:, :n])) / 2.0 / 2.0
+    l11 = np.sqrt(a)
+    l21, l22 = b / l11, np.sqrt(d - b * b / a)
     z = rng.standard_normal((m, n, 2))
     return mx + l11 * z[:, :, 0], (mp + l21 * z[:, :, 0]) + l22 * z[:, :, 1]
 
