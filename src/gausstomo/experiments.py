@@ -9,7 +9,7 @@ runners share each repetition's random device across every scheme and loss
 to sharpen comparisons. Before its first probe, the sweep checks every input once, off the
 cells' CSV rows, naming the column at fault, derives every master seed in one table pass
 and 2N streams per finite-shot master of N modes in another (see :mod:`gausstomo.randgen`).
-An intensity cell issues the 2N settings of each of its T trials as one plan.
+An intensity cell issues its T trials of 2N settings one at a time and adds their matrices in order.
 """
 
 from __future__ import annotations

@@ -11,14 +11,13 @@ Passive (linear-optical) devices need only the real-amplitude probes: the
 upper and lower halves of each measured column are the real and (negated)
 imaginary parts of one unitary column, halving the number of settings.
 
-A reconstruction issues its settings in order and gathers their means in one
-(2N, K) array: column k holds setting k's X means over its P means, and each
-reconstruction reads its matrix off that array. Setting k's config carries its
-own seed stream ``derive_seed(master, k)``, row k of a stream table
-(:func:`gausstomo.randgen._stream_tables`), so no setting depends on another's draws.
-Averaged reconstructions, one per master seed, are issued as one plan, and their matrices
-added in order as they are read. A phase-error scan checks its inputs once, then issues one
-setting per phase. An overflowed mean warns nothing and is rejected.
+A reconstruction issues the settings of its one config in order and gathers their means in one
+(2N, K) array: column k holds setting k's X means over its P means, and each reconstruction reads
+its matrix off that array. Setting k's config carries its own seed stream ``derive_seed(master,
+k)``, row k of a stream table (:func:`gausstomo.randgen._stream_tables`), so no setting depends on
+another's draws. Averaged reconstructions, one per master seed, are issued one at a time, each
+matrix added to the running sum as it is read. A phase-error scan checks its inputs once, then
+issues one setting per phase. An overflowed mean warns nothing and is rejected.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ import numpy as np
 from . import randgen
 from .core import (STRUCTURAL_TOL, NotPassiveError, _array, _check_index, _check_real, _real,
                    matrix_to_json)
-from .device import (_TILE_VALUES, HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans,
-                     _probe)
+from .device import HOMODYNE, MeasurementConfig, ProbeSpec, QuadratureSampleMeans, _probe
 
 SQRT2 = math.sqrt(2.0)
 
@@ -127,24 +125,22 @@ def _probe_scale(amplitude: float) -> float:
 
 
 def _probe_settings(device: ProbeableDevice, probes: list[ProbeSpec],
-                    configs: list[MeasurementConfig]) -> np.ndarray:
-    """Issue the K probe settings once per config, in order; returns the (2N, T K) array whose
-    column t K + k holds setting k of config t's X means over its P means, non-finite where one
-    overflowed. Each caller issues them and divides them by the probe scale under one overflow
-    scope, so neither warns. Setting k of a finite-shot config is the checked config reseeded
-    to row k of its stream table, so the settings could run concurrently."""
+                    config: MeasurementConfig) -> np.ndarray:
+    """Issue the K probe settings of one config, in order; returns the (2N, K) array whose column
+    k holds setting k's X means over its P means, non-finite where one overflowed. Each caller
+    issues them and divides them by the probe scale under one overflow scope, so neither warns.
+    Setting k of a finite-shot config is the checked config reseeded to row k of its stream
+    table, so the settings could run concurrently."""
     n, count = device.n_modes, len(probes)
-    means = np.empty((2 * n, count * len(configs)))
-    for t, config in enumerate(configs):  # each config's settings built as it is issued
-        settings = [config] * count
-        if not config.analytic:  # the rows it carries, else a table pass of its own
-            rows = config._table or randgen._stream_tables({config.seed: count})[config.seed]
-            if (held := len(rows[0])) < count:
-                raise ValueError(f"a stream table of {held} rows cannot seed {count} settings")
-            settings = map(config._reseeded, rows[0][:count].tolist(), rows[1])
-        for k, (probe, setting) in enumerate(zip(probes, settings), t * count):
-            got = device.probe_and_measure(probe, setting)
-            means[:n, k], means[n:, k] = got.x_means, got.p_means
+    means, settings = np.empty((2 * n, count)), [config] * count
+    if not config.analytic:  # the rows it carries, else a table pass of its own
+        rows = config._table or randgen._stream_tables({config.seed: count})[config.seed]
+        if (held := len(rows[0])) < count:
+            raise ValueError(f"a stream table of {held} rows cannot seed {count} settings")
+        settings = map(config._reseeded, rows[0][:count].tolist(), rows[1])
+    for k, (probe, setting) in enumerate(zip(probes, settings)):
+        got = device.probe_and_measure(probe, setting)
+        means[:n, k], means[n:, k] = got.x_means, got.p_means
     return means
 
 
@@ -160,21 +156,15 @@ def _mean_stderr(config: MeasurementConfig) -> float:
 def _attenuated_sum(device: ProbeableDevice, amplitude: float,
                     configs: list[MeasurementConfig]) -> np.ndarray:
     """The raw attenuated matrices of one 2N-setting reconstruction per config of ``configs``,
-    added in order: one plan, issued a chunk of about ``_TILE_VALUES`` means at a time and
-    reduced onto the running sum, so memory stays O(N**2 + one chunk)."""
+    added in order, each as soon as it is read, so memory stays O(N**2)."""
     scale, n = _probe_scale(amplitude), device.n_modes
     probes = [_probe(j, amplitude, phase)
               for j in range(1, n + 1) for phase in (0.0, math.pi / 2.0)]
-    per, total = max(1, _TILE_VALUES // (4 * n * n)), -0.0  # t + -0.0 is t, bit for bit
-    with np.errstate(over="ignore", invalid="ignore"):  # one scope per plan
-        for start in range(0, len(configs), per):
-            chunk = configs[start:start + per]
-            means = _probe_settings(device, probes, chunk).reshape(2 * n, len(chunk), n, 2)
-            # each matrix's phase 0 columns, then pi/2, each element divided as its own mean, in
-            # C order: the reduction adds the matrices one by one, as sum() does
-            tildes = np.divide(means.transpose(1, 0, 3, 2), scale, order="C")
-            tildes[0] += total  # the running sum joins the first matrix: t0 + total
-            total = np.add.reduce(tildes, 0)
+    total, tilde = np.full((2 * n, 2, n), -0.0), np.empty((2 * n, 2, n))  # t + -0.0 is t
+    with np.errstate(over="ignore", invalid="ignore"):  # one scope per sum
+        for config in configs:  # phase 0 columns, then pi/2, added in order
+            means = _probe_settings(device, probes, config).reshape(2 * n, n, 2)
+            total += np.divide(means.transpose(0, 2, 1), scale, out=tilde)
     return total.reshape(2 * n, 2 * n)
 
 
@@ -245,7 +235,7 @@ def reconstruct_unitary(
     n = device.n_modes
     probes = [_probe(j, amplitude, 0.0) for j in range(1, n + 1)]
     with np.errstate(over="ignore", invalid="ignore"):  # one scope per reconstruction
-        means = _probe_settings(device, probes, [config])
+        means = _probe_settings(device, probes, config)
         # divided here: 1j * p / scale divides a complex, and rounds unlike 1j * (p / scale)
         u_tilde = means[:n] / scale - 1j * means[n:] / scale
     _check_finite(np.isfinite(u_tilde), "u_tilde")
@@ -330,7 +320,7 @@ def probe_ratios(
     scales = [_probe_scale(amp) for amp in amplitudes]
     probes = [_probe(1, amp, 0.0) for amp in amplitudes]
     with np.errstate(over="ignore", invalid="ignore"):  # one scope for every amplitude
-        ratios = (_probe_settings(device, probes, [config])[device.n_modes] / scales).tolist()
+        ratios = (_probe_settings(device, probes, config)[device.n_modes] / scales).tolist()
     for amp, ratio in zip(amplitudes, ratios):
         if not math.isfinite(ratio):
             raise ValueError(f"probe amplitude {amp} gives a non-finite ratio {ratio}")

@@ -116,8 +116,8 @@ def digests(outdir: str) -> dict[str, str]:
 def fingerprint() -> dict:
     """What decides the output bits here, as perfbench reads it (``perfbench/worker.py``): the
     NumPy version, the BLAS version and the OpenBLAS kernel it runs, and the CPU features NumPy
-    dispatches on (with AVX512_SKX, _ICL and _SPR disabled, 13 of the 37 files pinned before
-    u8.json change)."""
+    dispatches on. (With NumPy 2.4.6 on an AVX-512 Xeon, ``NPY_DISABLE_CPU_FEATURES="AVX512_SKX
+    AVX512_ICL AVX512_SPR"`` leaves AVX512_SKX enabled and changes none of the 38 files.)"""
     import numpy as np
 
     sys.path.insert(0, PERFBENCH)

@@ -511,6 +511,9 @@ _BAD_LISTS = {
     "str": (lambda valid: _with_first(valid, "1"), "of type str"),
     "none": (lambda valid: _with_first(valid, None), "of type NoneType"),
     "ragged": (lambda valid: _with_first(valid, [0.0, 0.0]), "of type list"),
+    # a nesting NumPy cannot hold even as objects: a row beside a (2, 2) block
+    "too-ragged": (lambda valid: [valid[0] if valid.ndim == 2 else valid, np.zeros((2, 2))],
+                   "of type list"),
     "complex": (lambda valid: _with_first(valid, 1 + 0.5j), "of type complex"),
     "huge-int": (lambda valid: _with_first(valid, 10**399), "beyond float64's range"),  # 400 digits
     # an ndarray of another dtype is read entry by entry too

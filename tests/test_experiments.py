@@ -551,11 +551,9 @@ PLAN_IDS = ["heterodyne-1", "homodyne-2", "heterodyne-100", "homodyne-100", "het
 @pytest.mark.parametrize("n_modes", [1, 2, 5])
 def test_intensity_plan_gives_the_bytes_of_the_per_trial_path(monkeypatch, probe_count, n_modes,
                                                               scheme, shots):
-    """A cell's trials go out as one plan, here in chunks of two trials; its CSV is the
+    """A cell's trials go out one at a time, their matrices added in order; its CSV is the
     per-trial path's, from the same settings. At 1.5e308 the means overflow: every
     repetition of those cells is dropped."""
-    monkeypatch.setattr(tomography, "_TILE_VALUES", 2 * 4 * n_modes**2)
-
     def run():
         return run_intensity_scaling([10.0, 1.5e308], [1, 5], shots=shots, seed=35,
                                      n_modes=n_modes, scheme=scheme, repetitions=2)
@@ -571,15 +569,11 @@ def test_intensity_plan_gives_the_bytes_of_the_per_trial_path(monkeypatch, probe
 
 @pytest.mark.parametrize("scheme, shots", PLAN_BUDGETS, ids=PLAN_IDS)
 @pytest.mark.parametrize("n_modes", [1, 2, 5])
-@pytest.mark.parametrize("trials, per_chunk", [(1, None), (5, 2), (20, None)],
-                         ids=["1-trial", "5-trials-in-chunks-of-2", "20-trials-in-one-chunk"])
-def test_a_plan_of_trials_is_the_per_trial_sum(monkeypatch, trials, per_chunk, n_modes, scheme,
-                                               shots):
-    """The plan's sum equals the per-trial sum bit for bit (after ``sum``'s leading 0), across
-    chunks and within one of more than 8 matrices, where a pairwise sum would round otherwise,
-    and spends the same settings and probes on its device."""
-    if per_chunk:
-        monkeypatch.setattr(tomography, "_TILE_VALUES", per_chunk * 4 * n_modes**2)
+@pytest.mark.parametrize("trials", [1, 5, 20, 41])
+def test_a_plan_of_trials_is_the_per_trial_sum(trials, n_modes, scheme, shots):
+    """The running sum equals the per-trial sum bit for bit (after ``sum``'s leading 0), over
+    more than 8 matrices, where a pairwise sum would round otherwise, and over more than 32 KiB
+    of means (41 trials at N = 5), and spends the same settings and probes on its device."""
     model = DeviceModel(random_symplectic(n_modes, seed=36), eta=0.8)
     masters = [derive_seed(36, trial) for trial in range(trials)]
     table = randgen._stream_tables({master: 2 * n_modes for master in masters})

@@ -169,7 +169,7 @@ def test_sweep_streams_match_derive_seed_and_default_rng(settings_per_master):
         device = SimulatedDevice(DeviceModel(np.eye(2)))
         config = MeasurementConfig(HETERODYNE, 1)._reseeded(master, table=tables[master])
         with pytest.raises(ValueError, match=f"table of {count} rows cannot seed {count + 1}"):
-            tomography._probe_settings(device, [ProbeSpec(1, 1.0)] * (count + 1), [config])
+            tomography._probe_settings(device, [ProbeSpec(1, 1.0)] * (count + 1), config)
         assert device.settings_used == 0
 
 
