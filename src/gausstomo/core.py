@@ -43,7 +43,7 @@ class GaussianState:
     """A Gaussian state: mean (length 2N), finite symmetric covariance (2N x 2N), sigma + iJ >= 0.
 
     Instances are immutable; the arrays are copied and marked read-only so a
-    state can be shared freely between threads.
+    state can be shared freely between threads. ``n_modes``, N, is set once here.
     """
 
     mean: np.ndarray
@@ -64,12 +64,7 @@ class GaussianState:
             raise ValueError("covariance matrix violates the uncertainty principle sigma + iJ >= 0")
         mean.flags.writeable = False
         cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def n_modes(self) -> int:
-        return self.mean.size // 2
+        self.__dict__.update(mean=mean, cov=cov, n_modes=n)
 
 
 def symplectic_form(n: int) -> np.ndarray:

@@ -99,7 +99,9 @@ class MeasurementConfig:
 
     ``shots`` is a positive integer up to 2**53, or ``math.inf`` for the
     analytic (exact-mean) backend. Homodyne splits the budget between X and P,
-    so it needs at least 2 shots.
+    so it needs at least 2 shots. ``shots_per_quadrature`` is the outcomes drawn
+    per quadrature and setting: the floored half of the budget for homodyne, all
+    of it for heterodyne, 0 when analytic.
     """
 
     scheme: str
@@ -116,19 +118,14 @@ class MeasurementConfig:
             if not 1 <= _real(shots) <= 2**53 or shots != int(shots):
                 raise ValueError(
                     f"shots must be a positive integer <= 2**53 or math.inf, got {shots!r}")
-            object.__setattr__(self, "shots", int(self.shots))
-            if self.scheme == HOMODYNE and self.shots < 2:
+            if self.scheme == HOMODYNE and shots < 2:
                 raise ValueError("homodyne needs at least 2 shots to cover both quadratures")
-
-    @property
-    def shots_per_quadrature(self) -> int:
-        """Outcomes drawn per quadrature and setting: the floored half of the
-        budget for homodyne, all of it for heterodyne, 0 when analytic."""
-        if self.analytic:
-            return 0
-        return self.shots // 2 if self.scheme == HOMODYNE else self.shots
+            shots = int(shots)
+            self.__dict__.update(shots=shots, shots_per_quadrature=(
+                shots // 2 if self.scheme == HOMODYNE else shots))
 
     analytic = False  # shots == math.inf, an attribute set once, not a property per read
+    shots_per_quadrature = 0  # set once, as analytic is; an analytic config keeps 0
     _words = None  # the seed's PCG64 seeding words, when a stream table derived them
     _table = None  # a master seed's rows of a sweep's stream table, for its settings
 
@@ -160,8 +157,8 @@ class DeviceModel:
     """Symplectic matrix + uniform loss (+ optional single-mode cubic gate).
 
     ``cubic_gamma`` enables the mean-field cubic nonlinearity; it must be finite and
-    is only supported for single-mode devices. The output covariance ``S S^T``, the
-    sampling factor tiles and ``sqrt(eta)`` are computed once here; the model is immutable.
+    is only supported for single-mode devices. ``n_modes``, the output covariance ``S S^T``,
+    the sampling factor tiles and ``sqrt(eta)`` are computed once here; the model is immutable.
     """
 
     s: np.ndarray
@@ -181,7 +178,6 @@ class DeviceModel:
                 raise ValueError("cubic gate is only supported for single-mode devices")
         _check_eta(self.eta)
         s.flags.writeable = False
-        object.__setattr__(self, "s", s)
         # not ``s @ s.T``: NumPy hands a product of an array and its own transpose to syrk,
         # whose bits differ from gemm's; a copy keeps the gemm of S (vacuum) S^T, bit for bit
         with np.errstate(over="ignore", invalid="ignore"):
@@ -189,13 +185,8 @@ class DeviceModel:
         if not np.isfinite(cov).all():
             raise ValueError("device covariance S S^T overflows float64")
         cov.flags.writeable = False
-        object.__setattr__(self, "_cov", cov)
-        object.__setattr__(self, "_tiles", {k: _tiles(cov, k, _TILE_VALUES) for k in SCHEMES})
-        object.__setattr__(self, "_sqrt_eta", np.sqrt(self.eta))
-
-    @property
-    def n_modes(self) -> int:
-        return self.s.shape[0] // 2
+        self.__dict__.update(s=s, n_modes=len(s) // 2, _cov=cov, _sqrt_eta=np.sqrt(self.eta),
+                             _tiles={k: _tiles(cov, k, _TILE_VALUES) for k in SCHEMES})
 
 
 def cubic_phase_mean_map(gamma: float, mean: np.ndarray) -> np.ndarray:
@@ -227,7 +218,7 @@ def evolve(model: DeviceModel, probe: ProbeSpec) -> GaussianState:
     """
     state, mean = object.__new__(GaussianState), _output_mean(model, probe)
     mean.flags.writeable = False
-    state.__dict__.update(mean=mean, cov=model._cov)
+    state.__dict__.update(mean=mean, cov=model._cov, n_modes=model.n_modes)
     return state
 
 

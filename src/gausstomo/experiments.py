@@ -101,6 +101,7 @@ def _sweep(
     flat = np.array([part for ps in parts.values() for part in ps], np.uint64)
     derived = iter(_seed_words(1, len(flat), seed, *flat.T)[:, 0].tolist())  # derive_seed(seed, *p)
     masters = {key: [next(derived) for _ in ps] for key, ps in parts.items()}
+    del parts, flat, derived  # the seed pass's inputs, freed before the table pass peaks
     table = _stream_tables({m: 2 * rows[idx]["n_modes"] for (idx, _), ms in masters.items()
                             for m in ms if not configs[idx].analytic})  # analytic: no draws
     errors: dict[tuple[int, ...], list[float]] = {idx: [] for idx in cells}

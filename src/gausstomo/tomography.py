@@ -369,7 +369,7 @@ def detect_non_gaussian(
     _check_real(tol, "detection tolerance", 0)
     ratios = probe_ratios(device, amplitudes, config)
     spread = max(ratios) - min(ratios)
-    return spread > tol, ratios
+    return bool(spread > tol), ratios
 
 
 def reconstruction_to_json(

@@ -146,6 +146,7 @@ def test_evolve_checks_no_covariance_per_probe(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
     got = evolve(model, probe)
     assert type(got) is GaussianState and got.cov is model._cov
+    assert vars(got).keys() == vars(want).keys() and got.n_modes == model.n_modes == 3
     assert np.array_equal(got.mean, want.mean) and got.mean.flags.writeable is False
 
 
@@ -406,10 +407,33 @@ def test_measurement_config_homodyne_budget_checked_at_construction():
 def test_shots_per_quadrature(scheme, shots, per_quadrature):
     config = MeasurementConfig(scheme=scheme, shots=shots, seed=1)
     assert config.shots_per_quadrature == per_quadrature
+    assert config._reseeded(2**64 - 1).shots_per_quadrature == per_quadrature  # a setting's copy
     device = SimulatedDevice(DeviceModel(np.eye(4)))
     means = device.probe_and_measure(ProbeSpec(mode_j=2, amplitude=1.0), config)
     assert means.shots_used_per_quadrature == per_quadrature
     assert device.probes_used == per_quadrature * (2 if scheme == HOMODYNE else 1)
+
+
+def test_derived_values_are_set_once_and_are_not_fields():
+    # shots_per_quadrature and n_modes are attributes set at construction: the fields, and so
+    # ==, repr and hashing, are the inputs'; assignment raises; replace() computes them again
+    config = MeasurementConfig(HOMODYNE, 101)
+    heterodyne = dataclasses.replace(config, scheme=HETERODYNE)
+    assert heterodyne.shots_per_quadrature == 101
+    assert dataclasses.replace(heterodyne, scheme=HOMODYNE).shots_per_quadrature == 50
+    assert repr(config) == "MeasurementConfig(scheme='homodyne', shots=101, seed=0)"
+    assert hash(config) == hash(MeasurementConfig(HOMODYNE, 101.0)) and config != heterodyne
+    model = DeviceModel(random_symplectic(2, seed=3))
+    state = coherent_probe_state(2, 1, 1.0, 0.0)
+    for record, names, derived in [
+            (config, ["scheme", "shots", "seed"], "shots_per_quadrature"),
+            (model, ["s", "eta", "cubic_gamma", "_cov", "_tiles", "_sqrt_eta"], "n_modes"),
+            (state, ["mean", "cov"], "n_modes")]:
+        assert [f.name for f in dataclasses.fields(record)] == names
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, derived, 1)
+    assert model.n_modes == state.n_modes == 2
+    assert dataclasses.replace(model, s=np.eye(6)).n_modes == 3
 
 
 def test_device_model_rejects_multimode_cubic_gate():

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import json
 import math
 import re
 
@@ -391,6 +392,12 @@ def test_detect_finite_shots_no_false_positive_sample():
     assert default_detection_tol([1.0, 2.0], cfg) == pytest.approx(
         5.0 * math.sqrt(1.0 / 100) / math.sqrt(2.0), abs=1e-12
     )
+    # NumPy amplitudes, or a NumPy tol, still give a Python bool: ``is`` and JSON read it
+    for gamma, amplitudes, tol in [(None, np.array([1.0, 2.0]), None),
+                                   (0.1, [1.0, 2.0], np.float64(0.1))]:
+        flag, _ = detect_non_gaussian(cubic_device(gamma), amplitudes, cfg, tol=tol)
+        assert type(flag) is bool and flag is (gamma is not None)
+        assert json.dumps(flag) == json.dumps(gamma is not None)
 
 
 def test_default_tol_analytic_floor():
